@@ -155,9 +155,9 @@ func WithSlack(c1 int) Option {
 	return func(o *options) { o.c1 = c1 }
 }
 
-// WithParallelEngine runs vertices on the sharded parallel engine
-// instead of the sequential one. Traces are identical; only wall-clock
-// differs.
+// WithParallelEngine runs rounds on the sharded flat-kernel engine
+// (beep.FlatParallel, one stripe per CPU) instead of the sequential
+// one. Traces are identical; only wall-clock differs.
 func WithParallelEngine() Option {
 	return func(o *options) { o.parallel = true }
 }
@@ -254,7 +254,7 @@ func Solve(g *Graph, opts ...Option) (*Result, error) {
 	}
 	engine := beep.Sequential
 	if o.parallel {
-		engine = beep.Parallel
+		engine = beep.FlatParallel
 	}
 	res, err := core.Run(core.RunConfig{
 		Graph:     g.g,

@@ -88,8 +88,9 @@ func BenchmarkStabilizeAlg2TwoChannel1k(b *testing.B) {
 	}, g)
 }
 
-// Engine benchmarks: cost of one simulated round under the four
-// execution engines, isolating simulator overhead from algorithm work.
+// Engine benchmarks: cost of one simulated round on the flat-kernel
+// pipeline of both engines and on the reference loop, isolating
+// simulator overhead from algorithm work.
 
 func benchEngine(b *testing.B, engine beep.Engine, n int, opts ...beep.Option) {
 	b.Helper()
@@ -109,16 +110,12 @@ func benchEngine(b *testing.B, engine beep.Engine, n int, opts ...beep.Option) {
 }
 
 func BenchmarkRoundSequential4k(b *testing.B) { benchEngine(b, beep.Sequential, 4096) }
-func BenchmarkRoundParallel4k(b *testing.B)   { benchEngine(b, beep.Parallel, 4096) }
-func BenchmarkRoundPerVertex4k(b *testing.B)  { benchEngine(b, beep.PerVertex, 4096) }
-func BenchmarkRoundFlat4k(b *testing.B)       { benchEngine(b, beep.Flat, 4096) }
 
-// BenchmarkRoundFlatParallel4k runs the sharded flat engine with its
+// BenchmarkRoundFlatParallel4k runs the sharded pipeline with its
 // default worker count (GOMAXPROCS); the W-suffixed variants pin
-// explicit counts for the scaling table in BENCH_parflat.json. W1 is
-// the sharding-overhead floor: the same stripe kernels and merge
-// phases on a single worker, so (W1 − Flat) is the price of the
-// machinery and (W1 − Wk) is the parallel payoff.
+// explicit counts for the scaling table in BENCH_parflat.json. W1 runs
+// the same single inline stripe as Sequential, so (W1 − Wk) is the
+// parallel payoff net of the pool barrier.
 func BenchmarkRoundFlatParallel4k(b *testing.B) { benchEngine(b, beep.FlatParallel, 4096) }
 func BenchmarkRoundFlatParallel4kW1(b *testing.B) {
 	benchEngine(b, beep.FlatParallel, 4096, beep.WithWorkers(1))
@@ -136,13 +133,13 @@ func BenchmarkRoundFlatParallel4kW8(b *testing.B) {
 // BenchmarkRoundFlatRelabeled4k isolates the cache-locality effect of
 // graph.Relabel: the same G(n,p) instance as the other 4k round
 // benches, BFS-relabeled before network construction, run on the
-// sequential flat engine. The delta against BenchmarkRoundFlat4k is
+// sequential pipeline. The delta against BenchmarkRoundSequential4k is
 // pure memory-layout effect — the relabeled graph is isomorphic and
 // every kernel does identical arithmetic.
 func BenchmarkRoundFlatRelabeled4k(b *testing.B) {
 	g := graph.Relabel(graph.GNPAvgDegree(4096, 8, rng.New(2)), graph.OrderBFS).Graph
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(g, proto, 3, beep.WithEngine(beep.Flat))
+	net, err := beep.NewNetwork(g, proto, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,12 +154,12 @@ func BenchmarkRoundFlatRelabeled4k(b *testing.B) {
 
 // BenchmarkRoundSequentialRef4k pins the pre-flat reference loop
 // (per-vertex interface dispatch) so the flat-kernel speedup stays
-// measurable after Sequential's transparent upgrade.
+// measurable.
 func BenchmarkRoundSequentialRef4k(b *testing.B) {
 	benchEngine(b, beep.Sequential, 4096, beep.WithFlatKernels(false))
 }
 
-// BenchmarkRoundFlat1M measures one flat-engine round at n = 10⁶ on a
+// BenchmarkRoundFlat1M measures one flat-kernel round at n = 10⁶ on a
 // random geometric graph (the paper's wireless-network motivation),
 // from a randomized configuration: the convergence-phase rounds that
 // dominate experiment cost at scale. Skipped under -short (graph
@@ -175,7 +172,7 @@ func BenchmarkRoundFlat1M(b *testing.B) {
 	r := math.Sqrt(8 / (math.Pi * float64(n)))
 	g := graph.UnitDisk(n, r, rng.New(9))
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(g, proto, 3, beep.WithEngine(beep.Flat))
+	net, err := beep.NewNetwork(g, proto, 3)
 	if err != nil {
 		b.Fatal(err)
 	}

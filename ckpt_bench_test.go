@@ -42,12 +42,12 @@ func (w *countWriter) Write(p []byte) (int, error) {
 
 var _ io.Writer = (*countWriter)(nil)
 
-// stableCkptNet builds a stabilized flat/sparse network with an armed
+// stableCkptNet builds a stabilized flat-kernel network with an armed
 // dirty-word baseline (the first Checkpoint call arms tracking).
 func stableCkptNet(b *testing.B, t graph.Topology, seed uint64) *beep.Network {
 	b.Helper()
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(t, proto, seed, beep.WithEngine(beep.Flat), beep.WithSparse(beep.SparseAuto))
+	net, err := beep.NewNetwork(t, proto, seed)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,23 +3,19 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"math/rand"
 	"net/http"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
-	"repro/internal/service"
 	"repro/internal/stab"
 )
 
@@ -37,50 +33,60 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runTestDaemon is the child-process entry: the same lifecycle as the
-// real binary (serve → SIGTERM → drain), configured from env vars.
+// runTestDaemon is the child-process entry: the binary's own run
+// (flags → signal handler → serve → SIGTERM → drain), over the data
+// directory named by an env var.
 func runTestDaemon() {
-	d, err := service.New(service.Config{
-		DataDir:         os.Getenv("BEEPD_DATA"),
-		Addr:            "127.0.0.1:0",
-		Workers:         2,
-		CheckpointEvery: 16,
-		DrainTimeout:    30 * time.Second,
-		Logf:            log.New(os.Stderr, "", 0).Printf,
-	})
+	err := run([]string{"-data", os.Getenv("BEEPD_DATA"), "-workers", "2",
+		"-checkpoint-every", "16", "-drain-timeout", "30s"})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "daemon:", err)
-		os.Exit(1)
-	}
-	if err := d.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "daemon:", err)
-		os.Exit(1)
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	<-sig
-	if err := d.Shutdown(context.Background()); err != nil {
 		fmt.Fprintln(os.Stderr, "daemon:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// startDaemon launches the daemon over dir and waits until its address
-// file appears (i.e. it is accepting connections).
-func startDaemon(t *testing.T, dir string) (*exec.Cmd, string) {
+// daemonProc is a daemon child process. A goroutine reaps it as soon as
+// it exits; done is closed then, and err holds the exit status.
+type daemonProc struct {
+	cmd    *exec.Cmd
+	stderr bytes.Buffer
+	done   chan struct{}
+	err    error
+}
+
+// kill SIGKILLs the child and waits until it is reaped.
+func (p *daemonProc) kill() {
+	p.cmd.Process.Kill()
+	<-p.done
+}
+
+// startDaemon launches the daemon over dir and waits until it answers
+// /v1/healthz. The test's cleanup kills and reaps the child if it is
+// still running, so a failing test never leaves a daemon behind.
+func startDaemon(t *testing.T, dir string) (*daemonProc, string) {
 	t.Helper()
 	// A stale address file from a previous life must not race the poll.
 	addrFile := filepath.Join(dir, "beepd.addr")
 	os.Remove(addrFile)
 
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), daemonEnv+"=1", "BEEPD_DATA="+dir)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
+	p := &daemonProc{cmd: exec.Command(os.Args[0]), done: make(chan struct{})}
+	p.cmd.Env = append(os.Environ(), daemonEnv+"=1", "BEEPD_DATA="+dir)
+	p.cmd.Stderr = &p.stderr
+	if err := p.cmd.Start(); err != nil {
 		t.Fatalf("start daemon: %v", err)
 	}
+	go func() {
+		p.err = p.cmd.Wait()
+		close(p.done)
+	}()
+	t.Cleanup(func() {
+		select {
+		case <-p.done:
+		default:
+			p.kill()
+		}
+	})
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		if data, err := os.ReadFile(addrFile); err == nil && len(bytes.TrimSpace(data)) > 0 {
@@ -89,28 +95,27 @@ func startDaemon(t *testing.T, dir string) (*exec.Cmd, string) {
 			resp, err := http.Get("http://" + addr + "/v1/healthz")
 			if err == nil {
 				resp.Body.Close()
-				return cmd, "http://" + addr
+				return p, "http://" + addr
 			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	cmd.Process.Kill()
-	t.Fatalf("daemon never came up; stderr:\n%s", stderr.String())
+	p.kill()
+	t.Fatalf("daemon never came up; stderr:\n%s", p.stderr.String())
 	return nil, ""
 }
 
-func stopDaemon(t *testing.T, cmd *exec.Cmd) {
+// stopDaemon sends SIGTERM and requires the drain to exit 0.
+func stopDaemon(t *testing.T, p *daemonProc) {
 	t.Helper()
-	cmd.Process.Signal(syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
+	p.cmd.Process.Signal(syscall.SIGTERM)
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("daemon exit after SIGTERM: %v", err)
+	case <-p.done:
+		if p.err != nil {
+			t.Fatalf("daemon exit after SIGTERM: %v; stderr:\n%s", p.err, p.stderr.String())
 		}
 	case <-time.After(40 * time.Second):
-		cmd.Process.Kill()
+		p.kill()
 		t.Fatalf("daemon did not drain within 40s of SIGTERM")
 	}
 }
@@ -277,10 +282,7 @@ func TestChaosKillRestartResume(t *testing.T) {
 		}
 		delay := time.Duration(10+rnd.Intn(690)) * time.Millisecond
 		time.Sleep(delay)
-		if err := cmd.Process.Kill(); err != nil {
-			t.Fatalf("iter %d: SIGKILL: %v", iter, err)
-		}
-		cmd.Wait()
+		cmd.kill()
 
 		// The store must witness the crash: job records still say
 		// "running" — no orderly transition happened.
@@ -400,5 +402,16 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 				t.Fatalf("job %s round %d hash %s, reference %s", id, r, hashes[r], h)
 			}
 		}
+	}
+}
+
+// TestDaemonSIGTERMAtStartup pins the signal-handler ordering: the
+// daemon installs its SIGTERM handler before it starts serving, so a
+// SIGTERM sent right after the first healthy /v1/healthz drains and
+// exits 0 instead of killing the process by the default action.
+func TestDaemonSIGTERMAtStartup(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		p, _ := startDaemon(t, t.TempDir())
+		stopDaemon(t, p)
 	}
 }

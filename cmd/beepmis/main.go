@@ -9,7 +9,7 @@
 //	beepmis -family gnp:256:0.05 -faults 20        # inject and recover
 //	beepmis -family gnp:128:0.1 -churn flap:3:8    # live-rewiring storm
 //	beepmis -family star:16 -adversaries 0 -adversary-policy jammer
-//	beepmis -family gnp:4096:0.002 -engine flat -cpuprofile cpu.pprof
+//	beepmis -family gnp:4096:0.002 -engine flatparallel -cpuprofile cpu.pprof
 package main
 
 import (
@@ -92,9 +92,8 @@ func run(args []string) (retErr error) {
 	inspectCkpt := fs.String("inspect-checkpoint", "", "validate a checkpoint file (base snapshot plus any delta chain) and print its summary, then exit; a broken chain exits nonzero")
 	deadline := fs.Duration("deadline", 0, "wall-clock deadline per attempt, e.g. 30s (0 = none)")
 	maxRetries := fs.Int("max-retries", 0, "budget escalations after the first attempt (the run is extended, not restarted)")
-	engineName := fs.String("engine", "sequential", "round engine: sequential | parallel | pervertex | flat | flatparallel")
-	workers := fs.Int("workers", 0, "worker count for the parallel engines (0 = GOMAXPROCS; ignored by sequential engines)")
-	sparseName := fs.String("sparse", "auto", "flat-kernel round path: auto | on | off (on forces the sparse delta path; rejects engines without flat kernels)")
+	engineName := fs.String("engine", "sequential", "round engine: sequential | flatparallel")
+	workers := fs.Int("workers", 0, "worker count for the flatparallel engine (0 = GOMAXPROCS; ignored by sequential)")
 	distributed := fs.Bool("distributed", false, "run over partitioned workers (coordinator + N beepworkers)")
 	partitions := fs.Int("partitions", 2, "worker partition count for -distributed")
 	workerBin := fs.String("worker-bin", "", "beepworker binary for -distributed (empty = in-process workers)")
@@ -124,19 +123,12 @@ func run(args []string) (retErr error) {
 	if *workers < 0 {
 		return fmt.Errorf("-workers %d: worker count must be non-negative (0 = GOMAXPROCS)", *workers)
 	}
-	sparseMode, err := beep.ParseSparseMode(*sparseName)
-	if err != nil {
-		return err
-	}
-	if sparseMode == beep.SparseOn && (engine == beep.Parallel || engine == beep.PerVertex) {
-		return fmt.Errorf("-sparse on requires a flat-kernel engine (sequential, flat, flatparallel) or -distributed; -engine %s has none", *engineName)
-	}
 	// engineOpts builds the engine configuration (engine choice plus the
 	// optional explicit worker count) shared by every network this
 	// invocation constructs; each call returns a fresh slice, so the
 	// per-path appends never alias.
 	engineOpts := func(extra ...beep.Option) []beep.Option {
-		opts := []beep.Option{beep.WithEngine(engine), beep.WithSparse(sparseMode)}
+		opts := []beep.Option{beep.WithEngine(engine)}
 		if *workers > 0 {
 			opts = append(opts, beep.WithWorkers(*workers))
 		}
@@ -184,9 +176,6 @@ func run(args []string) (retErr error) {
 		if *workers > 0 {
 			return fmt.Errorf("-workers applies to the self-stabilizing algorithms only, not %q", *alg)
 		}
-		if explicit["sparse"] {
-			return fmt.Errorf("-sparse applies to the self-stabilizing algorithms only, not %q", *alg)
-		}
 		if supervised {
 			return fmt.Errorf("-checkpoint/-resume/-deadline/-max-retries apply to the self-stabilizing algorithms only, not %q", *alg)
 		}
@@ -202,8 +191,8 @@ func run(args []string) (retErr error) {
 		return err
 	}
 	if *distributed {
-		// The distributed engine proves bit-exactness against the Flat
-		// engine under deterministic per-vertex streams; the features
+		// The distributed engine proves bit-exactness against the local
+		// engines under deterministic per-vertex streams; the features
 		// below either perturb determinism (noise, adversaries, churn)
 		// or are single-process drivers (-csv recorder, fault drill,
 		// supervisor retries) and stay with the local engines.
@@ -220,7 +209,7 @@ func run(args []string) (retErr error) {
 			return fmt.Errorf("-engine/-workers select a local engine; -distributed always runs flat kernels over -partitions workers")
 		}
 		return runDistributed(g, *alg, *seed, initMode, *maxRounds, *partitions,
-			*workerBin, *distRoundDelay, sparseMode, sup, *printMIS)
+			*workerBin, *distRoundDelay, sup, *printMIS)
 	}
 	if *advList == "" && *advPolicy != "jammer" {
 		return fmt.Errorf("-adversary-policy %q requires -adversaries", *advPolicy)
@@ -329,7 +318,7 @@ func run(args []string) (retErr error) {
 // bit-identical to them, so the rounds/|MIS| fields must match too.
 func runDistributed(g *graph.Graph, alg string, seed uint64, initMode core.InitMode,
 	maxRounds, partitions int, workerBin string, roundDelay time.Duration,
-	sparse beep.SparseMode, sup supervision, printMIS bool) error {
+	sup supervision, printMIS bool) error {
 	cfg := dist.Config{
 		Graph:           g,
 		Protocol:        alg,
@@ -340,7 +329,6 @@ func runDistributed(g *graph.Graph, alg string, seed uint64, initMode core.InitM
 		CheckpointEvery: sup.ckEvery,
 		CheckpointPath:  sup.ckPath,
 		RoundDelay:      roundDelay,
-		Sparse:          sparse,
 	}
 	if workerBin != "" {
 		cfg.Spawner = &dist.ProcSpawner{Binary: workerBin, Stderr: os.Stderr}
@@ -363,12 +351,8 @@ func runDistributed(g *graph.Graph, alg string, seed uint64, initMode core.InitM
 		}
 		return err
 	}
-	exchange := "dense"
-	if res.Sparse {
-		exchange = "delta"
-	}
-	fmt.Printf("stabilized: rounds=%d |MIS|=%d (verified) distributed partitions=%d respawns=%d exchange=%s wire-bytes=%d\n",
-		res.StabilizedRound, res.MISSize, partitions, res.Respawns, exchange, res.WireBytes)
+	fmt.Printf("stabilized: rounds=%d |MIS|=%d (verified) distributed partitions=%d respawns=%d wire-bytes=%d\n",
+		res.StabilizedRound, res.MISSize, partitions, res.Respawns, res.WireBytes)
 	if printMIS {
 		printMask(res.MIS)
 	}

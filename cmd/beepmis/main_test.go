@@ -203,10 +203,10 @@ func TestRunGraph6File(t *testing.T) {
 	}
 }
 
-// TestRunEngines exercises the -engine flag across all five engines and
-// the error path for unknown names and baseline combinations.
+// TestRunEngines exercises the -engine flag on both engines and the
+// error paths for unknown and retired names and baseline combinations.
 func TestRunEngines(t *testing.T) {
-	for _, engine := range []string{"sequential", "parallel", "pervertex", "flat", "flatparallel"} {
+	for _, engine := range []string{"sequential", "flatparallel"} {
 		if err := run([]string{"-family", "cycle:24", "-engine", engine, "-seed", "3"}); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
@@ -214,7 +214,13 @@ func TestRunEngines(t *testing.T) {
 	if err := run([]string{"-family", "cycle:24", "-engine", "warp"}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
 		t.Fatalf("want unknown-engine error, got %v", err)
 	}
-	if err := run([]string{"-family", "cycle:16", "-alg", "luby", "-engine", "flat"}); err == nil {
+	// Retired engine names name their replacement.
+	for name, repl := range map[string]string{"parallel": "flatparallel", "pervertex": "flatparallel", "flat": "sequential"} {
+		if err := run([]string{"-family", "cycle:24", "-engine", name}); err == nil || !strings.Contains(err.Error(), "use "+repl) {
+			t.Fatalf("-engine %s: want an error naming %s, got %v", name, repl, err)
+		}
+	}
+	if err := run([]string{"-family", "cycle:16", "-alg", "luby", "-engine", "flatparallel"}); err == nil {
 		t.Fatal("want error for -engine with a baseline algorithm")
 	}
 }
@@ -224,7 +230,7 @@ func TestRunEngines(t *testing.T) {
 // clamps), acceptance on the churn and adversary paths, rejection of
 // negative values, and rejection for baseline algorithms.
 func TestRunWorkersFlag(t *testing.T) {
-	for _, engine := range []string{"flatparallel", "parallel"} {
+	for _, engine := range []string{"flatparallel"} {
 		for _, w := range []string{"1", "2", "999"} {
 			if err := run([]string{"-family", "cycle:24", "-engine", engine, "-workers", w, "-seed", "3"}); err != nil {
 				t.Fatalf("%s/-workers=%s: %v", engine, w, err)
@@ -248,59 +254,13 @@ func TestRunWorkersFlag(t *testing.T) {
 	}
 }
 
-// TestRunSparseFlag covers -sparse: the three mode names on every
-// engine that supports them (sequential carries flat kernels, so
-// forced-on works there too), the distributed path, and the rejection
-// matrix — unknown mode names, forced-on with kernel-less engines, and
-// baseline algorithms.
-func TestRunSparseFlag(t *testing.T) {
-	for _, engine := range []string{"sequential", "flat", "flatparallel"} {
-		for _, mode := range []string{"auto", "on", "off"} {
-			if err := run([]string{"-family", "cycle:24", "-engine", engine, "-sparse", mode, "-seed", "3"}); err != nil {
-				t.Fatalf("%s/-sparse=%s: %v", engine, mode, err)
-			}
-		}
-	}
-	// The delta path must survive the churn and fault-drill drivers
-	// (faults corrupt state mid-run; churn rewires live).
-	if err := run([]string{"-family", "gnp:24:0.2", "-engine", "flat", "-sparse", "on",
-		"-churn", "flap:2:2", "-seed", "5"}); err != nil {
-		t.Fatalf("churn with -sparse on: %v", err)
-	}
-	if err := run([]string{"-family", "cycle:20", "-engine", "flat", "-sparse", "on",
-		"-faults", "4", "-seed", "3"}); err != nil {
-		t.Fatalf("faults with -sparse on: %v", err)
-	}
-	if err := run([]string{"-family", "cycle:24", "-distributed", "-partitions", "2",
-		"-sparse", "on", "-seed", "3"}); err != nil {
-		t.Fatalf("distributed with -sparse on: %v", err)
-	}
-	if err := run([]string{"-family", "cycle:24", "-distributed", "-partitions", "2",
-		"-sparse", "off", "-seed", "3"}); err != nil {
-		t.Fatalf("distributed with -sparse off: %v", err)
-	}
-	if err := run([]string{"-family", "cycle:24", "-sparse", "bogus"}); err == nil ||
-		!strings.Contains(err.Error(), "sparse") {
-		t.Fatalf("want unknown-mode error, got %v", err)
-	}
-	for _, engine := range []string{"parallel", "pervertex"} {
-		if err := run([]string{"-family", "cycle:24", "-engine", engine, "-sparse", "on"}); err == nil ||
-			!strings.Contains(err.Error(), "flat-kernel") {
-			t.Fatalf("%s: want flat-kernel rejection, got %v", engine, err)
-		}
-	}
-	if err := run([]string{"-family", "cycle:16", "-alg", "luby", "-init", "fresh", "-sparse", "on"}); err == nil {
-		t.Fatal("want error for -sparse with a baseline algorithm")
-	}
-}
-
 // TestRunProfiles checks -cpuprofile/-memprofile leave non-empty pprof
 // files behind after a successful run.
 func TestRunProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	if err := run([]string{"-family", "gnp:128:0.05", "-engine", "flat",
+	if err := run([]string{"-family", "gnp:128:0.05", "-engine", "flatparallel",
 		"-cpuprofile", cpu, "-memprofile", mem, "-seed", "5"}); err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,8 @@ func TestProcessChaosMatrix(t *testing.T) {
 	const parts = 2
 
 	// Uninterrupted reference, in-process (proven bit-identical to the
-	// Flat engine by the internal/dist equivalence matrix).
+	// single-process flat kernels by the internal/dist equivalence
+	// matrix).
 	ref, err := dist.Run(context.Background(), goldenConfig(g, parts, dist.InProcessSpawner(nil)))
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func NewInstance(g *Graph, opts ...Option) (*Instance, error) {
 	}
 	engine := beep.Sequential
 	if o.parallel {
-		engine = beep.Parallel
+		engine = beep.FlatParallel
 	}
 	net, err := beep.NewNetwork(g.g, proto, o.seed, beep.WithEngine(engine), beep.WithNoise(o.noise), beep.WithSleep(o.sleep))
 	if err != nil {

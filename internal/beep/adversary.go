@@ -116,10 +116,6 @@ func (n *Network) installAdversaries() error {
 // the constant pre-drawn signals, the babbler index list, and the count,
 // and bumps the epoch so legality observers re-capture the mask.
 func (n *Network) setAdversaries(adv []uint8) {
-	// Adversaries transmit regardless of machine state, so a quiescence
-	// snapshot taken under the previous adversary set must not elide
-	// rounds under the new one.
-	n.quiet = false
 	// The policy table is checkpointed state: the next incremental
 	// checkpoint must carry the full table (see Delta.Adversaries).
 	n.ckDirty.adv = true

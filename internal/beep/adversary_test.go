@@ -250,48 +250,23 @@ func TestAdversaryFollowsRewire(t *testing.T) {
 	}
 }
 
-// TestAdversaryEngineEquivalence is the focused engine contract for the
-// adversary layer alone (the rewire test covers the combined case): all
-// three engines must agree on executions with every policy installed,
-// under noise and sleep, because babbler draws are pre-drawn
-// sequentially.
+// TestAdversaryEngineEquivalence pins the pipeline's fault rounds:
+// with every policy installed, under noise and sleep, each flat-kernel
+// configuration must reproduce the reference loop, because babbler
+// draws are pre-drawn sequentially and skipped vertices are pre-filled.
 func TestAdversaryEngineEquivalence(t *testing.T) {
 	g := graph.GNPAvgDegree(30, 5, rng.New(8))
 	const seed, rounds = 77, 25
-	run := func(engine Engine) [][]Signal {
-		var trace [][]Signal
-		net, err := NewNetwork(g, probeProtocol{}, seed,
-			WithEngine(engine),
-			WithNoise(Noise{PLoss: 0.1, PFalse: 0.05}),
-			WithSleep(Sleep{P: 0.1}),
-			WithAdversaries(AdvJammer, []int{0}),
-			WithAdversaries(AdvBabbler, []int{7, 11, 19}),
-			WithAdversaries(AdvMute, []int{4}),
-			WithObserver(func(_ int, sent, heard []Signal) {
-				row := make([]Signal, 0, 2*len(sent))
-				row = append(row, sent...)
-				row = append(row, heard...)
-				trace = append(trace, row)
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer net.Close()
-		net.RandomizeAll()
-		for r := 0; r < rounds; r++ {
-			net.Step()
-		}
-		return trace
+	faults := []Option{
+		WithNoise(Noise{PLoss: 0.1, PFalse: 0.05}),
+		WithSleep(Sleep{P: 0.1}),
+		WithAdversaries(AdvJammer, []int{0}),
+		WithAdversaries(AdvBabbler, []int{7, 11, 19}),
+		WithAdversaries(AdvMute, []int{4}),
 	}
-	ref := run(Sequential)
-	for _, engine := range []Engine{Parallel, PerVertex} {
-		got := run(engine)
-		for r := range ref {
-			for i := range ref[r] {
-				if got[r][i] != ref[r][i] {
-					t.Fatalf("engine %v diverged at round %d slot %d", engine, r, i)
-				}
-			}
-		}
+	ref := signalTrace(t, g, rwProtocol{}, seed, rounds, faults...)
+	for _, c := range pipelineConfigs {
+		opts := append(append([]Option(nil), faults...), c.opts...)
+		sameTrace(t, c.name, signalTrace(t, g, rwKernelProtocol{}, seed, rounds, opts...), ref)
 	}
 }

@@ -16,9 +16,8 @@
 //     of the paper respectively.
 //
 // Protocols are per-vertex state machines (Machine) created by a Protocol
-// factory, executed by interchangeable engines (sequential, sharded
-// parallel, and goroutine-per-vertex) that are trace-equivalent for a
-// fixed seed.
+// factory, executed by two engines (sequential and sharded over a worker
+// pool) that are trace-equivalent for a fixed seed.
 package beep
 
 import (
@@ -112,28 +111,16 @@ type BatchProtocol interface {
 type Engine int
 
 const (
-	// Sequential executes vertices one after another in a single
-	// goroutine. It is the fastest engine for small graphs and the
-	// reference semantics.
+	// Sequential executes rounds in the calling goroutine. With a
+	// protocol whose bulk state provides flat kernels (FlatProtocol) it
+	// runs the round pipeline of pipeline.go over one stripe; otherwise,
+	// or under WithFlatKernels(false), it runs the per-machine reference
+	// loop.
 	Sequential Engine = iota + 1
-	// Parallel shards vertices over worker goroutines with two barriers
-	// per round (emit barrier, update barrier).
-	Parallel
-	// PerVertex runs one goroutine per vertex, the direct Go realization
-	// of the model's "every vertex is an independent processor".
-	PerVertex
-	// Flat executes rounds over structure-of-arrays slabs with
-	// whole-cohort kernels and bitset beep delivery (see flat.go). It
-	// requires the protocol's bulk state to implement FlatProtocol and
-	// is the only engine that accepts WithBatchedSampling.
-	Flat
-	// FlatParallel shards the flat cohort kernels over the
-	// sense-reversing worker pool: contiguous 64-vertex-aligned slab
-	// stripes per worker for emit/update, word-range-partitioned sender
-	// packing, per-worker scatter masks merged by word-range ownership
-	// for delivery (see flatparallel.go). Like Flat it requires
-	// FlatProtocol kernels, and like every other engine it is
-	// trace-equivalent to the sequential reference for a fixed seed.
+	// FlatParallel runs the same round pipeline over WithWorkers
+	// contiguous 64-vertex-aligned stripes on a persistent worker pool.
+	// It requires FlatProtocol kernels and, like Sequential, is
+	// trace-equivalent to the reference loop for a fixed seed.
 	FlatParallel
 )
 
@@ -142,12 +129,6 @@ func (e Engine) String() string {
 	switch e {
 	case Sequential:
 		return "sequential"
-	case Parallel:
-		return "parallel"
-	case PerVertex:
-		return "pervertex"
-	case Flat:
-		return "flat"
 	case FlatParallel:
 		return "flatparallel"
 	default:
@@ -156,20 +137,19 @@ func (e Engine) String() string {
 }
 
 // ParseEngine maps an engine name (as produced by Engine.String) back to
-// the Engine value, for command-line flags.
+// the Engine value, for command-line flags. The names of retired engines
+// are rejected with the engine that replaces them.
 func ParseEngine(name string) (Engine, error) {
 	switch name {
 	case "sequential":
 		return Sequential, nil
-	case "parallel":
-		return Parallel, nil
-	case "pervertex":
-		return PerVertex, nil
-	case "flat":
-		return Flat, nil
 	case "flatparallel":
 		return FlatParallel, nil
+	case "parallel", "pervertex":
+		return 0, fmt.Errorf("beep: engine %q was retired; use flatparallel", name)
+	case "flat":
+		return 0, fmt.Errorf("beep: engine %q was retired; use sequential", name)
 	default:
-		return 0, fmt.Errorf("beep: unknown engine %q (want sequential, parallel, pervertex, flat or flatparallel)", name)
+		return 0, fmt.Errorf("beep: unknown engine %q (want sequential or flatparallel)", name)
 	}
 }

@@ -1,6 +1,7 @@
 package beep
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -94,11 +95,22 @@ func TestSignalHas(t *testing.T) {
 }
 
 func TestEngineString(t *testing.T) {
-	if Sequential.String() != "sequential" || Parallel.String() != "parallel" || PerVertex.String() != "pervertex" {
+	if Sequential.String() != "sequential" || FlatParallel.String() != "flatparallel" {
 		t.Fatal("engine names wrong")
 	}
 	if Engine(42).String() != "engine(42)" {
 		t.Fatal("unknown engine name wrong")
+	}
+	for _, e := range []Engine{Sequential, FlatParallel} {
+		if got, err := ParseEngine(e.String()); err != nil || got != e {
+			t.Fatalf("ParseEngine(%q) = %v, %v", e.String(), got, err)
+		}
+	}
+	// Retired engine names fail with the engine that replaces them.
+	for name, repl := range map[string]string{"parallel": "flatparallel", "pervertex": "flatparallel", "flat": "sequential"} {
+		if _, err := ParseEngine(name); err == nil || !strings.Contains(err.Error(), "use "+repl) {
+			t.Fatalf("ParseEngine(%q) = %v, want an error naming %s", name, err, repl)
+		}
 	}
 }
 
@@ -207,6 +219,10 @@ func TestObserverSeesEveryRound(t *testing.T) {
 	}
 }
 
+// TestEnginesProduceIdenticalTraces pins the engine contract on a toy
+// protocol: the flat-kernel pipeline — Sequential, forced delta
+// delivery, and FlatParallel at one and three stripes — reproduces the
+// reference loop's (sent, heard) trace round for round.
 func TestEnginesProduceIdenticalTraces(t *testing.T) {
 	src := rng.New(77)
 	graphs := []*graph.Graph{
@@ -214,37 +230,13 @@ func TestEnginesProduceIdenticalTraces(t *testing.T) {
 		graph.Path(17),
 		graph.Complete(9),
 		graph.GNP(60, 0.1, src),
+		graph.GNPAvgDegree(700, 3, src),
 	}
 	const seed, steps = 12345, 50
 	for _, g := range graphs {
-		var ref [][]Signal
-		for _, engine := range []Engine{Sequential, Parallel, PerVertex} {
-			var trace [][]Signal
-			net, err := NewNetwork(g, probeProtocol{}, seed,
-				WithEngine(engine),
-				WithObserver(func(_ int, sent, _ []Signal) {
-					row := make([]Signal, len(sent))
-					copy(row, sent)
-					trace = append(trace, row)
-				}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < steps; i++ {
-				net.Step()
-			}
-			net.Close()
-			if ref == nil {
-				ref = trace
-				continue
-			}
-			for r := range ref {
-				for v := range ref[r] {
-					if ref[r][v] != trace[r][v] {
-						t.Fatalf("%s: engine %v diverged from sequential at round %d vertex %d", g.Name(), engine, r+1, v)
-					}
-				}
-			}
+		ref := signalTrace(t, g, rwProtocol{}, seed, steps)
+		for _, c := range pipelineConfigs {
+			sameTrace(t, g.Name()+"/"+c.name, signalTrace(t, g, rwKernelProtocol{}, seed, steps, c.opts...), ref)
 		}
 	}
 }
@@ -257,7 +249,7 @@ func TestCloseIdempotentAndSequentialNoop(t *testing.T) {
 	net.Close()
 	net.Close()
 
-	netP, err := NewNetwork(graph.Path(3), counterProtocol{}, 1, WithEngine(Parallel))
+	netP, err := NewNetwork(graph.Path(130), rwKernelProtocol{}, 1, WithEngine(FlatParallel), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +264,8 @@ func TestCloseIdempotentAndSequentialNoop(t *testing.T) {
 // whenever a caller stepped a closed network). Regression test for the
 // concurrent and sequential engines alike.
 func TestStepAfterCloseIsTerminal(t *testing.T) {
-	for _, engine := range []Engine{Sequential, Parallel, PerVertex} {
-		net, err := NewNetwork(graph.Cycle(8), probeProtocol{}, 3, WithEngine(engine))
+	for _, engine := range []Engine{Sequential, FlatParallel} {
+		net, err := NewNetwork(graph.Cycle(130), rwKernelProtocol{}, 3, WithEngine(engine), WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,22 +324,6 @@ func TestRandomizeAllReachesMachines(t *testing.T) {
 	}
 	if nonZero == 0 {
 		t.Fatal("RandomizeAll had no visible effect")
-	}
-}
-
-func TestPerVertexPoolHasOneShardPerVertex(t *testing.T) {
-	net, err := NewNetwork(graph.Path(7), counterProtocol{}, 1, WithEngine(PerVertex))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	if got := len(net.workers.shards); got != 7 {
-		t.Fatalf("PerVertex shards = %d, want 7", got)
-	}
-	for i, sh := range net.workers.shards {
-		if sh[1]-sh[0] != 1 {
-			t.Fatalf("shard %d spans %v, want single vertex", i, sh)
-		}
 	}
 }
 

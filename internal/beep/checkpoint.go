@@ -220,9 +220,6 @@ func (n *Network) Checkpoint() (*Checkpoint, error) {
 	if n.failed != nil {
 		return nil, fmt.Errorf("beep: checkpoint of failed network: %w", n.failed)
 	}
-	if n.sampler != nil {
-		return nil, fmt.Errorf("beep: checkpoint with batched sampling enabled: the sampler's residual words are not part of checkpoint format v%d, so a resumed run would diverge", CheckpointFormatVersion)
-	}
 	c := &Checkpoint{
 		FormatVersion:    CheckpointFormatVersion,
 		GraphFingerprint: n.graphFingerprint(),
@@ -329,11 +326,8 @@ func (n *Network) Restore(c *Checkpoint) error {
 	}
 	n.advEpoch = c.AdvEpoch
 	n.round = c.Round
-	// The sent/heard arrays still describe the pre-restore execution, so
-	// a quiescence snapshot (if any) must not elide the next round even
-	// if the restored state happens to match it. The same staleness
-	// invalidates the sparse path's frontier and sender-bit baselines.
-	n.quiet = false
+	// The sent/heard arrays still describe the pre-restore execution,
+	// which invalidates the pipeline's frontier and sender-bit baselines.
 	n.sparse.markAll()
 	// The restored state shares nothing with whatever baseline the
 	// dirty tracker held; the next checkpoint must be a full base.

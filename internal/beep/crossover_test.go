@@ -21,20 +21,32 @@ func (xoverMachine) Emit(*rng.Source) Signal { return Silent }
 func (xoverMachine) Update(_, _ Signal)      {}
 func (xoverMachine) Randomize(*rng.Source)   {}
 
-// deliverScatter computes heard via the sparse path (pack → scatter →
-// compose), regardless of the cost model.
+// deliverScatter computes heard via the pipeline's scatter (pack →
+// scatter → compose over one stripe), regardless of the cost model.
 func deliverScatter(n *Network) []Signal {
-	N := n.N()
-	for c := 0; c < n.channels; c++ {
-		n.sizeSendBits(c)
-		n.packSendersRange(c, 0, N)
-		n.scatterChannel(c)
-	}
-	n.composeHeard()
+	packAll(n)
+	n.scatterStripe(&n.stripes[0])
+	n.composeHeardRange(0, n.N())
 	return append([]Signal(nil), n.heard...)
 }
 
-// deliverGather computes heard via the dense path (reference early-exit
+// packAll lays out one stripe and packs the sender bitsets from sent.
+func packAll(n *Network) {
+	N := n.N()
+	n.stripes = []stripe{{lo: 0, hi: N}}
+	for c := 0; c < n.channels; c++ {
+		n.sendBits[c] = make([]uint64, (N+63)>>6)
+	}
+	for wi := range n.sendBits[0] {
+		v0, v1 := packWord(n.sent, wi, 0, N, n.channels == 2)
+		n.sendBits[0][wi] = v0
+		if n.channels == 2 {
+			n.sendBits[1][wi] = v1
+		}
+	}
+}
+
+// deliverGather computes heard via the gather (reference early-exit
 // neighbor scan), regardless of the cost model.
 func deliverGather(n *Network) []Signal {
 	n.deliverRange(0, n.N(), n.rowBuf)
@@ -120,11 +132,10 @@ func BenchmarkDeliverCrossover(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("scatter/frac%02d", fracPct), func(b *testing.B) {
 			b.ReportAllocs()
+			packAll(net)
 			for i := 0; i < b.N; i++ {
-				net.sizeSendBits(0)
-				net.packSendersRange(0, 0, N)
-				net.scatterChannel(0)
-				net.composeHeard()
+				net.scatterStripe(&net.stripes[0])
+				net.composeHeardRange(0, N)
 			}
 		})
 		b.Run(fmt.Sprintf("gather/frac%02d", fracPct), func(b *testing.B) {

@@ -31,10 +31,10 @@ import (
 //
 // Dirty accumulation invariant. The engine marks a slab word dirty
 // when any of its vertices advances its random stream or changes
-// machine state (the sparse path's end-of-round drewW|changedW union
+// machine state (the pipeline's end-of-round drewW|changedW union
 // is exactly that set), and marks everything dirty on any round or
-// mutation the masks do not describe: dense rounds, fault-model
-// rounds, Corrupt, RandomizeAll, Restore, Reseed, Rewire, retained
+// mutation the masks do not describe: reference-loop rounds,
+// fault-model rounds, Corrupt, RandomizeAll, Restore, Reseed, Rewire, retained
 // Machine handles, adversary-set changes. Sent/heard arrays are not
 // checkpointed state — Restore rebuilds delivery invariants densely —
 // so word-level stream+machine coverage is complete.
@@ -239,7 +239,7 @@ func ApplyDelta(c *Checkpoint, d *Delta) error {
 // dirtyState accumulates the slab words dirtied since the last
 // checkpoint baseline. It starts conservative (everything dirty,
 // tracking disarmed) and is armed by the first baseline capture;
-// per-round accumulation is a fused OR into the sparse path's
+// per-round accumulation is a fused OR into the pipeline's
 // end-of-round activity union and costs nothing on elided rounds.
 type dirtyState struct {
 	// enabled is set by the first baseline; until then no accumulation
@@ -332,9 +332,6 @@ func (n *Network) DirtyWords() int {
 func (n *Network) CheckpointDelta(parentHash uint64) (*Delta, error) {
 	if n.failed != nil {
 		return nil, fmt.Errorf("beep: delta checkpoint of failed network: %w", n.failed)
-	}
-	if n.sampler != nil {
-		return nil, errors.New("beep: delta checkpoint with batched sampling enabled: the sampler's residual words are not checkpointable")
 	}
 	if n.DirtyAll() {
 		return nil, errors.New("beep: delta checkpoint with everything dirty: write a base snapshot instead (see DirtyAll)")

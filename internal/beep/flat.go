@@ -2,124 +2,72 @@ package beep
 
 import (
 	"fmt"
-	"math/bits"
-	"runtime/debug"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
-// This file implements the flat execution engine: rounds executed over
+// This file defines the flat-kernel interface: rounds executed over
 // structure-of-arrays machine slabs with zero per-vertex virtual
 // dispatch. Protocols opt in by returning a bulk-state handle (see
-// BatchProtocol) that implements FlatProtocol; the engine then replaces
-// the per-machine Emit/Update interface calls with two whole-cohort
-// kernel calls, and replaces the per-edge signal scatter with a
-// bitset-based delivery kernel (deliverFlat below).
+// BatchProtocol) that implements FlatProtocol; the round pipeline
+// (pipeline.go) then replaces the per-machine Emit/Update interface
+// calls with word-masked kernel calls and the per-edge signal scatter
+// with bitset delivery.
 //
-// The flat path is observationally identical to the reference engines:
+// The kernels are observationally identical to the reference loop:
 // each vertex consumes exactly the draws its Machine.Emit would have
 // consumed from its private stream, so traces are bit-for-bit equal
-// (enforced by TestEngineTraceEquivalence and FuzzFlatEmitDrawEquivalence).
-// Because of that, the Sequential engine transparently upgrades to the
-// flat kernels whenever the protocol provides them; the explicit Flat
-// engine additionally *requires* them (construction fails otherwise,
-// making performance predictable) and is the only engine on which the
-// amortized Bernoulli sampler (WithBatchedSampling) may be enabled.
+// (enforced by TestEngineTraceEquivalence and
+// FuzzFlatEmitDrawEquivalence). Because of that, the Sequential engine
+// runs the kernels whenever the protocol provides them.
 
-// FlatEnv is the execution environment the flat engine passes to a
-// FlatProtocol's kernels for one round phase. The slices alias network
+// FlatEnv is the execution environment the pipeline passes to a
+// FlatProtocol's kernels for one phase. The slices alias network
 // storage and must not be retained.
 type FlatEnv struct {
-	// Sent is the per-vertex signal array of the round. EmitAll must
-	// fill Sent[v] for every vertex whose Skip bit is clear and leave
+	// Sent is the per-vertex signal array of the round. Emit must fill
+	// Sent[v] for every visited vertex whose Skip bit is clear and leave
 	// skipped entries untouched (the engine pre-fills those).
 	Sent []Signal
-	// Heard is the OR of neighbor signals, valid during UpdateAll.
+	// Heard is the OR of neighbor signals, valid during Update.
 	Heard []Signal
-	// Srcs are the private per-vertex random streams. On the exact path
-	// (Sampler == nil) kernels must consume them exactly as the
-	// corresponding Machine.Emit would, so traces stay bit-identical.
+	// Srcs are the private per-vertex random streams. Kernels must
+	// consume them exactly as the corresponding Machine.Emit would, so
+	// traces stay bit-identical.
 	Srcs []*rng.Source
-	// Skip marks the vertices the kernel must not touch this round
+	// Skip marks the vertices the kernels must not touch this round
 	// (sleeping or adversarial); nil when every vertex participates.
 	Skip *bitset.Set
-	// Sampler, when non-nil, replaces the per-vertex Bernoulli(2^-ℓ)
-	// draws with the amortized batch sampler. Distribution-exact,
-	// sequence-divergent; enabled only via WithBatchedSampling.
-	Sampler *rng.Batch
-
-	// Drew must be set true by EmitAll if it consumed any randomness
-	// (from Srcs or Sampler) this round. Drawless rounds are candidates
-	// for quiescence elision (see FlatQuiescer); a kernel that forgets
-	// to set Drew breaks trace exactness, which the engine equivalence
-	// tests would catch.
-	Drew bool
-	// Changed must be set true by UpdateAll if it mutated any machine
-	// state this round (level, cap, or auxiliary counters). A round
-	// that neither drew nor changed is a fixed point of the dynamics.
-	Changed bool
-}
-
-// Skipped reports whether vertex v must be left untouched this round.
-func (e *FlatEnv) Skipped(v int) bool {
-	return e.Skip != nil && e.Skip.Get(v)
 }
 
 // FlatProtocol is the optional extension implemented by the bulk-state
-// handles of protocols that support the flat engines (for the paper's
-// protocols these are the contiguous int32 level/cap slabs introduced
-// with BatchProtocol). EmitAll and UpdateAll must be observationally
-// identical to calling Emit/Update on every non-skipped machine in
-// vertex order.
+// handles of protocols that support the flat-kernel pipeline (for the
+// paper's protocols these are the contiguous int32 level/cap slabs
+// introduced with BatchProtocol).
 //
-// The range forms are the unit of work of the FlatParallel engine: each
-// worker runs one contiguous slab stripe [lo, hi). EmitRange(env, lo,
-// hi) must behave exactly like the [lo, hi) sub-loop of EmitAll —
-// touching only Sent[lo:hi] and the streams of vertices in [lo, hi), so
-// disjoint stripes never write shared state — and EmitAll(env) must be
-// equivalent to EmitRange(env, 0, len(Sent)) (same for UpdateAll /
-// UpdateRange). Because each vertex consumes randomness only from its
-// own private stream, stripes can execute in any order or concurrently
-// without perturbing any vertex's draw sequence: that is the whole
-// determinism argument of the parallel flat engine.
+// Both kernels are word-masked: bit wi of mask[wi/64] gates slab word wi
+// (vertices [wi*64, wi*64+64)), and a kernel visits exactly the vertices
+// of [lo, hi) inside marked words, in ascending order. Emit must behave
+// like Machine.Emit on every visited non-skipped vertex, additionally
+// setting the word's bit in drewW iff any of its vertices consumed
+// randomness; Update likewise applies Machine.Update, setting changedW
+// word bits iff state moved. Output bits of unvisited words are never
+// set (the engine clears the masks). A full mask is the dense loop.
 //
-// Each worker passes its own FlatEnv, so the Drew/Changed flags are
-// per-stripe and race-free; the engine ORs them after the barrier.
+// A call touches only Sent[lo:hi) and the streams and machines of
+// vertices in [lo, hi), so disjoint stripes never write shared state.
+// Because each vertex consumes randomness only from its own private
+// stream, stripes can execute in any order or concurrently without
+// perturbing any vertex's draw sequence: that is the whole determinism
+// argument of the FlatParallel engine and of Partition.
 type FlatProtocol interface {
-	// EmitAll decides every non-skipped vertex's signal for the round.
-	EmitAll(env *FlatEnv)
-	// UpdateAll applies every non-skipped vertex's state transition
-	// given the round's Sent and Heard signals.
-	UpdateAll(env *FlatEnv)
-	// EmitRange is the [lo, hi) stripe of EmitAll.
-	EmitRange(env *FlatEnv, lo, hi int)
-	// UpdateRange is the [lo, hi) stripe of UpdateAll.
-	UpdateRange(env *FlatEnv, lo, hi int)
-}
-
-// FlatQuiescer is the optional extension that enables quiescence
-// elision. A stabilized configuration of the paper's protocols is a
-// literal fixed point of the round function: MIS members (ℓ ≤ 0) beep
-// surely without consulting their stream, everyone else sits at ℓmax in
-// silence, and no Update moves — so the round neither draws randomness
-// nor changes state, and every subsequent round is byte-identical until
-// something external (Corrupt, a targeted SetLevel, Restore, Rewire)
-// perturbs the state. The engine exploits this exactly: after a round
-// with !Drew && !Changed it calls SnapshotState, and while the snapshot
-// verifies (StateUnchanged) it elides whole rounds in one O(n) slab
-// compare instead of an O(n + m) simulation. The compare makes the
-// optimization sound with no invalidation hooks: any mutation of
-// machine state — through the Network or through a retained Machine
-// pointer — fails the verify and drops back to full simulation.
-type FlatQuiescer interface {
-	// SnapshotState records the complete mutable machine state of the
-	// cohort for later comparison.
-	SnapshotState()
-	// StateUnchanged reports whether the cohort state is byte-identical
-	// to the last snapshot; it must return false if no snapshot exists.
-	StateUnchanged() bool
+	// Emit decides the signals of the marked words' vertices.
+	Emit(env *FlatEnv, act, drewW []uint64, lo, hi int)
+	// Update applies the marked words' state transitions given the
+	// round's Sent and Heard signals.
+	Update(env *FlatEnv, upd, changedW []uint64, lo, hi int)
 }
 
 // FlatReiniter is the optional extension implemented by bulk-state
@@ -133,25 +81,13 @@ type FlatReiniter interface {
 	ReinitAll(g graph.Topology)
 }
 
-// WithFlatKernels enables or disables the flat fast path on the
+// WithFlatKernels enables or disables the flat-kernel pipeline on the
 // Sequential engine (default: enabled when the protocol provides it).
-// Disabling forces the reference per-machine loop; the engine
-// trace-equivalence tests use this to pin the flat kernels against the
-// reference semantics. It has no effect on the Parallel and PerVertex
-// engines, and the explicit Flat engine rejects it.
+// Disabling forces the reference per-machine loop; the equivalence
+// matrices use this to pin the kernels against the reference
+// semantics. The FlatParallel engine rejects it.
 func WithFlatKernels(enabled bool) Option {
 	return func(n *Network) { n.noFlat = !enabled }
-}
-
-// WithBatchedSampling replaces the per-vertex Bernoulli(2^-ℓ) draws of
-// the flat kernels with the amortized rng.Batch sampler (one 64-bit
-// draw services up to ⌊64/ℓ⌋ same-level trials). The sampled execution
-// is distribution-identical but not bit-identical to the exact path, so
-// the option is only accepted on the explicit Flat engine, and networks
-// using it refuse to checkpoint (the sampler's residual words are not
-// part of checkpoint format v2).
-func WithBatchedSampling() Option {
-	return func(n *Network) { n.batched = true }
 }
 
 // Dedicated-stream salts (see NewNetwork): each auxiliary randomness
@@ -161,134 +97,65 @@ const (
 	noiseSalt = 0x6e6f697365 // "noise"
 	sleepSalt = 0x736c656570 // "sleep"
 	advSalt   = 0x61647673   // "advs"
-	batchSalt = 0x6261746368 // "batch"
 )
 
 // finishFlatSetup resolves the flat configuration after all options
-// have been applied: binds the flat kernels (unless disabled), enforces
-// the Flat engine's requirement for them, and constructs the batch
-// sampler when requested.
-func (n *Network) finishFlatSetup(proto Protocol, seed uint64) error {
-	n.bindFlatOps()
-	if n.engine == Flat || n.engine == FlatParallel {
+// have been applied: binds the kernels (unless disabled), enforces the
+// FlatParallel engine's requirement for them, and lays out the stripes.
+func (n *Network) finishFlatSetup(proto Protocol) error {
+	switch n.engine {
+	case Sequential:
+	case FlatParallel:
 		if n.noFlat {
 			return fmt.Errorf("beep: WithFlatKernels(false) conflicts with the %v engine", n.engine)
 		}
-		if n.flatOps == nil {
+	default:
+		return fmt.Errorf("beep: unknown engine %v", n.engine)
+	}
+	n.bindFlatOps()
+	if n.flatOps == nil {
+		if n.engine == FlatParallel {
 			return fmt.Errorf("beep: %v engine requires flat kernels, but %T's bulk state (%T) does not implement FlatProtocol", n.engine, proto, n.bulk)
 		}
-	}
-	if n.sparseMode == SparseOn {
-		if n.flatOps == nil || n.engine == Parallel || n.engine == PerVertex {
-			return fmt.Errorf("beep: WithSparse(on) requires a flat-kernel engine (Sequential with kernels, Flat, or FlatParallel); got %v", n.engine)
+		if n.forceDelta {
+			return fmt.Errorf("beep: WithForcedDelta requires flat kernels, but the reference loop runs %T", proto)
 		}
-		if _, ok := n.flatOps.(SparseFlatProtocol); !ok {
-			return fmt.Errorf("beep: WithSparse(on): %T's bulk state (%T) does not implement SparseFlatProtocol", proto, n.bulk)
-		}
-	}
-	if n.batched {
-		if n.engine != Flat {
-			// FlatParallel is also excluded: the amortized sampler is one
-			// shared sequential stream, which worker stripes cannot share
-			// without serializing (or re-ordering) draws.
-			return fmt.Errorf("beep: WithBatchedSampling requires the flat engine (got %v): only the explicitly non-trace-equivalent engine may re-order draws", n.engine)
-		}
-		n.sampler = rng.NewBatch(seed ^ batchSalt)
 	}
 	return nil
 }
 
-// bindFlatOps (re)derives the flat kernel and quiescer bindings from
+// bindFlatOps (re)derives the kernel binding and the stripe layout from
 // the current bulk-state handle; called at construction and after
 // Rewire (which rebuilds the slab, or drops it for non-codec machine
-// cohorts). Any rebind discards quiescence: the snapshot, if any, was
-// taken of the previous slab.
+// cohorts). Without kernels the reference loop runs and no stripes
+// exist.
 func (n *Network) bindFlatOps() {
 	n.flatOps = nil
-	n.flatQuiescer = nil
-	n.quiet = false
 	// Whatever triggered the rebind (construction, Rewire) changed the
-	// cohort or topology: the sparse path must restart from an
-	// all-active frontier and rebuild its delivery invariants densely,
-	// and any incremental-checkpoint baseline is void.
+	// cohort or topology: the pipeline must restart from an all-active
+	// frontier and rebuild its delivery invariants densely, and any
+	// incremental-checkpoint baseline is void.
 	n.sparse.markAll()
 	n.ckDirty.markAll()
 	n.ckDirty.adv = true
+	if n.workers != nil {
+		n.workers.close()
+		n.workers = nil
+	}
+	n.stripes = nil
 	if n.noFlat {
 		return
 	}
-	if fp, ok := n.bulk.(FlatProtocol); ok {
-		n.flatOps = fp
+	fp, ok := n.bulk.(FlatProtocol)
+	if !ok {
+		return
 	}
-	if q, ok := n.bulk.(FlatQuiescer); ok {
-		n.flatQuiescer = q
+	n.flatOps = fp
+	k := 1
+	if n.engine == FlatParallel {
+		k = n.poolSize()
 	}
-}
-
-// stepFlat executes one synchronous round through the flat kernels:
-// sequential pre-phases (sleep/adversary draws) exactly as the other
-// engines run them, whole-cohort emit, bitset delivery, the sequential
-// noise pass, and whole-cohort update. Machine panics inside a kernel
-// are contained into a *RunError like every other engine; the flat
-// kernels process the cohort as a whole, so the error cannot name the
-// vertex (Vertex is -1).
-func (n *Network) stepFlat(ops FlatProtocol) *RunError {
-	if n.quiet {
-		// Quiescence elision: the previous round was a fixed point
-		// (no draws, no state change, no fault models enabled). If the
-		// state still matches the snapshot — i.e. nothing mutated it
-		// between rounds — this round is byte-identical to the last:
-		// sent and heard already hold its signals, no stream moves, no
-		// state moves. One O(n) compare replaces the O(n + m) round.
-		if n.flatQuiescer.StateUnchanged() {
-			n.roundActive, n.roundFrontier = 0, 0
-			return nil
-		}
-		n.quiet = false
-	}
-	n.drawSleep()
-	n.drawAdversaries()
-	env := &n.flatEnv
-	env.Sent, env.Heard, env.Srcs = n.sent, n.heard, n.srcs
-	env.Skip = n.buildFlatSkip()
-	env.Sampler = n.sampler
-	env.Drew, env.Changed = false, false
-	if err := n.runFlatKernel("emit", ops, env); err != nil {
-		return err
-	}
-	n.deliverFlat()
-	n.applyNoise()
-	if err := n.runFlatKernel("update", ops, env); err != nil {
-		return err
-	}
-	if !env.Drew && !env.Changed && n.flatQuiescer != nil &&
-		env.Skip == nil && !n.noise.enabled() {
-		// Fixed point reached (fault models that consume per-round
-		// randomness — sleep, adversaries, noise — disqualify the
-		// round; a skip mask implies the former two were active).
-		n.flatQuiescer.SnapshotState()
-		n.quiet = true
-	}
-	return nil
-}
-
-// runFlatKernel invokes one cohort kernel (phase "emit" or "update")
-// with the same panic containment contract as emitRange/updateRange.
-func (n *Network) runFlatKernel(phase string, ops FlatProtocol, env *FlatEnv) (rerr *RunError) {
-	defer func() {
-		if r := recover(); r != nil {
-			rerr = &RunError{
-				Vertex: -1, Round: n.round + 1, Phase: phase,
-				Engine: n.engine, Recovered: r, Stack: debug.Stack(),
-			}
-		}
-	}()
-	if phase == "emit" {
-		ops.EmitAll(env)
-	} else {
-		ops.UpdateAll(env)
-	}
-	return nil
+	n.buildStripes(k)
 }
 
 // buildFlatSkip assembles the per-round skip mask (sleeping and
@@ -333,13 +200,13 @@ func (n *Network) buildFlatSkip() *bitset.Set {
 // of the heard array.
 var zeroSignals [64]Signal
 
-// GatherCrossoverFactor is the sparse/dense crossover of the flat
-// delivery kernel: the scatter path (OR each sender's CSR row into a
-// heard bitset) is taken while its estimated cost, senders × (avgDeg +
-// 1), stays at or below GatherCrossoverFactor × N; beyond that the
-// per-vertex gather scan wins, because it costs at most O(N · channels)
-// probes with early exit once every channel has been heard, while the
-// scatter cost keeps growing with the number of senders.
+// GatherCrossoverFactor is the scatter/gather crossover of dense
+// delivery: the scatter (OR each sender's CSR row into a heard bitset)
+// is taken while its estimated cost, senders × (avgDeg + 1), stays at
+// or below GatherCrossoverFactor × N; beyond that the per-vertex gather
+// scan wins, because it costs at most O(N · channels) probes with early
+// exit once every channel has been heard, while the scatter cost keeps
+// growing with the number of senders.
 //
 // The default of 2 ("scatter until it would touch more than ~2 words
 // per vertex") was chosen by measurement: BenchmarkDeliverCrossover
@@ -352,169 +219,19 @@ var zeroSignals [64]Signal
 // is invisible to traces.
 const GatherCrossoverFactor = 2
 
-// deliveryWantsGather applies the crossover cost model shared by the
-// sequential flat engine and the parallel one (where senders is the sum
-// of the per-worker pack counts).
+// deliveryWantsGather applies the scatter/gather crossover cost model.
 func deliveryWantsGather(senders, avgDeg, N int) bool {
 	return senders*(avgDeg+1) > GatherCrossoverFactor*N
 }
 
 // avgDegree returns the integer average degree ⌊2M/N⌋ used by the
-// delivery cost model.
+// delivery cost models.
 func (n *Network) avgDegree() int {
 	N := n.N()
 	if N == 0 {
 		return 0
 	}
 	return 2 * n.g.M() / N
-}
-
-// deliverFlat computes heard[v] for every vertex with word-level bitset
-// operations: per channel, the senders are packed into a bitset, and
-// the neighborhood OR is produced either by *scattering* each sender's
-// CSR row into a heard bitset (cost Σ_{senders} deg, the win whenever
-// few vertices beep — the steady state of a stabilized MIS) or, when
-// the estimated scatter cost exceeds the early-exit gather bound (see
-// GatherCrossoverFactor), by the reference per-vertex scan. Both
-// produce the exact OR, so the choice is invisible to traces.
-func (n *Network) deliverFlat() {
-	N := n.N()
-	if N == 0 {
-		return
-	}
-	senders := 0
-	for c := 0; c < n.channels; c++ {
-		n.sizeSendBits(c)
-		senders += n.packSendersRange(c, 0, N)
-	}
-	if deliveryWantsGather(senders, n.avgDegree(), N) {
-		n.deliverRange(0, N, n.rowBuf)
-		return
-	}
-	for c := 0; c < n.channels; c++ {
-		n.scatterChannel(c)
-	}
-	n.composeHeard()
-}
-
-// sizeSendBits makes the channel-c sender bitset match the current
-// vertex count. Sizing is separated from packing so the parallel engine
-// can resize once, sequentially, before the pack phase fans out.
-func (n *Network) sizeSendBits(c int) {
-	if sb := &n.sendBits[c]; sb.Len() != n.N() {
-		sb.Resize(n.N())
-	}
-}
-
-// packSendersRange builds the channel-c sender bits for the vertex
-// range [lo, hi) and returns the number of senders in the range. lo
-// must be 64-aligned and hi either 64-aligned or N, so distinct ranges
-// own disjoint words of the bitset — the property that lets the
-// parallel engine pack stripes concurrently with no atomics.
-func (n *Network) packSendersRange(c, lo, hi int) int {
-	mask := Signal(1) << uint(c)
-	words := n.sendBits[c].Words()
-	sent := n.sent
-	count := 0
-	var w uint64
-	wi := lo >> 6
-	for v := lo; v < hi; v++ {
-		if sent[v]&mask != 0 {
-			w |= 1 << uint(v&63)
-		}
-		if v&63 == 63 {
-			words[wi] = w
-			count += bits.OnesCount64(w)
-			w = 0
-			wi++
-		}
-	}
-	if hi&63 != 0 {
-		words[wi] = w
-		count += bits.OnesCount64(w)
-	}
-	return count
-}
-
-// scatterChannel ORs each channel-c sender's CSR neighborhood into the
-// channel's heard bitset.
-func (n *Network) scatterChannel(c int) {
-	N := n.N()
-	hb := &n.heardBits[c]
-	if hb.Len() != N {
-		hb.Resize(N)
-	} else {
-		hb.Reset()
-	}
-	n.scatterWordsInto(c, hb.Words(), 0, len(n.sendBits[c].Words()), n.rowBuf)
-}
-
-// scatterWordsInto ORs the neighbor rows of the channel-c senders found
-// in sender-bitset words [wlo, whi) into hw, a full-length heard word
-// array. The *reads* are word-range-partitioned; the *writes* land
-// anywhere in hw (a sender's neighbors are arbitrary), which is why the
-// parallel engine hands each worker a private hw and merges afterwards.
-// buf is the neighbor scratch for synthesizing backends, ignored on the
-// materialized fast path.
-func (n *Network) scatterWordsInto(c int, hw []uint64, wlo, whi int, buf []int32) {
-	sw := n.sendBits[c].Words()
-	g := n.csr
-	for wi := wlo; wi < whi; wi++ {
-		w := sw[wi]
-		base := wi * 64
-		for w != 0 {
-			u := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			var row []int32
-			if g != nil {
-				row = g.Neighbors(u)
-			} else {
-				row = n.g.NeighborsInto(u, buf)
-			}
-			for _, x := range row {
-				hw[x>>6] |= 1 << (uint(x) & 63)
-			}
-		}
-	}
-}
-
-// composeHeard expands the per-channel heard bitsets into the heard
-// signal array.
-func (n *Network) composeHeard() {
-	n.composeHeardRange(0, n.N())
-}
-
-// composeHeardRange expands vertices [lo, hi) of the per-channel heard
-// bitsets into the heard signal array, clearing 64 vertices at a time
-// in the silent common case. lo must be 64-aligned (hi either
-// 64-aligned or N) so parallel stripes touch disjoint words.
-func (n *Network) composeHeardRange(lo, hi int) {
-	h1 := n.heardBits[0].Words()
-	var h2 []uint64
-	if n.channels == 2 {
-		h2 = n.heardBits[1].Words()
-	}
-	heard := n.heard
-	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-		base := wi * 64
-		end := base + 64
-		if end > hi {
-			end = hi
-		}
-		w1 := h1[wi]
-		var w2 uint64
-		if h2 != nil {
-			w2 = h2[wi]
-		}
-		if w1|w2 == 0 {
-			copy(heard[base:end], zeroSignals[:end-base])
-			continue
-		}
-		for v := base; v < end; v++ {
-			sh := uint(v & 63)
-			heard[v] = Signal((w1>>sh)&1) | Signal((w2>>sh)&1)<<1
-		}
-	}
 }
 
 // Reseed resets the network to the exact state NewNetwork(g, proto,
@@ -548,38 +265,19 @@ func (n *Network) Reseed(seed uint64) error {
 	n.noiseSrc.Reseed(seed ^ noiseSalt)
 	n.sleepSrc.Reseed(seed ^ sleepSalt)
 	n.advSrc.Reseed(seed ^ advSalt)
-	if n.sampler != nil {
-		n.sampler.Reseed(seed ^ batchSalt)
-	}
 	for v := range n.sent {
 		n.sent[v] = Silent
 		n.heard[v] = Silent
 	}
 	n.round = 0
 	n.failed = nil
-	n.quiet = false // sent/heard were cleared: a stale snapshot must not elide
 	// The sender bitsets still hold the previous execution's bits while
-	// sent was just cleared: force the sparse path to restart all-active
+	// sent was just cleared: force the pipeline to restart all-active
 	// and rebuild its delivery invariants densely. Every vertex state
 	// and stream was rewritten, so the dirty baseline is void too.
 	n.sparse.markAll()
 	n.ckDirty.markAll()
 	n.ckDirty.adv = true
 	n.advEpoch++ // new execution: legality observers must re-key
-	if n.workers != nil {
-		// Flat-parallel stripe state is per-round (reset by every
-		// stepFlatParallel), but a reseed starts a NEW execution on the
-		// same pool: clear the pack counters, activity flags and
-		// environments eagerly so nothing from the previous trial can
-		// leak into round 1 — the property the replication pools
-		// (exp.RunReplicated) and the post-Rewire regression test
-		// (TestFlatParallelRewireReseedBitExact) rely on.
-		for i := range n.workers.flat {
-			w := &n.workers.flat[i]
-			w.env = FlatEnv{}
-			w.senders = 0
-			w.active = false
-		}
-	}
 	return nil
 }

@@ -8,8 +8,8 @@ import (
 
 // TestWithWorkersValidation covers the WithWorkers option contract:
 // negative counts are a construction error, zero means "pick for me",
-// explicit counts are honored by the pooled engines (up to the 64-
-// vertex stripe granularity) and ignored by the single-threaded ones.
+// explicit counts are honored by FlatParallel (up to the 64-vertex
+// stripe granularity) and ignored by Sequential.
 func TestWithWorkersValidation(t *testing.T) {
 	g := graph.Cycle(200)
 
@@ -17,64 +17,56 @@ func TestWithWorkersValidation(t *testing.T) {
 		t.Fatal("negative WithWorkers accepted")
 	}
 
-	// kernels is a protocol with flat cohort kernels (required by the
-	// Flat/FlatParallel engines) that never injects a fault.
-	kernels := flatPanicProtocol{round: -1}
+	// Sequential: one inline stripe regardless of the requested count,
+	// and none on the reference loop.
+	net, err := NewNetwork(g, rwKernelProtocol{}, 1, WithWorkers(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.workers != nil || len(net.stripes) != 1 {
+		t.Fatalf("sequential engine built %d stripes, pool %v", len(net.stripes), net.workers != nil)
+	}
+	net.Close()
+	net, err = NewNetwork(g, rwKernelProtocol{}, 1, WithFlatKernels(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.flatOps != nil || len(net.stripes) != 0 || net.workers != nil {
+		t.Fatal("WithFlatKernels(false) built pipeline state")
+	}
+	net.Close()
 
-	// Sequential engines: no pool regardless of the requested count.
-	for _, e := range []Engine{Sequential, Flat} {
-		net, err := NewNetwork(g, kernels, 1, WithEngine(e), WithWorkers(8))
+	// FlatParallel: the stripe count never exceeds the request, a pool
+	// runs them when there are several, and every stripe boundary except
+	// the last is 64-aligned — the word-disjointness contract of the
+	// scatter and compose phases.
+	for _, want := range []int{1, 2, 3, 999} {
+		net, err := NewNetwork(g, rwKernelProtocol{}, 1, WithEngine(FlatParallel), WithWorkers(want))
 		if err != nil {
-			t.Fatalf("%v: %v", e, err)
+			t.Fatalf("w%d: %v", want, err)
 		}
-		if net.workers != nil {
-			t.Fatalf("%v: sequential engine built a worker pool", e)
+		if got := len(net.stripes); got > want || got < 1 {
+			t.Fatalf("w%d: %d stripes", want, got)
+		}
+		if (net.workers != nil) != (len(net.stripes) > 1) {
+			t.Fatalf("w%d: pool %v for %d stripes", want, net.workers != nil, len(net.stripes))
+		}
+		for i, st := range net.stripes {
+			if st.lo&63 != 0 {
+				t.Fatalf("stripe %d starts at unaligned vertex %d", i, st.lo)
+			}
+			if i < len(net.stripes)-1 && st.hi&63 != 0 {
+				t.Fatalf("stripe %d ends at unaligned vertex %d", i, st.hi)
+			}
 		}
 		net.Close()
 	}
 
-	// Pooled engines: the pool exists and never exceeds the request.
-	for _, e := range []Engine{Parallel, FlatParallel} {
-		for _, want := range []int{1, 2, 3, 999} {
-			net, err := NewNetwork(g, kernels, 1, WithEngine(e), WithWorkers(want))
-			if err != nil {
-				t.Fatalf("%v/w%d: %v", e, want, err)
-			}
-			if net.workers == nil {
-				t.Fatalf("%v/w%d: no worker pool", e, want)
-			}
-			if got := len(net.workers.shards); got > want {
-				t.Fatalf("%v/w%d: %d shards exceed the requested worker count", e, want, got)
-			}
-			if e == FlatParallel {
-				if len(net.workers.flat) != len(net.workers.shards) {
-					t.Fatalf("flat worker state count %d != shard count %d",
-						len(net.workers.flat), len(net.workers.shards))
-				}
-				// Stripe ownership: every shard boundary except the last
-				// must be 64-aligned, the word-disjointness contract of
-				// the pack and merge phases.
-				for i, sh := range net.workers.shards {
-					if sh[0]&63 != 0 {
-						t.Fatalf("shard %d starts at unaligned vertex %d", i, sh[0])
-					}
-					if i < len(net.workers.shards)-1 && sh[1]&63 != 0 {
-						t.Fatalf("shard %d ends at unaligned vertex %d", i, sh[1])
-					}
-				}
-			}
-			net.Close()
-		}
+	// FlatParallel needs kernels and refuses the reference loop.
+	if _, err := NewNetwork(g, rwProtocol{}, 1, WithEngine(FlatParallel)); err == nil {
+		t.Fatal("FlatParallel accepted a kernel-less protocol")
 	}
-
-	// PerVertex keeps its one-goroutine-per-vertex model: the request is
-	// ignored rather than silently resharding the engine's semantics.
-	net, err := NewNetwork(graph.Cycle(16), xoverProtocol{channels: 1}, 1, WithEngine(PerVertex), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewNetwork(g, rwKernelProtocol{}, 1, WithEngine(FlatParallel), WithFlatKernels(false)); err == nil {
+		t.Fatal("FlatParallel accepted WithFlatKernels(false)")
 	}
-	if got := len(net.workers.shards); got != 16 {
-		t.Fatalf("PerVertex with WithWorkers(2) built %d shards, want 16", got)
-	}
-	net.Close()
 }

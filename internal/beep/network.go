@@ -15,7 +15,7 @@ import (
 // Network is one executable instance of a protocol on a graph: the
 // machines, their private random streams, and double-buffered signal
 // arrays. A Network is not safe for concurrent use by multiple callers;
-// the concurrent engines synchronize internally.
+// the FlatParallel engine synchronizes internally.
 type Network struct {
 	g graph.Topology
 	// csr is the materialized fast path: non-nil iff g is a
@@ -24,8 +24,8 @@ type Network struct {
 	// delivery paths decode rows into scratch buffers instead.
 	csr *graph.Graph
 	// rowBuf is the sequential-path neighbor scratch for synthesizing
-	// backends (len = g.MaxDegree()); nil when csr is set. The worker
-	// pool carries per-shard scratch instead (workerPool.rowBuf).
+	// backends (len = g.MaxDegree()); nil when csr is set. The
+	// pipeline stripes carry their own scratch (stripe.rowBuf).
 	rowBuf   []int32
 	proto    Protocol
 	machines []Machine
@@ -70,40 +70,28 @@ type Network struct {
 	// nil otherwise. See BulkState.
 	bulk any
 
-	// Flat-engine state (see flat.go): flatOps is the bound kernel
-	// handle (nil when the protocol has none or WithFlatKernels(false)
-	// was given), sampler the optional amortized Bernoulli sampler, and
-	// the bitsets are the reusable buffers of the delivery kernel.
-	flatOps      FlatProtocol
-	flatQuiescer FlatQuiescer
-	// flatParOps is the kernel handle the FlatParallel workers invoke;
-	// set by the coordinator before the first flat phase of each round
-	// (every publication is ordered by the pool's phase barrier).
-	flatParOps FlatProtocol
-	flatEnv    FlatEnv
-	quiet      bool
+	// Flat-kernel state (see flat.go and pipeline.go): flatOps is the
+	// bound kernel handle (nil when the protocol has none or
+	// WithFlatKernels(false) was given, in which case the reference loop
+	// runs), stripes the pipeline's vertex stripes (one per pool worker,
+	// a single one on the Sequential engine), flatSkip the per-round
+	// skip mask of fault rounds, sendBits the per-channel sender bitsets
+	// and sparse the word-activity state.
+	flatOps    FlatProtocol
 	noFlat     bool
-	batched    bool
-	sampler    *rng.Batch
+	forceDelta bool
+	stripes    []stripe
 	flatSkip   bitset.Set
-	sendBits   [2]bitset.Set
-	heardBits  [2]bitset.Set
-
-	// Sparse activity-gated round state (see sparse.go): the mode,
-	// the word-activity masks and their bookkeeping, the parallel
-	// kernel handle published before sparse phases (barrier-ordered
-	// like flatParOps), and the per-round activity statistics exposed
-	// to WithStatsObserver.
-	sparseMode    SparseMode
-	sparse        sparseState
-	flatParSparse SparseFlatProtocol
+	sendBits   [2][]uint64
+	sparse     sparseState
+	// statsObs receives the per-round activity statistics.
 	statsObs      func(round, active, frontierWords int)
 	roundActive   int
 	roundFrontier int
 
 	// Incremental-checkpoint dirty tracking (see delta.go): ckDirty
 	// accumulates the slab words dirtied since the last checkpoint
-	// baseline; ckRoundSparse is set by the sparse step paths whose
+	// baseline; ckRoundSparse is set by the pipeline rounds whose
 	// end-of-round masks describe the round exactly — any round that
 	// completes without setting it is conservatively marked all-dirty.
 	ckDirty       dirtyState
@@ -126,8 +114,10 @@ type Network struct {
 	// valid round boundary and every later TryStep returns this error.
 	failed *RunError
 
+	// workers runs the stripes of a multi-stripe pipeline (nil for a
+	// single stripe and for the reference loop).
 	workers *workerPool
-	// reqWorkers is the WithWorkers override for the sharded engines
+	// reqWorkers is the WithWorkers override of the FlatParallel engine
 	// (0 = GOMAXPROCS; validated non-negative at construction).
 	reqWorkers int
 	closed     bool
@@ -148,14 +138,14 @@ func WithObserver(fn func(round int, sent, heard []Signal)) Option {
 	return func(n *Network) { n.observer = fn }
 }
 
-// WithWorkers sets the worker-goroutine count of the sharded engines
-// (Parallel and FlatParallel); 0, the default, means GOMAXPROCS. The
-// count is capped at the vertex count. Negative values are a
-// construction error. Sequential and Flat run no pool and ignore the
-// option; PerVertex always runs one goroutine per vertex (that IS the
-// engine) and ignores it too. Because every engine is trace-equivalent
-// by construction, the worker count never changes results — only
-// wall-clock time (see BENCH_parflat.json for the scaling table).
+// WithWorkers sets the stripe and worker-goroutine count of the
+// FlatParallel engine; 0, the default, means GOMAXPROCS. The count is
+// capped at the vertex count, and stripes are 64-vertex-aligned, so a
+// small network may get fewer. Negative values are a construction
+// error. Sequential runs no pool and ignores the option. Because the
+// engines are trace-equivalent by construction, the worker count never
+// changes results — only wall-clock time (see BENCH_parflat.json for
+// the scaling table).
 func WithWorkers(k int) Option {
 	return func(n *Network) { n.reqWorkers = k }
 }
@@ -237,31 +227,15 @@ func NewNetwork(g graph.Topology, proto Protocol, seed uint64, opts ...Option) (
 	if err := net.installAdversaries(); err != nil {
 		return nil, err
 	}
-	if err := net.finishFlatSetup(proto, seed); err != nil {
+	if err := net.finishFlatSetup(proto); err != nil {
 		return nil, err
-	}
-	if net.usesPool() {
-		net.workers = newWorkerPool(net, net.poolSize())
 	}
 	return net, nil
 }
 
-// usesPool reports whether the configured engine runs on the worker
-// pool (and therefore whether Rewire must rebuild it).
-func (n *Network) usesPool() bool {
-	return n.engine == Parallel || n.engine == PerVertex || n.engine == FlatParallel
-}
-
-// poolSize returns the number of worker goroutines for the configured
-// engine: one per vertex for PerVertex, and for the sharded engines the
+// poolSize returns the stripe count of the FlatParallel engine: the
 // WithWorkers override when given, one per available CPU otherwise.
 func (n *Network) poolSize() int {
-	if n.engine == PerVertex {
-		if n.N() < 1 {
-			return 1
-		}
-		return n.N()
-	}
 	if n.reqWorkers > 0 {
 		w := n.reqWorkers
 		if w > n.N() {
@@ -295,7 +269,7 @@ func (n *Network) Round() int { return n.round }
 // Machine returns the state machine of vertex v, for inspection by the
 // harness (legality checks) and the fault injector. A retained handle
 // can mutate state behind the engine's back, so the vertex is
-// conservatively marked active for the sparse path (bulk read paths —
+// conservatively marked active for the pipeline (bulk read paths —
 // core.LevelExporter — bypass this accessor and stay mark-free).
 func (n *Network) Machine(v int) Machine {
 	n.sparse.markVertex(v)
@@ -343,7 +317,7 @@ func (n *Network) Corrupt(vertices []int) error {
 
 // Step executes one synchronous round on the configured engine. It
 // panics if the network has been closed: Close is terminal (it tears
-// down the worker goroutines of the concurrent engines), and silently
+// down the worker goroutines of the FlatParallel engine), and silently
 // resurrecting a pool after Close hid lifecycle bugs in callers. If a
 // machine panics inside the round, Step re-panics with the typed
 // *RunError that TryStep would have returned — the barrier and the
@@ -362,7 +336,7 @@ func (n *Network) Step() {
 // panics into a typed *RunError instead of unwinding: the supervised
 // execution path of stab.Supervisor. It returns ErrClosed on a closed
 // network and the original *RunError on every call after a contained
-// panic (the network is poisoned: the failing phase stopped mid-shard,
+// panic (the network is poisoned: the failing phase stopped mid-stripe,
 // so the state is not a valid round boundary).
 func (n *Network) TryStep() error {
 	if n.closed {
@@ -371,39 +345,17 @@ func (n *Network) TryStep() error {
 	if n.failed != nil {
 		return n.failed
 	}
-	// Dense rounds report full activity; the sparse and elided paths
-	// overwrite these with the round's real frontier.
+	// Reference-loop rounds report full activity; the pipeline
+	// overwrites these with the round's real frontier.
 	n.roundActive, n.roundFrontier = n.N(), (n.N()+63)>>6
 	n.ckRoundSparse = false
 	var rerr *RunError
-	switch n.engine {
-	case Parallel, PerVertex:
-		rerr = n.stepParallel()
-	case FlatParallel:
-		// Construction requires the kernels, but a Rewire can drop the
-		// bulk handle (non-codec machine cohorts); the interface-loop
-		// pool remains trace-equivalent, so fall back to it.
-		if so := n.sparseOps(); so != nil {
-			rerr = n.stepFlatParallelSparse(so)
-		} else if n.flatOps != nil {
-			rerr = n.stepFlatParallel(n.flatOps)
-		} else {
-			rerr = n.stepParallel()
-		}
-	default:
-		// Sequential and Flat: the flat kernels are the sequential
-		// semantics without per-vertex dispatch, so Sequential upgrades
-		// transparently whenever the protocol provides them (traces are
-		// bit-identical; see flat.go), and both run the activity-gated
-		// sparse path on top unless WithSparse(SparseOff) was given
-		// (also bit-identical; see sparse.go).
-		if so := n.sparseOps(); so != nil {
-			rerr = n.stepFlatSparse(so)
-		} else if n.flatOps != nil {
-			rerr = n.stepFlat(n.flatOps)
-		} else {
-			rerr = n.stepSequential()
-		}
+	if n.flatOps != nil {
+		rerr = n.stepFlat()
+	} else {
+		// No kernels (the protocol has none, WithFlatKernels(false), or a
+		// Rewire dropped the bulk handle): the reference loop.
+		rerr = n.stepSequential()
 	}
 	if rerr != nil {
 		n.failed = rerr
@@ -411,9 +363,9 @@ func (n *Network) TryStep() error {
 	}
 	if !n.ckRoundSparse {
 		// The round ran a path whose effects the activity masks do not
-		// describe (dense kernels, fault-model fallback): conservatively
+		// describe (the reference loop, a fault round): conservatively
 		// dirty everything for the incremental-checkpoint baseline. The
-		// sparse paths accumulate their exact end-of-round union instead.
+		// pipeline accumulates its exact end-of-round union instead.
 		n.ckDirty.markAll()
 	}
 	n.round++
@@ -432,9 +384,7 @@ func (n *Network) Failed() *RunError { return n.failed }
 
 // emitRange runs the emit phase for vertices [lo, hi), containing
 // machine panics: a panicking Emit is converted into a *RunError naming
-// the vertex and the remaining vertices of the range are skipped. The
-// recovery happens inside this frame, so concurrent-engine workers
-// return normally and still join their barrier.
+// the vertex and the remaining vertices of the range are skipped.
 func (n *Network) emitRange(lo, hi int) (rerr *RunError) {
 	v := lo
 	defer func() {
@@ -497,6 +447,9 @@ func (n *Network) Run(maxRounds int, stop func() bool) (rounds int, ok bool) {
 	return maxRounds, stop == nil
 }
 
+// stepSequential is the reference loop: Machine.Emit on every vertex,
+// the early-exit neighbor scan, the noise pass and Machine.Update on
+// every vertex, in vertex order.
 func (n *Network) stepSequential() *RunError {
 	n.drawSleep()
 	n.drawAdversaries()
@@ -547,10 +500,10 @@ func (n *Network) deliverRange(lo, hi int, buf []int32) {
 	}
 }
 
-// Close releases the worker goroutines of the concurrent engines and
+// Close releases the worker goroutines of the FlatParallel engine and
 // makes the network terminal: any subsequent Step panics. It is safe to
-// call multiple times (later calls are no-ops); for the sequential
-// engine it only marks the network closed.
+// call multiple times (later calls are no-ops); without a pool it only
+// marks the network closed.
 func (n *Network) Close() {
 	if n.workers != nil {
 		n.workers.close()
@@ -562,24 +515,15 @@ func (n *Network) Close() {
 // Closed reports whether Close has been called.
 func (n *Network) Closed() bool { return n.closed }
 
-// workerPool runs the three phases of a round (emit, deliver, update)
-// over vertex shards with persistent goroutines and a generation-based
-// (sense-reversing) barrier between phases: the coordinator publishes
-// each phase by bumping a generation counter and broadcasting once, and
-// each worker joins the barrier with a single atomic decrement — the
-// last one signals completion. That is one wakeup plus one atomic join
-// per worker per phase, replacing the previous three channel operations
-// per shard per phase, which dominated round cost for fine shards.
-//
-// The Parallel engine uses one shard per CPU; the PerVertex engine uses
-// one single-vertex shard per vertex, i.e. a long-lived goroutine per
-// simulated processor, the direct Go realization of the model. Because
-// every vertex consumes only its own random stream and phases are
-// barrier-separated, all engines produce identical traces for a fixed
-// seed.
+// workerPool runs the pipeline phases (pipeline.go) over the
+// network's stripes with one persistent goroutine per stripe and a
+// generation-based (sense-reversing) barrier between phases: the
+// coordinator publishes each phase by bumping a generation counter and
+// broadcasting once, and each worker joins the barrier with a single
+// atomic decrement — the last one signals completion. That is one
+// wakeup plus one atomic join per worker per phase.
 type workerPool struct {
-	net    *Network
-	shards [][2]int
+	net *Network
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -589,97 +533,26 @@ type workerPool struct {
 	pending atomic.Int32  // workers that have not yet joined the barrier
 	done    chan struct{} // signaled by the last worker to join
 
-	// failed records the first contained machine panic of the current
-	// phase. Workers recover before joining the barrier, so a panicking
-	// vertex never orphans the barrier; the coordinator collects the
-	// error after the phase completes on every shard.
+	// failed records the first contained kernel panic of the current
+	// phase. Kernel calls recover before the worker joins the barrier,
+	// so a panicking stripe never orphans it; the coordinator collects
+	// the error after the phase completes on every stripe.
 	failed atomic.Pointer[RunError]
-
-	// flat holds the per-worker state of the FlatParallel engine (one
-	// entry per shard, nil for the other engines): the worker's private
-	// FlatEnv, its scatter scratch masks and its pack count. See
-	// flatparallel.go.
-	flat []flatWorker
-
-	// bufs are the per-shard neighbor scratch rows for synthesizing
-	// backends, allocated lazily on first use (nil entries on the
-	// materialized fast path, which never consults them). Each worker
-	// touches only its own index, so no synchronization is needed.
-	bufs [][]int32
 }
 
-// rowBuf returns shard i's neighbor scratch, or nil on the materialized
-// fast path.
-func (p *workerPool) rowBuf(i int) []int32 {
-	if p.net.csr != nil {
-		return nil
-	}
-	if p.bufs[i] == nil {
-		p.bufs[i] = make([]int32, p.net.g.MaxDegree())
-	}
-	return p.bufs[i]
-}
-
-const (
-	phaseEmit = iota
-	phaseDeliver
-	phaseUpdate
-	phaseExit
-	// Flat-parallel phases (see flatparallel.go): cohort-kernel stripes
-	// for emit/update, word-range sender packing, per-worker scatter,
-	// word-range-ownership merge + compose, and the dense gather
-	// fallback.
-	phaseFlatEmit
-	phaseFlatPack
-	phaseFlatScatter
-	phaseFlatMerge
-	phaseFlatGather
-	phaseFlatUpdate
-	// Sparse-path phases (see sparse.go): activity-gated kernel
-	// stripes writing per-worker drew/changed word masks.
-	phaseFlatSparseEmit
-	phaseFlatSparseUpdate
-)
-
-func newWorkerPool(net *Network, workers int) *workerPool {
+func newWorkerPool(net *Network) *workerPool {
 	p := &workerPool{net: net, done: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
-	n := net.N()
-	per := (n + workers - 1) / workers
-	// Pad shard boundaries to cache-line multiples (64 signals = 64
-	// bytes) so adjacent shards never write the same line of the
-	// sent/heard arrays. Single-vertex shards (PerVertex) are left
-	// alone: padding them would collapse the per-vertex model. The
-	// flat-parallel engine additionally NEEDS 64-alignment — its pack
-	// and merge phases own whole 64-bit words of the sender/heard
-	// bitsets per stripe — so its shards are padded even when a shard
-	// would cover fewer than 64 vertices.
-	if per > 1 || net.engine == FlatParallel {
-		per = (per + 63) &^ 63
-	}
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		p.shards = append(p.shards, [2]int{lo, hi})
-	}
-	if net.engine == FlatParallel {
-		p.flat = make([]flatWorker, len(p.shards))
-	}
-	p.bufs = make([][]int32, len(p.shards))
-	for i := range p.shards {
-		go p.worker(i)
+	for i := range net.stripes {
+		go p.worker(&net.stripes[i])
 	}
 	return p
 }
 
-// worker waits (blocking, not spinning — the PerVertex engine runs far
-// more shards than CPUs) for each new generation, executes its shard's
-// slice of the published phase, and joins the barrier.
-func (p *workerPool) worker(i int) {
-	lo, hi := p.shards[i][0], p.shards[i][1]
-	net := p.net
+// worker waits (blocking, not spinning) for each new generation,
+// executes its stripe's share of the published phase, and joins the
+// barrier.
+func (p *workerPool) worker(st *stripe) {
 	var seen uint64
 	for {
 		p.mu.Lock()
@@ -690,43 +563,11 @@ func (p *workerPool) worker(i int) {
 		phase := p.phase
 		p.mu.Unlock()
 
-		switch phase {
-		case phaseEmit:
-			if err := net.emitRange(lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
-		case phaseDeliver:
-			net.deliverRange(lo, hi, p.rowBuf(i))
-		case phaseUpdate:
-			if err := net.updateRange(lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
-		case phaseFlatEmit:
-			if err := net.flatKernelRange("emit", &p.flat[i], lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
-		case phaseFlatPack:
-			net.flatPackRange(&p.flat[i], lo, hi)
-		case phaseFlatScatter:
-			net.flatScatterRange(&p.flat[i], lo, hi)
-		case phaseFlatMerge:
-			net.flatMergeRange(p, lo, hi)
-		case phaseFlatGather:
-			net.deliverRange(lo, hi, p.rowBuf(i))
-		case phaseFlatUpdate:
-			if err := net.flatKernelRange("update", &p.flat[i], lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
-		case phaseFlatSparseEmit:
-			if err := net.flatSparseKernelRange("emit", &p.flat[i], lo, hi); err != nil {
-				p.failed.CompareAndSwap(nil, err)
-			}
-		case phaseFlatSparseUpdate:
-			if err := net.flatSparseKernelRange("update", &p.flat[i], lo, hi); err != nil {
+		if phase != phaseExit {
+			if err := p.net.runStripe(int(phase), st); err != nil {
 				p.failed.CompareAndSwap(nil, err)
 			}
 		}
-
 		if p.pending.Add(-1) == 0 {
 			p.done <- struct{}{}
 		}
@@ -739,12 +580,9 @@ func (p *workerPool) worker(i int) {
 // runPhase publishes one phase to all workers (one broadcast) and waits
 // for the barrier. The atomic join chain plus the done send establish
 // the happens-before edge from every worker's writes back to the
-// coordinator, so the next phase observes all shard results.
+// coordinator, so the next phase observes all stripe results.
 func (p *workerPool) runPhase(phase int) {
-	if len(p.shards) == 0 {
-		return
-	}
-	p.pending.Store(int32(len(p.shards)))
+	p.pending.Store(int32(len(p.net.stripes)))
 	p.mu.Lock()
 	p.phase = int32(phase)
 	p.gen++
@@ -761,17 +599,4 @@ func (p *workerPool) close() {
 // phase that just completed.
 func (p *workerPool) takeError() *RunError {
 	return p.failed.Swap(nil)
-}
-
-func (n *Network) stepParallel() *RunError {
-	n.drawSleep()
-	n.drawAdversaries()
-	n.workers.runPhase(phaseEmit)
-	if err := n.workers.takeError(); err != nil {
-		return err
-	}
-	n.workers.runPhase(phaseDeliver)
-	n.applyNoise()
-	n.workers.runPhase(phaseUpdate)
-	return n.workers.takeError()
 }

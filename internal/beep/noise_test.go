@@ -105,38 +105,41 @@ func TestNoiseLossRate(t *testing.T) {
 	}
 }
 
+// TestNoiseDeterministicAcrossEngines pins the noise pass of the round
+// pipeline: under listening noise every flat-kernel configuration —
+// Sequential and FlatParallel, with and without forced delta delivery —
+// must reproduce the reference loop's (sent, heard) trace, because the
+// noise stream is consumed in vertex order whatever the stripe count.
 func TestNoiseDeterministicAcrossEngines(t *testing.T) {
 	g := graph.GNP(50, 0.1, nil2src(9))
-	noise := Noise{PLoss: 0.1, PFalse: 0.05}
-	var ref [][]Signal
-	for _, engine := range []Engine{Sequential, Parallel, PerVertex} {
-		var tr [][]Signal
-		net, err := NewNetwork(g, probeProtocol{}, 11,
-			WithEngine(engine), WithNoise(noise),
-			WithObserver(func(_ int, _, heard []Signal) {
-				row := make([]Signal, len(heard))
-				copy(row, heard)
-				tr = append(tr, row)
-			}))
-		if err != nil {
-			t.Fatal(err)
+	noise := WithNoise(Noise{PLoss: 0.1, PFalse: 0.05})
+	const seed, rounds = 11, 40
+	ref := signalTrace(t, g, rwProtocol{}, seed, rounds, noise)
+	if sameSignals(ref, signalTrace(t, g, rwProtocol{}, seed, rounds)) {
+		t.Fatal("noise left the reference trace unchanged; the test would check nothing")
+	}
+	for _, c := range pipelineConfigs {
+		opts := append([]Option{noise}, c.opts...)
+		sameTrace(t, c.name, signalTrace(t, g, rwKernelProtocol{}, seed, rounds, opts...), ref)
+	}
+}
+
+// sameSignals reports whether two traces are equal slot for slot.
+func sameSignals(a, b [][]Signal) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for r := range a {
+		if len(a[r]) != len(b[r]) {
+			return false
 		}
-		for i := 0; i < 40; i++ {
-			net.Step()
-		}
-		net.Close()
-		if ref == nil {
-			ref = tr
-			continue
-		}
-		for r := range ref {
-			for v := range ref[r] {
-				if ref[r][v] != tr[r][v] {
-					t.Fatalf("engine %v diverged under noise at round %d vertex %d", engine, r+1, v)
-				}
+		for i := range a[r] {
+			if a[r][i] != b[r][i] {
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // alwaysBeepProtocol beeps on channel 1 every round.

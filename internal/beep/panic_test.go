@@ -65,7 +65,7 @@ func (m *panicMachine) DecodeState(s []int64) error {
 // runs unaffected.
 func TestEnginePanicContainment(t *testing.T) {
 	g := graph.GNP(25, 0.2, rng.New(6))
-	for _, engine := range []Engine{Sequential, Parallel, PerVertex} {
+	for _, engine := range []Engine{Sequential} {
 		for _, phase := range []string{"emit", "update"} {
 			t.Run(engine.String()+"/"+phase, func(t *testing.T) {
 				proto := panicProtocol{vertex: 13, round: 4, phase: phase}
@@ -172,10 +172,10 @@ func TestTryStepClosed(t *testing.T) {
 }
 
 // flatPanicProtocol is panicProtocol's flat-kernel sibling: its bulk
-// handle implements FlatProtocol and panics inside the chosen cohort
-// pass (EmitAll or UpdateAll) at the chosen round, so the containment
-// contract can be pinned on the Flat engine too, where the panic has no
-// owning vertex (RunError.Vertex == -1).
+// handle implements FlatProtocol and panics inside the chosen kernel
+// (Emit or Update) at the chosen round, so the containment contract can
+// be pinned on the pipeline too, where the panic has no owning vertex
+// (RunError.Vertex == -1).
 type flatPanicProtocol struct {
 	round int64
 	phase string // "emit" or "update"
@@ -209,46 +209,49 @@ type flatPanicOps struct {
 	round int64
 }
 
-func (o *flatPanicOps) EmitAll(env *FlatEnv) {
-	o.round++
-	o.EmitRange(env, 0, len(env.Sent))
-}
-
-func (o *flatPanicOps) EmitRange(env *FlatEnv, lo, hi int) {
+// Emit draws a coin for every visited vertex, so the frontier stays all
+// active. With a positive proto.round it counts rounds on the stripe
+// that starts at vertex 0 (the single stripe of the Sequential engine);
+// the sharded test uses round 0, which panics on the first call of
+// every stripe without counting.
+func (o *flatPanicOps) Emit(env *FlatEnv, act, drewW []uint64, lo, hi int) {
+	if o.proto.round > 0 && lo == 0 {
+		o.round++
+	}
 	if o.proto.phase == "emit" && o.round == o.proto.round {
 		panic("injected emit fault")
 	}
-	env.Drew = true
-	for v := lo; v < hi; v++ {
-		if env.Skip != nil && env.Skip.Get(v) {
-			continue
+	forWords(act, lo, hi, func(mi, b, start, end int) {
+		for v := start; v < end; v++ {
+			if env.Skip != nil && env.Skip.Get(v) {
+				continue
+			}
+			if env.Srcs[v].Coin() {
+				env.Sent[v] = Chan1
+			} else {
+				env.Sent[v] = Silent
+			}
+			drewW[mi] |= 1 << uint(b)
 		}
-		if env.Srcs[v].Coin() {
-			env.Sent[v] = Chan1
-		} else {
-			env.Sent[v] = Silent
-		}
-	}
+	})
 }
 
-func (o *flatPanicOps) UpdateAll(env *FlatEnv) { o.UpdateRange(env, 0, len(env.Sent)) }
-
-func (o *flatPanicOps) UpdateRange(env *FlatEnv, lo, hi int) {
+func (o *flatPanicOps) Update(env *FlatEnv, upd, changedW []uint64, lo, hi int) {
 	if o.proto.phase == "update" && o.round == o.proto.round {
 		panic("injected update fault")
 	}
 }
 
 // TestFlatEnginePanicContainment mirrors TestEnginePanicContainment for
-// the Flat engine's cohort kernels: a panic inside EmitAll/UpdateAll
-// surfaces as a typed, sticky *RunError with Vertex == -1 (a cohort
-// pass has no single owning vertex), the poisoned network refuses
-// checkpoints, and Close returns promptly.
+// the flat kernels of the single-stripe pipeline: a panic inside Emit
+// or Update surfaces as a typed, sticky *RunError with Vertex == -1 (a
+// kernel call has no single owning vertex), the poisoned network
+// refuses checkpoints, and Close returns promptly.
 func TestFlatEnginePanicContainment(t *testing.T) {
 	g := graph.GNP(25, 0.2, rng.New(6))
 	for _, phase := range []string{"emit", "update"} {
 		t.Run(phase, func(t *testing.T) {
-			net, err := NewNetwork(g, flatPanicProtocol{round: 4, phase: phase}, 1, WithEngine(Flat))
+			net, err := NewNetwork(g, flatPanicProtocol{round: 4, phase: phase}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,8 +265,8 @@ func TestFlatEnginePanicContainment(t *testing.T) {
 			if !errors.As(stepErr, &rerr) {
 				t.Fatalf("got %v, want *RunError", stepErr)
 			}
-			if rerr.Vertex != -1 || rerr.Round != 4 || rerr.Phase != phase || rerr.Engine != Flat {
-				t.Fatalf("RunError = vertex %d round %d phase %q engine %v, want -1/4/%q/Flat",
+			if rerr.Vertex != -1 || rerr.Round != 4 || rerr.Phase != phase || rerr.Engine != Sequential {
+				t.Fatalf("RunError = vertex %d round %d phase %q engine %v, want -1/4/%q/sequential",
 					rerr.Vertex, rerr.Round, rerr.Phase, rerr.Engine, phase)
 			}
 			if len(rerr.Stack) == 0 {
@@ -286,9 +289,9 @@ func TestFlatEnginePanicContainment(t *testing.T) {
 	}
 }
 
-// TestFlatParallelEnginePanicContainment mirrors the Flat containment
-// test for the sharded kernels: a panic inside a worker's
-// EmitRange/UpdateRange stripe is recovered BEFORE the barrier join (so
+// TestFlatParallelEnginePanicContainment mirrors the single-stripe
+// containment test for the sharded pipeline: a panic inside a worker's
+// Emit/Update stripe is recovered BEFORE the barrier join (so
 // the pool is never orphaned — Close must return promptly), surfaces as
 // the same typed sticky *RunError with Vertex == -1, and poisons the
 // network against checkpoints. With several workers every stripe may
@@ -297,10 +300,8 @@ func TestFlatParallelEnginePanicContainment(t *testing.T) {
 	g := graph.GNP(130, 0.05, rng.New(8))
 	for _, phase := range []string{"emit", "update"} {
 		t.Run(phase, func(t *testing.T) {
-			// round 0 == counter start: the stripe kernels (which do not
-			// advance the per-cohort round counter — that is EmitAll's
-			// job, and the sharded engine never calls EmitAll) panic on
-			// their very first invocation.
+			// round 0 == counter start: the stripe kernels panic on their
+			// very first invocation (see flatPanicOps.Emit).
 			net, err := NewNetwork(g, flatPanicProtocol{round: 0, phase: phase}, 1,
 				WithEngine(FlatParallel), WithWorkers(4))
 			if err != nil {

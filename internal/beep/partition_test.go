@@ -10,41 +10,27 @@ import (
 
 // TestPartitionEquivalence pins the partition determinism contract: k
 // networks each stepping only its own vertex range, with the sender
-// words merged between emit and update exactly as a coordinator would,
-// reproduce the single-process Flat execution signal for signal. The
-// ranges are deliberately unaligned so the masked pack + OR-merge of
-// shared edge words is exercised.
+// word deltas merged between emit and update exactly as a coordinator
+// would, reproduce the reference loop signal for signal. The ranges are
+// deliberately unaligned so the masked pack + OR-merge of shared edge
+// words is exercised, and a mid-run ResetSparse (the restore path)
+// re-establishes the base case on both sides of the exchange.
 func TestPartitionEquivalence(t *testing.T) {
 	g := graph.GNPAvgDegree(100, 5, rng.New(3))
-	const rounds = 12
-
-	// Reference: whole-network Flat execution, signals recorded per round.
-	var refSent, refHeard [][]Signal
-	ref, err := NewNetwork(g, flatPanicProtocol{round: -1}, 9, WithEngine(Flat),
-		WithObserver(func(round int, sent, heard []Signal) {
-			refSent = append(refSent, append([]Signal(nil), sent...))
-			refHeard = append(refHeard, append([]Signal(nil), heard...))
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	for r := 0; r < rounds; r++ {
-		if err := ref.TryStep(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	const rounds, resetAt = 12, 6
+	ref := signalTrace(t, g, rwProtocol{}, 9, rounds)
 
 	// Partitioned: one full network per range (as distributed workers
-	// hold), stepped range-locally with a manual word merge.
+	// hold), stepped range-locally with a manual delta merge.
 	ranges := [][2]int{{0, 37}, {37, 70}, {70, 100}}
 	parts := make([]*Partition, len(ranges))
 	for i, r := range ranges {
-		net, err := NewNetwork(g, flatPanicProtocol{round: -1}, 9, WithEngine(Flat))
+		net, err := NewNetwork(g, rwKernelProtocol{}, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer net.Close()
+		net.RandomizeAll()
 		p, err := net.Partition(r[0], r[1])
 		if err != nil {
 			t.Fatal(err)
@@ -53,30 +39,45 @@ func TestPartitionEquivalence(t *testing.T) {
 	}
 
 	words := (g.N() + 63) / 64
+	cur := make([][]uint64, len(parts)) // per-partition uploaded words
+	for i := range cur {
+		cur[i] = make([]uint64, words)
+	}
 	merged := make([]uint64, words)
 	for r := 0; r < rounds; r++ {
-		for _, p := range parts {
-			if _, err := p.EmitLocal(); err != nil {
+		if r == resetAt {
+			for i, p := range parts {
+				p.ResetSparse()
+				clear(cur[i])
+			}
+			clear(merged)
+		}
+		for i, p := range parts {
+			if _, err := p.EmitLocalSparse(); err != nil {
 				t.Fatalf("round %d: emit: %v", r+1, err)
 			}
+			wis, vals := p.SparseUpload(0)
+			for j, wi := range wis {
+				cur[i][wi] = vals[j]
+			}
 		}
-		// Coordinator merge: OR each partition's own words (masked pack
-		// keeps foreign bits zero, so shared edge words OR cleanly).
+		// Coordinator merge: OR each word over its owners (masked pack
+		// keeps foreign bits zero, so shared edge words OR cleanly) and
+		// download every word whose merged value moved.
 		for wi := range merged {
-			merged[wi] = 0
-		}
-		for _, p := range parts {
-			lo, hi := p.Range()
-			w := p.SenderWords(0)
-			for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
-				merged[wi] |= w[wi]
+			var m uint64
+			for i := range parts {
+				m |= cur[i][wi]
+			}
+			if m != merged[wi] {
+				merged[wi] = m
+				for _, p := range parts {
+					p.ApplyDeltaWord(0, wi, m)
+				}
 			}
 		}
 		for _, p := range parts {
-			for wi, w := range merged {
-				p.SetSenderWord(0, wi, w)
-			}
-			if _, err := p.UpdateLocal(); err != nil {
+			if _, err := p.UpdateLocalSparse(); err != nil {
 				t.Fatalf("round %d: update: %v", r+1, err)
 			}
 		}
@@ -84,11 +85,11 @@ func TestPartitionEquivalence(t *testing.T) {
 			lo, hi := p.Range()
 			sent, heard := p.Signals()
 			for v := lo; v < hi; v++ {
-				if sent[v] != refSent[r][v] {
-					t.Fatalf("round %d vertex %d: partitioned sent %v, reference %v", r+1, v, sent[v], refSent[r][v])
+				if sent[v] != ref[r][v] {
+					t.Fatalf("round %d vertex %d: partitioned sent %v, reference %v", r+1, v, sent[v], ref[r][v])
 				}
-				if heard[v] != refHeard[r][v] {
-					t.Fatalf("round %d vertex %d: partitioned heard %v, reference %v", r+1, v, heard[v], refHeard[r][v])
+				if heard[v] != ref[r][g.N()+v] {
+					t.Fatalf("round %d vertex %d: partitioned heard %v, reference %v", r+1, v, heard[v], ref[r][g.N()+v])
 				}
 			}
 		}
@@ -104,7 +105,7 @@ func TestPartitionValidation(t *testing.T) {
 
 	flat := func(opts ...Option) *Network {
 		t.Helper()
-		net, err := NewNetwork(g, flatPanicProtocol{round: -1}, 1, append([]Option{WithEngine(Flat)}, opts...)...)
+		net, err := NewNetwork(g, flatPanicProtocol{round: -1}, 1, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +119,7 @@ func TestPartitionValidation(t *testing.T) {
 		}
 	}
 
-	// No flat kernels (Sequential engine leaves flatOps nil even for
-	// protocols that have them — Partition is tied to the flat path).
+	// No flat kernels: Partition runs the pipeline's kernels only.
 	seqNet, err := NewNetwork(g, panicProtocol{vertex: -1}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestPartitionValidation(t *testing.T) {
 // network for every later call, like the engines.
 func TestPartitionPanicContainment(t *testing.T) {
 	g := graph.Cycle(64)
-	net, err := NewNetwork(g, flatPanicProtocol{round: 0, phase: "emit"}, 1, WithEngine(Flat))
+	net, err := NewNetwork(g, flatPanicProtocol{round: 0, phase: "emit"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +157,12 @@ func TestPartitionPanicContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.EmitLocal(); err == nil {
+	if _, err := p.EmitLocalSparse(); err == nil {
 		t.Fatal("injected panic not surfaced")
 	} else if rerr, ok := err.(*RunError); !ok || rerr.Phase != "emit" {
 		t.Fatalf("emit fault surfaced as %T (%v), want *RunError{Phase: emit}", err, err)
 	}
-	if _, err := p.UpdateLocal(); err == nil {
+	if _, err := p.UpdateLocalSparse(); err == nil {
 		t.Fatal("poisoned network still updating")
 	}
 	if _, _, err := net.ExportRangeState(0, 32); err == nil {

@@ -33,9 +33,9 @@ import (
 //     existing ones (they advance the network's child-stream counter).
 //   - Adversary policies follow the surviving vertices through the
 //     mapping; joiners are always cooperating.
-//   - All three engines are supported: the worker pool is rebuilt for
-//     the new vertex count, and because Rewire itself runs sequentially
-//     between rounds, executions remain engine-independent.
+//   - Both engines are supported: the stripes and the worker pool are
+//     rebuilt for the new vertex count, and because Rewire itself runs
+//     sequentially between rounds, executions remain engine-independent.
 //
 // The operation is atomic: every validation failure leaves the network
 // untouched. The round counter continues across the rewire.
@@ -144,20 +144,11 @@ func (n *Network) Rewire(g2 *graph.Graph, mapping []int) error {
 	} else {
 		n.advEpoch++ // topology changed: observers re-key their masks
 	}
-	n.bindFlatOps() // the slab was rebuilt (or dropped): re-derive the kernels
-	n.flatParOps = nil
-	if n.workers != nil {
-		n.workers.close()
-		n.workers = nil
-	}
-	if n.usesPool() {
-		// The pool is rebuilt for the new vertex count. For the
-		// flat-parallel engine this also rebuilds the per-worker stripe
-		// state (scatter masks, pack counters, kernel environments):
-		// stripe boundaries are a function of N, so stale stripes from
-		// the pre-churn topology must never survive a Rewire
-		// (regression-tested by TestFlatParallelRewireReseedBitExact).
-		n.workers = newWorkerPool(n, n.poolSize())
-	}
+	// The slab was rebuilt (or dropped): re-derive the kernels and
+	// rebuild the stripes and the pool for the new vertex count. Stripe
+	// boundaries are a function of N, so stale stripes from the
+	// pre-churn topology must never survive a Rewire
+	// (regression-tested by TestFlatParallelRewireReseedBitExact).
+	n.bindFlatOps()
 	return nil
 }

@@ -196,8 +196,9 @@ func TestRewireStreamStabilityUnderRenumbering(t *testing.T) {
 }
 
 // TestRewireEngineTraceEquivalence is the engine contract through a
-// scripted rewire with adversaries installed: all three engines must
-// produce identical signal traces before and after the topology swap.
+// scripted rewire with adversaries installed: every flat-kernel
+// configuration must reproduce the reference loop before and after the
+// topology swap (which rebuilds the slab, the stripes and the pool).
 func TestRewireEngineTraceEquivalence(t *testing.T) {
 	g1 := graph.GNPAvgDegree(24, 4, rng.New(5))
 	g2, mapping, err := graph.ApplyEdits(g1, []graph.Edit{
@@ -212,10 +213,9 @@ func TestRewireEngineTraceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seed, pre, post = 1234, 7, 9
-	run := func(engine Engine) [][]Signal {
+	run := func(proto Protocol, opts ...Option) [][]Signal {
 		var trace [][]Signal
-		net, err := NewNetwork(g1, rwProtocol{}, seed,
-			WithEngine(engine),
+		opts = append([]Option{
 			WithAdversaries(AdvBabbler, []int{2, 9}),
 			WithAdversaries(AdvJammer, []int{5}),
 			WithObserver(func(_ int, sent, heard []Signal) {
@@ -223,7 +223,8 @@ func TestRewireEngineTraceEquivalence(t *testing.T) {
 				row = append(row, sent...)
 				row = append(row, heard...)
 				trace = append(trace, row)
-			}))
+			})}, opts...)
+		net, err := NewNetwork(g1, proto, seed, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,23 +236,16 @@ func TestRewireEngineTraceEquivalence(t *testing.T) {
 		if err := net.Rewire(g2, mapping[:g1.N()]); err != nil {
 			t.Fatal(err)
 		}
+		if _, ok := proto.(rwKernelProtocol); ok && net.flatOps == nil {
+			t.Fatal("Rewire dropped the kernels of a StateCodec cohort")
+		}
 		for r := 0; r < post; r++ {
 			net.Step()
 		}
 		return trace
 	}
-	ref := run(Sequential)
-	for _, engine := range []Engine{Parallel, PerVertex} {
-		got := run(engine)
-		if len(got) != len(ref) {
-			t.Fatalf("engine %v recorded %d rounds, sequential %d", engine, len(got), len(ref))
-		}
-		for r := range ref {
-			for i := range ref[r] {
-				if got[r][i] != ref[r][i] {
-					t.Fatalf("engine %v diverged at round %d slot %d", engine, r, i)
-				}
-			}
-		}
+	ref := run(rwProtocol{})
+	for _, c := range pipelineConfigs {
+		sameTrace(t, c.name, run(rwKernelProtocol{}, c.opts...), ref)
 	}
 }

@@ -95,36 +95,22 @@ func TestSleepSkipsUpdate(t *testing.T) {
 	}
 }
 
+// TestSleepDeterministicAcrossEngines pins the sleep pass of the round
+// pipeline: with sleepers drawn every round, every flat-kernel
+// configuration must reproduce the reference loop's (sent, heard)
+// trace, because the sleep draws are made sequentially before the
+// stripes run and sleeping vertices are skipped by the kernels.
 func TestSleepDeterministicAcrossEngines(t *testing.T) {
 	g := graph.GNP(40, 0.1, rng.New(9))
-	var ref [][]Signal
-	for _, engine := range []Engine{Sequential, Parallel, PerVertex} {
-		var tr [][]Signal
-		net, err := NewNetwork(g, probeProtocol{}, 11,
-			WithEngine(engine), WithSleep(Sleep{P: 0.2}),
-			WithObserver(func(_ int, sent, _ []Signal) {
-				row := make([]Signal, len(sent))
-				copy(row, sent)
-				tr = append(tr, row)
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 30; i++ {
-			net.Step()
-		}
-		net.Close()
-		if ref == nil {
-			ref = tr
-			continue
-		}
-		for r := range ref {
-			for v := range ref[r] {
-				if ref[r][v] != tr[r][v] {
-					t.Fatalf("engine %v diverged under sleep at round %d vertex %d", engine, r+1, v)
-				}
-			}
-		}
+	sleep := WithSleep(Sleep{P: 0.2})
+	const seed, rounds = 11, 30
+	ref := signalTrace(t, g, rwProtocol{}, seed, rounds, sleep)
+	if sameSignals(ref, signalTrace(t, g, rwProtocol{}, seed, rounds)) {
+		t.Fatal("sleep left the reference trace unchanged; the test would check nothing")
+	}
+	for _, c := range pipelineConfigs {
+		opts := append([]Option{sleep}, c.opts...)
+		sameTrace(t, c.name, signalTrace(t, g, rwKernelProtocol{}, seed, rounds, opts...), ref)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"repro/internal/rng"
 )
 
-// chainNet builds a stabilized sparse Flat network on the real MIS
+// chainNet builds a stabilized flat-kernel network on the real MIS
 // protocol, so the deltas under test come from genuine activity-gated
 // rounds (the dirty masks the engine accumulates), not hand-marked
 // vertices.
@@ -21,7 +21,7 @@ func chainNet(t *testing.T) *beep.Network {
 	t.Helper()
 	g := graph.GNPAvgDegree(600, 6, rng.New(4))
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(g, proto, 7, beep.WithEngine(beep.Flat))
+	net, err := beep.NewNetwork(g, proto, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestChainV2JSONBase(t *testing.T) {
 	// Restore works onto a fresh network.
 	g := net.Graph()
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	fresh, err := beep.NewNetwork(g, proto, 123, beep.WithEngine(beep.Flat))
+	fresh, err := beep.NewNetwork(g, proto, 123)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,8 +110,6 @@ func (p AdaptiveAlg1) NewMachines(g graph.Topology) ([]beep.Machine, any) {
 type adaptiveSlab struct {
 	p  AdaptiveAlg1
 	ms []adaptiveMachine
-	// shadow is the quiescence snapshot buffer (see flat.go).
-	shadow []adaptiveMachine
 }
 
 var _ LevelExporter = (*adaptiveSlab)(nil)

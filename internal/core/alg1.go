@@ -97,8 +97,6 @@ func (p *Alg1) NewMachines(g graph.Topology) ([]beep.Machine, any) {
 type alg1Slab struct {
 	p  *Alg1
 	ms []alg1Machine
-	// shadow is the quiescence snapshot buffer (see flat.go).
-	shadow []alg1Machine
 }
 
 var _ LevelExporter = (*alg1Slab)(nil)

@@ -79,8 +79,6 @@ func (p *Alg2) NewMachines(g graph.Topology) ([]beep.Machine, any) {
 type alg2Slab struct {
 	p  *Alg2
 	ms []alg2Machine
-	// shadow is the quiescence snapshot buffer (see flat.go).
-	shadow []alg2Machine
 }
 
 var _ LevelExporter = (*alg2Slab)(nil)

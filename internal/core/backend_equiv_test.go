@@ -12,7 +12,8 @@ import (
 // invisible to executions: for each family, every Topology backend —
 // materialized CSR, implicit generator, and compact varint (default and
 // stride-1 sampling) — produces bit-identical (sent, heard) traces and
-// the same stabilization round on all five engines, against the
+// the same stabilization round on the reference loop and on the
+// flat-kernel pipeline at one and several stripes, against the
 // materialized sequential interface-loop reference. This is the
 // contract that lets the scale experiments swap in zero-storage
 // backends without re-validating any protocol result: the backends
@@ -45,12 +46,12 @@ func TestEngineTraceEquivalenceBackends(t *testing.T) {
 	engines := []struct {
 		name   string
 		engine beep.Engine
+		opts   []beep.Option
 	}{
-		{"sequential+kernels", beep.Sequential},
-		{"parallel", beep.Parallel},
-		{"pervertex", beep.PerVertex},
-		{"flat", beep.Flat},
-		{"flatparallel", beep.FlatParallel},
+		{"reference", beep.Sequential, []beep.Option{beep.WithFlatKernels(false)}},
+		{"sequential+kernels", beep.Sequential, nil},
+		{"flatparallel", beep.FlatParallel, nil},
+		{"flatparallel-w3", beep.FlatParallel, []beep.Option{beep.WithWorkers(3)}},
 	}
 	const seed, maxRounds = 90210, 20000
 	for _, fam := range families {
@@ -72,7 +73,7 @@ func TestEngineTraceEquivalenceBackends(t *testing.T) {
 				}
 				for _, b := range backends {
 					for _, e := range engines {
-						got := runEngineTrace(t, b.g, p.proto, seed, e.engine, maxRounds)
+						got := runEngineTrace(t, b.g, p.proto, seed, e.engine, maxRounds, e.opts...)
 						if got.stabilized != ref.stabilized {
 							t.Fatalf("%s/%s stabilized at round %d, reference at %d",
 								b.name, e.name, got.stabilized, ref.stabilized)

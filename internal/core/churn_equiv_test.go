@@ -181,8 +181,8 @@ func TestDetectorAcrossChurnAndAdversaries(t *testing.T) {
 }
 
 // TestEngineEquivalenceThroughChurn extends the engine contract to the
-// new fault model on the paper's own protocol: all five engines must
-// produce bit-identical signal traces through a scripted crash-and-grow
+// new fault model on the paper's own protocol: every flat-kernel
+// configuration must produce bit-identical signal traces through a scripted crash-and-grow
 // Rewire with adversaries installed, exercising the BatchProtocol slab
 // path of the survivor state transfer (and, for the flat kernels, the
 // post-rewire kernel re-bind). The reference is the plain interface
@@ -236,16 +236,14 @@ func TestEngineEquivalenceThroughChurn(t *testing.T) {
 		opts   []beep.Option
 	}{
 		{"sequential", beep.Sequential, nil},
-		{"parallel", beep.Parallel, nil},
-		{"pervertex", beep.PerVertex, nil},
-		{"flat", beep.Flat, nil},
 		{"flatparallel", beep.FlatParallel, nil},
-		// Forced-sparse pins: with adversaries installed every round
-		// falls back to the dense kernels through the sparse gate, and
-		// the Rewire invalidation must keep the trace exact on both
-		// sides of the churn event.
-		{"flat-sparse-on", beep.Flat, []beep.Option{beep.WithSparse(beep.SparseOn)}},
-		{"flatparallel-sparse-on", beep.FlatParallel, []beep.Option{beep.WithSparse(beep.SparseOn)}},
+		{"flatparallel-w3", beep.FlatParallel, []beep.Option{beep.WithWorkers(3)}},
+		// Forced-delta pins: with adversaries installed every round is
+		// a fault round through the same pipeline, and the Rewire
+		// invalidation must keep the trace exact on both sides of the
+		// churn event.
+		{"sequential-delta", beep.Sequential, []beep.Option{beep.WithForcedDelta()}},
+		{"flatparallel-delta", beep.FlatParallel, []beep.Option{beep.WithForcedDelta()}},
 	}
 	for _, e := range engines {
 		got := run(e.engine, e.opts...)

@@ -55,16 +55,15 @@ func runEngineTrace(t *testing.T, g graph.Topology, proto beep.Protocol, seed ui
 }
 
 // TestEngineTraceEquivalence asserts the engine contract end to end on
-// the paper's protocols: all five engines — Sequential (which silently
-// upgrades to the flat kernels), Parallel, PerVertex, Flat and
-// FlatParallel (at several explicit worker counts) — produce
-// bit-identical (sent, heard) traces and the same stabilization round
-// for a fixed seed, across graph families with distinct degree
-// profiles. The reference is Sequential with the flat kernels forced
-// OFF (the plain per-machine interface loop), so the comparison also
-// certifies the kernels against the reference semantics. Run with -race
-// this exercises the worker-pool barrier under the sharded, the
-// goroutine-per-vertex and the sharded-kernel engines.
+// the paper's protocols: the flat-kernel pipeline on both engines —
+// Sequential, and FlatParallel at several explicit worker counts —
+// produces bit-identical (sent, heard) traces and the same
+// stabilization round for a fixed seed, across graph families with
+// distinct degree profiles. The reference is Sequential with the flat
+// kernels forced OFF (the plain per-machine interface loop), so the
+// comparison also certifies the kernels against the reference
+// semantics. Run with -race this exercises the worker-pool barrier of
+// the sharded pipeline.
 func TestEngineTraceEquivalence(t *testing.T) {
 	families := []struct {
 		name string
@@ -91,9 +90,6 @@ func TestEngineTraceEquivalence(t *testing.T) {
 		opts   []beep.Option
 	}{
 		{"sequential+kernels", beep.Sequential, nil},
-		{"parallel", beep.Parallel, nil},
-		{"pervertex", beep.PerVertex, nil},
-		{"flat", beep.Flat, nil},
 		{"flatparallel", beep.FlatParallel, nil},
 		// Explicit worker counts: the trace must be invariant in the
 		// stripe partition, including the degenerate single-worker pool
@@ -101,14 +97,11 @@ func TestEngineTraceEquivalence(t *testing.T) {
 		{"flatparallel-w1", beep.FlatParallel, []beep.Option{beep.WithWorkers(1)}},
 		{"flatparallel-w3", beep.FlatParallel, []beep.Option{beep.WithWorkers(3)}},
 		{"flatparallel-w8", beep.FlatParallel, []beep.Option{beep.WithWorkers(8)}},
-		// Sparse-path pins: forced delta delivery (SparseOn) and the
-		// legacy dense path (SparseOff) must both match the reference
-		// bit for bit — the default engines above already run
-		// SparseAuto, so together the three modes are covered.
-		{"flat-sparse-on", beep.Flat, []beep.Option{beep.WithSparse(beep.SparseOn)}},
-		{"flat-sparse-off", beep.Flat, []beep.Option{beep.WithSparse(beep.SparseOff)}},
-		{"flatparallel-sparse-on", beep.FlatParallel, []beep.Option{beep.WithSparse(beep.SparseOn)}},
-		{"flatparallel-w3-sparse-on", beep.FlatParallel, []beep.Option{beep.WithWorkers(3), beep.WithSparse(beep.SparseOn)}},
+		// Delta-delivery pins: graphs this small always cross over to
+		// dense delivery, so the delta re-gather is forced here.
+		{"sequential-delta", beep.Sequential, []beep.Option{beep.WithForcedDelta()}},
+		{"flatparallel-delta", beep.FlatParallel, []beep.Option{beep.WithForcedDelta()}},
+		{"flatparallel-w3-delta", beep.FlatParallel, []beep.Option{beep.WithWorkers(3), beep.WithForcedDelta()}},
 	}
 	const seed, maxRounds = 90210, 20000
 	for _, fam := range families {
@@ -226,6 +219,80 @@ func TestIncrementalDetectorMatchesFullRecompute(t *testing.T) {
 				}
 				if quiet < 25 {
 					t.Fatalf("execution never reached the quiet-round quota (got %d)", quiet)
+				}
+			})
+		}
+	}
+}
+
+// TestFaultModelKernelEquivalence pins the pipeline's fault rounds on
+// the paper's protocols: under listening noise, sleep, and noise +
+// sleep + adversaries together, the flat kernels on both engines —
+// Sequential, and FlatParallel with one and three stripes — must
+// reproduce the reference loop (WithFlatKernels(false)) round for
+// round. A fault round is the same pipeline with every word active, the
+// skip mask of sleepers and adversaries, dense delivery and the noise
+// pass, so this is where the kernels' skip loops and the noise-stream
+// order are checked.
+func TestFaultModelKernelEquivalence(t *testing.T) {
+	g := graph.GNPAvgDegree(150, 5, rng.New(61))
+	protos := []struct {
+		name  string
+		proto beep.Protocol
+	}{
+		{"alg1", NewAlg1(KnownMaxDegreeExact(DefaultC1KnownDelta))},
+		{"alg2", NewAlg2(NeighborhoodMaxDegree(DefaultC1TwoHop))},
+		{"adaptive", NewAdaptiveAlg1()},
+	}
+	noise := beep.WithNoise(beep.Noise{PLoss: 0.1, PFalse: 0.03})
+	sleep := beep.WithSleep(beep.Sleep{P: 0.15})
+	faults := []struct {
+		name string
+		opts []beep.Option
+	}{
+		{"noise", []beep.Option{noise}},
+		{"sleep", []beep.Option{sleep}},
+		{"noise+sleep+adversaries", []beep.Option{noise, sleep,
+			beep.WithAdversaries(beep.AdvJammer, []int{3}),
+			beep.WithAdversaries(beep.AdvBabbler, []int{40, 77, 141}),
+			beep.WithAdversaries(beep.AdvMute, []int{90})}},
+	}
+	engines := []struct {
+		name string
+		opts []beep.Option
+	}{
+		{"sequential", nil},
+		{"flatparallel-w1", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithWorkers(1)}},
+		{"flatparallel-w3", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithWorkers(3)}},
+	}
+	const seed, rounds = 4711, 80
+	run := func(t *testing.T, proto beep.Protocol, opts ...beep.Option) [][]beep.Signal {
+		t.Helper()
+		var trace [][]beep.Signal
+		net, err := beep.NewNetwork(g, proto, seed, append(opts,
+			beep.WithObserver(func(_ int, sent, heard []beep.Signal) {
+				row := make([]beep.Signal, 0, 2*len(sent))
+				row = append(row, sent...)
+				row = append(row, heard...)
+				trace = append(trace, row)
+			}))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer net.Close()
+		net.RandomizeAll()
+		for r := 0; r < rounds; r++ {
+			net.Step()
+		}
+		return trace
+	}
+	for _, p := range protos {
+		for _, f := range faults {
+			t.Run(p.name+"/"+f.name, func(t *testing.T) {
+				ref := run(t, p.proto, append([]beep.Option{beep.WithFlatKernels(false)}, f.opts...)...)
+				for _, e := range engines {
+					got := run(t, p.proto, append(append([]beep.Option(nil), f.opts...), e.opts...)...)
+					compareTraces(t, e.name, got, ref)
 				}
 			})
 		}

@@ -1,114 +1,186 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/beep"
 	"repro/internal/graph"
 )
 
-// This file implements the flat-engine kernels (beep.FlatProtocol),
-// in-place re-initialization (beep.FlatReiniter) and quiescence
-// snapshots (beep.FlatQuiescer) for the three machine slabs. Each
-// kernel is the loop body of the corresponding Machine.Emit/Update
-// inlined over the contiguous slab, with the per-vertex interface
-// dispatch and pointer chase removed; on the exact path (env.Sampler ==
-// nil) every vertex consumes precisely the draws its machine would
-// have, so flat executions are bit-identical to the reference engines
-// (pinned by TestEngineTraceEquivalence and
-// FuzzFlatEmitDrawEquivalence).
+// This file implements the flat kernels (beep.FlatProtocol) and
+// in-place re-initialization (beep.FlatReiniter) for the three machine
+// slabs. Each kernel is the loop body of the corresponding
+// Machine.Emit/Update inlined over the contiguous slab, with the
+// per-vertex interface dispatch and pointer chase removed; every vertex
+// consumes precisely the draws its machine would have, so flat
+// executions are bit-identical to the reference loop (pinned by
+// TestEngineTraceEquivalence and FuzzFlatEmitDrawEquivalence).
 //
-// Each kernel has two loop variants: a fast one for the common case of
-// no skip mask and no batch sampler (no per-vertex mask probe, direct
-// stream access), and a general one handling sleeping/adversarial
-// vertices (whose Sent entries the engine pre-filled and whose state
-// must not move) and the amortized sampler. Both maintain the
-// env.Drew / env.Changed fixed-point flags that drive the engine's
-// quiescence elision.
+// The kernels are word-masked: slab word wi (vertices [wi*64, wi*64+64))
+// is visited iff bit wi of the mask is set, and the kernel reports back
+// a same-shaped output mask of the words where it consumed randomness
+// (emit) or moved state (update). Skipping an unmarked word is exact,
+// not approximate: the engine only clears a word's activity bit when
+// every vertex in it emitted deterministically (no draw) and kept its
+// state last round, in which case this round's emit is the same
+// deterministic function of the same state — Sent is already correct
+// and no stream advances. The same argument makes update skipping an
+// identity: an unmarked update word saw the identical (state, sent,
+// heard) triple as the previous round, where the transition changed
+// nothing.
+//
+// Each visited word runs one of two inner loops: the fault-free one
+// with no per-vertex mask probe, and one honouring env.Skip for the
+// sleeping and adversarial vertices of fault rounds (whose Sent entries
+// the engine pre-filled and whose state must not move).
 
 var (
 	_ beep.FlatProtocol = (*alg1Slab)(nil)
 	_ beep.FlatReiniter = (*alg1Slab)(nil)
-	_ beep.FlatQuiescer = (*alg1Slab)(nil)
 	_ beep.FlatProtocol = (*alg2Slab)(nil)
 	_ beep.FlatReiniter = (*alg2Slab)(nil)
-	_ beep.FlatQuiescer = (*alg2Slab)(nil)
 	_ beep.FlatProtocol = (*adaptiveSlab)(nil)
 	_ beep.FlatReiniter = (*adaptiveSlab)(nil)
-	_ beep.FlatQuiescer = (*adaptiveSlab)(nil)
 )
 
-// flatBern draws one Bernoulli(2^-l) trial for vertex v from whichever
-// source the environment configured: the amortized batch sampler when
-// present, the vertex's private stream otherwise. l <= 0 succeeds
-// without consuming randomness on either path (and therefore without
-// setting env.Drew).
-func flatBern(env *beep.FlatEnv, v int, l int32) bool {
-	if l <= 0 {
-		return true
+// maskBits returns mask[mi] clamped so that only bits naming slab words
+// inside [wlo, whi] (inclusive word bounds) survive.
+func maskBits(mask []uint64, mi, wlo, whi int) uint64 {
+	m := mask[mi]
+	if mi == wlo>>6 {
+		m &= ^uint64(0) << uint(wlo&63)
 	}
-	env.Drew = true
-	if env.Sampler != nil {
-		return env.Sampler.Bernoulli2Pow(int(l))
+	if mi == whi>>6 {
+		if r := whi & 63; r != 63 {
+			m &= uint64(1)<<uint(r+1) - 1
+		}
 	}
-	return env.Srcs[v].Bernoulli2Pow(int(l))
+	return m
+}
+
+// wordSpan returns the vertices of slab word wi clamped to [lo, hi).
+func wordSpan(wi, lo, hi int) (start, end int) {
+	start, end = wi<<6, wi<<6+64
+	if start < lo {
+		start = lo
+	}
+	if end > hi {
+		end = hi
+	}
+	return start, end
+}
+
+// emitWords runs an emit rule over the marked words of [lo, hi). rule
+// returns the vertex's level and either its deterministic signal or
+// draw = true, in which case the vertex beeps on channel 1 with
+// probability 2^-level, drawn from its own stream exactly as its
+// Machine.Emit would draw.
+func emitWords[M any](env *beep.FlatEnv, ms []M, act, drewW []uint64, lo, hi int, rule func(*M) (lv int32, sig beep.Signal, draw bool)) {
+	if hi <= lo {
+		return
+	}
+	sent, srcs, skip := env.Sent, env.Srcs, env.Skip
+	wlo, whi := lo>>6, (hi-1)>>6
+	for mi := wlo >> 6; mi <= whi>>6; mi++ {
+		m := maskBits(act, mi, wlo, whi)
+		for m != 0 {
+			b := bits.TrailingZeros64(m)
+			m &= m - 1
+			start, end := wordSpan(mi<<6+b, lo, hi)
+			wordDrew := false
+			if skip == nil {
+				for v := start; v < end; v++ {
+					lv, sig, draw := rule(&ms[v])
+					if draw {
+						wordDrew = true
+						if srcs[v].Bernoulli2Pow(int(lv)) {
+							sig = beep.Chan1
+						}
+					}
+					sent[v] = sig
+				}
+			} else {
+				for v := start; v < end; v++ {
+					if skip.Get(v) {
+						continue
+					}
+					lv, sig, draw := rule(&ms[v])
+					if draw {
+						wordDrew = true
+						if srcs[v].Bernoulli2Pow(int(lv)) {
+							sig = beep.Chan1
+						}
+					}
+					sent[v] = sig
+				}
+			}
+			if wordDrew {
+				drewW[mi] |= uint64(1) << uint(b)
+			}
+		}
+	}
+}
+
+// updateWords applies a slab transition over the marked words of
+// [lo, hi), recording per-word change bits.
+func updateWords[M any](env *beep.FlatEnv, ms []M, upd, changedW []uint64, lo, hi int, step func(*M, beep.Signal, beep.Signal) bool) {
+	if hi <= lo {
+		return
+	}
+	sent, heard, skip := env.Sent, env.Heard, env.Skip
+	wlo, whi := lo>>6, (hi-1)>>6
+	for mi := wlo >> 6; mi <= whi>>6; mi++ {
+		m := maskBits(upd, mi, wlo, whi)
+		for m != 0 {
+			b := bits.TrailingZeros64(m)
+			m &= m - 1
+			start, end := wordSpan(mi<<6+b, lo, hi)
+			wordChanged := false
+			if skip == nil {
+				for v := start; v < end; v++ {
+					if step(&ms[v], sent[v], heard[v]) {
+						wordChanged = true
+					}
+				}
+			} else {
+				for v := start; v < end; v++ {
+					if !skip.Get(v) && step(&ms[v], sent[v], heard[v]) {
+						wordChanged = true
+					}
+				}
+			}
+			if wordChanged {
+				changedW[mi] |= uint64(1) << uint(b)
+			}
+		}
+	}
 }
 
 // --- Algorithm 1 ---
 
-// alg1EmitRange is alg1Machine.Emit over the [lo, hi) stripe of a slab
-// of Algorithm 1 states (shared verbatim by the adaptive heuristic,
-// which promotes the emit rule unchanged): beep with probability
+// alg1Rule is alg1Machine.Emit on one slab entry: beep with probability
 // min{2^-ℓ, 1} while ℓ < ℓmax. Vertices at ℓ ≤ 0 beep surely and, like
 // the per-machine path, consume no randomness — in a stabilized
-// configuration (MIS members at -ℓmax, the rest at ℓmax) the whole loop
-// makes zero generator calls. The stripe touches only Sent[lo:hi) and
-// the streams of vertices in [lo, hi), the write-disjointness contract
-// of beep.FlatProtocol's range forms.
-func alg1EmitRange[M any](env *beep.FlatEnv, ms []M, lo, hi int, state func(*M) *alg1Machine) {
-	sent := env.Sent
-	if env.Skip == nil && env.Sampler == nil {
-		srcs := env.Srcs
-		drew := false
-		for v := lo; v < hi; v++ {
-			m := state(&ms[v])
-			lv := m.level
-			switch {
-			case lv >= m.lmax:
-				sent[v] = beep.Silent
-			case lv <= 0:
-				sent[v] = beep.Chan1
-			default:
-				drew = true
-				if srcs[v].Bernoulli2Pow(int(lv)) {
-					sent[v] = beep.Chan1
-				} else {
-					sent[v] = beep.Silent
-				}
-			}
-		}
-		if drew {
-			env.Drew = true
-		}
-		return
+// configuration (MIS members at -ℓmax, the rest at ℓmax) emit makes
+// zero generator calls. The adaptive heuristic promotes it unchanged.
+func alg1Rule(m *alg1Machine) (int32, beep.Signal, bool) {
+	switch {
+	case m.level >= m.lmax:
+		return m.level, beep.Silent, false
+	case m.level <= 0:
+		return m.level, beep.Chan1, false
 	}
-	for v := lo; v < hi; v++ {
-		if env.Skipped(v) {
-			continue
-		}
-		m := state(&ms[v])
-		if m.level < m.lmax && flatBern(env, v, m.level) {
-			sent[v] = beep.Chan1
-		} else {
-			sent[v] = beep.Silent
-		}
-	}
+	return m.level, beep.Silent, true
 }
 
-// EmitAll implements beep.FlatProtocol.
-func (s *alg1Slab) EmitAll(env *beep.FlatEnv) { s.EmitRange(env, 0, len(s.ms)) }
+// Emit implements beep.FlatProtocol.
+func (s *alg1Slab) Emit(env *beep.FlatEnv, act, drewW []uint64, lo, hi int) {
+	emitWords(env, s.ms, act, drewW, lo, hi, alg1Rule)
+}
 
-// EmitRange implements beep.FlatProtocol ([lo, hi) stripe of EmitAll).
-func (s *alg1Slab) EmitRange(env *beep.FlatEnv, lo, hi int) {
-	alg1EmitRange(env, s.ms, lo, hi, func(m *alg1Machine) *alg1Machine { return m })
+// Update implements beep.FlatProtocol.
+func (s *alg1Slab) Update(env *beep.FlatEnv, upd, changedW []uint64, lo, hi int) {
+	updateWords(env, s.ms, upd, changedW, lo, hi, alg1Step)
 }
 
 // alg1Step is the Algorithm 1 level transition (alg1Machine.Update) on
@@ -134,35 +206,6 @@ func alg1Step(m *alg1Machine, sent, heard beep.Signal) bool {
 	return nl != lv
 }
 
-// UpdateAll is alg1Machine.Update over the slab.
-func (s *alg1Slab) UpdateAll(env *beep.FlatEnv) { s.UpdateRange(env, 0, len(s.ms)) }
-
-// UpdateRange is the [lo, hi) stripe of UpdateAll (beep.FlatProtocol).
-func (s *alg1Slab) UpdateRange(env *beep.FlatEnv, lo, hi int) {
-	ms := s.ms
-	sent, heard := env.Sent, env.Heard
-	changed := false
-	if env.Skip == nil {
-		for v := lo; v < hi; v++ {
-			if alg1Step(&ms[v], sent[v], heard[v]) {
-				changed = true
-			}
-		}
-	} else {
-		for v := lo; v < hi; v++ {
-			if env.Skipped(v) {
-				continue
-			}
-			if alg1Step(&ms[v], sent[v], heard[v]) {
-				changed = true
-			}
-		}
-	}
-	if changed {
-		env.Changed = true
-	}
-}
-
 // ReinitAll restores every machine to its construction-time state for
 // g, exactly as NewMachines would have built it (beep.FlatReiniter).
 func (s *alg1Slab) ReinitAll(g graph.Topology) {
@@ -171,62 +214,29 @@ func (s *alg1Slab) ReinitAll(g graph.Topology) {
 	}
 }
 
-// SnapshotState records the full machine state for quiescence elision
-// (beep.FlatQuiescer).
-func (s *alg1Slab) SnapshotState() { s.shadow = snapshotSlab(s.shadow, s.ms) }
-
-// StateUnchanged reports whether the state matches the last snapshot.
-func (s *alg1Slab) StateUnchanged() bool { return slabEqual(s.shadow, s.ms) }
-
 // --- Algorithm 2 ---
 
-// EmitAll is alg2Machine.Emit over the slab: beep₂ at ℓ = 0 (the MIS
-// announcement, no randomness), beep₁ with probability 2^-ℓ while
+// alg2Rule is alg2Machine.Emit on one slab entry: beep₂ at ℓ = 0 (the
+// MIS announcement, no randomness), beep₁ with probability 2^-ℓ while
 // 0 < ℓ < ℓmax.
-func (s *alg2Slab) EmitAll(env *beep.FlatEnv) { s.EmitRange(env, 0, len(s.ms)) }
+func alg2Rule(m *alg2Machine) (int32, beep.Signal, bool) {
+	switch {
+	case m.level == 0:
+		return 0, beep.Chan2, false
+	case m.level >= m.lmax:
+		return m.level, beep.Silent, false
+	}
+	return m.level, beep.Silent, true
+}
 
-// EmitRange is the [lo, hi) stripe of EmitAll (beep.FlatProtocol).
-func (s *alg2Slab) EmitRange(env *beep.FlatEnv, lo, hi int) {
-	ms := s.ms
-	sent := env.Sent
-	if env.Skip == nil && env.Sampler == nil {
-		srcs := env.Srcs
-		drew := false
-		for v := lo; v < hi; v++ {
-			lv := ms[v].level
-			switch {
-			case lv == 0:
-				sent[v] = beep.Chan2
-			case lv >= ms[v].lmax:
-				sent[v] = beep.Silent
-			default:
-				drew = true
-				if srcs[v].Bernoulli2Pow(int(lv)) {
-					sent[v] = beep.Chan1
-				} else {
-					sent[v] = beep.Silent
-				}
-			}
-		}
-		if drew {
-			env.Drew = true
-		}
-		return
-	}
-	for v := lo; v < hi; v++ {
-		if env.Skipped(v) {
-			continue
-		}
-		lv, lmax := ms[v].level, ms[v].lmax
-		switch {
-		case lv == 0:
-			sent[v] = beep.Chan2
-		case lv < lmax && flatBern(env, v, lv):
-			sent[v] = beep.Chan1
-		default:
-			sent[v] = beep.Silent
-		}
-	}
+// Emit implements beep.FlatProtocol.
+func (s *alg2Slab) Emit(env *beep.FlatEnv, act, drewW []uint64, lo, hi int) {
+	emitWords(env, s.ms, act, drewW, lo, hi, alg2Rule)
+}
+
+// Update implements beep.FlatProtocol.
+func (s *alg2Slab) Update(env *beep.FlatEnv, upd, changedW []uint64, lo, hi int) {
+	updateWords(env, s.ms, upd, changedW, lo, hi, alg2Step)
 }
 
 // alg2Step is the Algorithm 2 level transition (alg2Machine.Update) on
@@ -254,35 +264,6 @@ func alg2Step(m *alg2Machine, sent, heard beep.Signal) bool {
 	return nl != lv
 }
 
-// UpdateAll is alg2Machine.Update over the slab.
-func (s *alg2Slab) UpdateAll(env *beep.FlatEnv) { s.UpdateRange(env, 0, len(s.ms)) }
-
-// UpdateRange is the [lo, hi) stripe of UpdateAll (beep.FlatProtocol).
-func (s *alg2Slab) UpdateRange(env *beep.FlatEnv, lo, hi int) {
-	ms := s.ms
-	sent, heard := env.Sent, env.Heard
-	changed := false
-	if env.Skip == nil {
-		for v := lo; v < hi; v++ {
-			if alg2Step(&ms[v], sent[v], heard[v]) {
-				changed = true
-			}
-		}
-	} else {
-		for v := lo; v < hi; v++ {
-			if env.Skipped(v) {
-				continue
-			}
-			if alg2Step(&ms[v], sent[v], heard[v]) {
-				changed = true
-			}
-		}
-	}
-	if changed {
-		env.Changed = true
-	}
-}
-
 // ReinitAll restores every machine to its construction-time state for
 // g (beep.FlatReiniter).
 func (s *alg2Slab) ReinitAll(g graph.Topology) {
@@ -291,22 +272,21 @@ func (s *alg2Slab) ReinitAll(g graph.Topology) {
 	}
 }
 
-// SnapshotState records the full machine state for quiescence elision
-// (beep.FlatQuiescer).
-func (s *alg2Slab) SnapshotState() { s.shadow = snapshotSlab(s.shadow, s.ms) }
-
-// StateUnchanged reports whether the state matches the last snapshot.
-func (s *alg2Slab) StateUnchanged() bool { return slabEqual(s.shadow, s.ms) }
-
 // --- Adaptive heuristic ---
 
-// EmitAll is the Algorithm 1 emit rule over the adaptive slab
-// (adaptiveMachine promotes alg1Machine.Emit unchanged).
-func (s *adaptiveSlab) EmitAll(env *beep.FlatEnv) { s.EmitRange(env, 0, len(s.ms)) }
+// Emit implements beep.FlatProtocol (Algorithm 1 emit rule, promoted
+// unchanged by the adaptive heuristic).
+func (s *adaptiveSlab) Emit(env *beep.FlatEnv, act, drewW []uint64, lo, hi int) {
+	emitWords(env, s.ms, act, drewW, lo, hi, func(m *adaptiveMachine) (int32, beep.Signal, bool) {
+		return alg1Rule(&m.alg1Machine)
+	})
+}
 
-// EmitRange is the [lo, hi) stripe of EmitAll (beep.FlatProtocol).
-func (s *adaptiveSlab) EmitRange(env *beep.FlatEnv, lo, hi int) {
-	alg1EmitRange(env, s.ms, lo, hi, func(m *adaptiveMachine) *alg1Machine { return &m.alg1Machine })
+// Update implements beep.FlatProtocol (the cap-doubling collision rule
+// rides along in adaptiveStep, so a collision marks the word changed
+// even when the level is pinned).
+func (s *adaptiveSlab) Update(env *beep.FlatEnv, upd, changedW []uint64, lo, hi int) {
+	updateWords(env, s.ms, upd, changedW, lo, hi, adaptiveStep)
 }
 
 // adaptiveStep is adaptiveMachine.Update on a slab entry: the Algorithm
@@ -331,35 +311,6 @@ func adaptiveStep(m *adaptiveMachine, sent, heard beep.Signal) bool {
 	return true
 }
 
-// UpdateAll is adaptiveMachine.Update over the slab.
-func (s *adaptiveSlab) UpdateAll(env *beep.FlatEnv) { s.UpdateRange(env, 0, len(s.ms)) }
-
-// UpdateRange is the [lo, hi) stripe of UpdateAll (beep.FlatProtocol).
-func (s *adaptiveSlab) UpdateRange(env *beep.FlatEnv, lo, hi int) {
-	ms := s.ms
-	sent, heard := env.Sent, env.Heard
-	changed := false
-	if env.Skip == nil {
-		for v := lo; v < hi; v++ {
-			if adaptiveStep(&ms[v], sent[v], heard[v]) {
-				changed = true
-			}
-		}
-	} else {
-		for v := lo; v < hi; v++ {
-			if env.Skipped(v) {
-				continue
-			}
-			if adaptiveStep(&ms[v], sent[v], heard[v]) {
-				changed = true
-			}
-		}
-	}
-	if changed {
-		env.Changed = true
-	}
-}
-
 // ReinitAll restores every machine to its construction-time state
 // (beep.FlatReiniter; the adaptive machines carry no per-vertex
 // topology knowledge, so g is unused beyond the interface contract).
@@ -367,38 +318,4 @@ func (s *adaptiveSlab) ReinitAll(graph.Topology) {
 	for v := range s.ms {
 		s.p.initMachine(&s.ms[v])
 	}
-}
-
-// SnapshotState records the full machine state — including the mutable
-// caps and collision counters — for quiescence elision
-// (beep.FlatQuiescer).
-func (s *adaptiveSlab) SnapshotState() { s.shadow = snapshotSlab(s.shadow, s.ms) }
-
-// StateUnchanged reports whether the state matches the last snapshot.
-func (s *adaptiveSlab) StateUnchanged() bool { return slabEqual(s.shadow, s.ms) }
-
-// snapshotSlab copies src into the reusable shadow buffer.
-func snapshotSlab[M any](shadow, src []M) []M {
-	if cap(shadow) < len(src) {
-		shadow = make([]M, len(src))
-	}
-	shadow = shadow[:len(src)]
-	copy(shadow, src)
-	return shadow
-}
-
-// slabEqual reports element-wise equality; a shadow of the wrong length
-// (never snapshotted, or the cohort was resized by Rewire) never
-// matches. Machine structs are comparable by design — all fields are
-// plain integers — so this compares the complete mutable state.
-func slabEqual[M comparable](shadow, ms []M) bool {
-	if len(shadow) != len(ms) {
-		return false
-	}
-	for i := range ms {
-		if ms[i] != shadow[i] {
-			return false
-		}
-	}
-	return true
 }

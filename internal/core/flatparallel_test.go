@@ -54,10 +54,10 @@ func compareTraces(t *testing.T, name string, got, ref [][]beep.Signal) {
 }
 
 // TestFlatParallelWorkerCountInvariance pins the determinism contract
-// of the sharded flat engine at a size where every worker count from 1
-// to 8 produces a different stripe partition (n = 500 spans eight
-// 64-vertex words): the trace must be bit-identical to the sequential
-// flat engine's for every partition, because each vertex only ever
+// of the sharded pipeline at a size where every worker count from 1 to
+// 8 produces a different stripe partition (n = 500 spans eight 64-vertex
+// words): the trace must be bit-identical to the reference loop's for
+// every partition, because each vertex only ever
 // consumes randomness from its own private stream.
 func TestFlatParallelWorkerCountInvariance(t *testing.T) {
 	g := graph.GNPAvgDegree(500, 7, rng.New(88))
@@ -69,7 +69,8 @@ func TestFlatParallelWorkerCountInvariance(t *testing.T) {
 		}
 		return nil
 	}
-	ref := collectTrace(t, g, seed, body, beep.WithEngine(beep.Flat))
+	ref := collectTrace(t, g, seed, body, beep.WithFlatKernels(false))
+	compareTraces(t, "sequential", collectTrace(t, g, seed, body), ref)
 	for w := 1; w <= 8; w++ {
 		got := collectTrace(t, g, seed, body,
 			beep.WithEngine(beep.FlatParallel), beep.WithWorkers(w))
@@ -84,7 +85,7 @@ func TestFlatParallelWorkerCountInvariance(t *testing.T) {
 // pool. If either operation left any pre-churn stripe state alive —
 // old shard boundaries, stale pack counters, a scratch mask sized for
 // the old N — the sharded engine would diverge from the sequential
-// flat engine after the rewire or after the reseed. The full scripted
+// after the rewire or after the reseed. The full scripted
 // sequence (run → Rewire → run → Reseed → run) must stay bit-exact at
 // several worker counts.
 func TestFlatParallelRewireReseedBitExact(t *testing.T) {
@@ -125,7 +126,8 @@ func TestFlatParallelRewireReseedBitExact(t *testing.T) {
 		}
 		return nil
 	}
-	ref := collectTrace(t, g1, seed, body, beep.WithEngine(beep.Flat))
+	ref := collectTrace(t, g1, seed, body, beep.WithFlatKernels(false))
+	compareTraces(t, "rewire-reseed-sequential", collectTrace(t, g1, seed, body), ref)
 	for _, w := range []int{1, 2, 3, 5} {
 		got := collectTrace(t, g1, seed, body,
 			beep.WithEngine(beep.FlatParallel), beep.WithWorkers(w))

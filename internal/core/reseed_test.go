@@ -14,7 +14,7 @@ import (
 // under a different seed, Reseed(s) must make the subsequent execution
 // bit-identical to a freshly constructed network with seed s — signal
 // traces and final levels alike. The property is checked on every
-// protocol, on both the reference loop and the flat engine, and with
+// protocol, on the reference loop and the pipeline of both engines, and with
 // every auxiliary random stream active (noise, sleep, adversaries), so
 // a stream that Reseed forgot to re-derive fails loudly.
 func TestReseedMatchesFreshNetwork(t *testing.T) {
@@ -27,6 +27,11 @@ func TestReseedMatchesFreshNetwork(t *testing.T) {
 		{"alg2", NewAlg2(NeighborhoodMaxDegree(DefaultC1TwoHop))},
 		{"adaptive", NewAdaptiveAlg1()},
 	}
+	faults := []beep.Option{
+		beep.WithNoise(beep.Noise{PLoss: 0.05, PFalse: 0.02}),
+		beep.WithSleep(beep.Sleep{P: 0.1}),
+		beep.WithAdversaries(beep.AdvBabbler, []int{3, 17}),
+	}
 	variants := []struct {
 		name   string
 		engine beep.Engine
@@ -34,12 +39,10 @@ func TestReseedMatchesFreshNetwork(t *testing.T) {
 	}{
 		{"sequential", beep.Sequential, nil},
 		{"sequential-ref", beep.Sequential, []beep.Option{beep.WithFlatKernels(false)}},
-		{"flat", beep.Flat, nil},
-		{"flat-faulty", beep.Flat, []beep.Option{
-			beep.WithNoise(beep.Noise{PLoss: 0.05, PFalse: 0.02}),
-			beep.WithSleep(beep.Sleep{P: 0.1}),
-			beep.WithAdversaries(beep.AdvBabbler, []int{3, 17}),
-		}},
+		{"sequential-faulty", beep.Sequential, faults},
+		// flat: the flat-kernel pipeline over three stripes.
+		{"flat", beep.FlatParallel, []beep.Option{beep.WithWorkers(3)}},
+		{"flat-faulty", beep.FlatParallel, append([]beep.Option{beep.WithWorkers(3)}, faults...)},
 	}
 	const pollute, rounds = 37, 80
 	const seedA, seedB = 1001, 2002

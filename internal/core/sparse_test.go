@@ -9,59 +9,29 @@ import (
 	"repro/internal/rng"
 )
 
-// TestSparseModeParse pins the flag spellings of the sparse modes.
-func TestSparseModeParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want beep.SparseMode
-	}{
-		{"auto", beep.SparseAuto},
-		{"on", beep.SparseOn},
-		{"off", beep.SparseOff},
-	} {
-		got, err := beep.ParseSparseMode(tc.in)
-		if err != nil {
-			t.Fatalf("ParseSparseMode(%q): %v", tc.in, err)
-		}
-		if got != tc.want {
-			t.Fatalf("ParseSparseMode(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("SparseMode(%v).String() = %q, want %q", got, got.String(), tc.in)
-		}
-	}
-	if _, err := beep.ParseSparseMode("maybe"); err == nil {
-		t.Fatal("ParseSparseMode accepted an unknown mode")
-	}
-}
-
 // TestSparseOnRequiresKernels pins the construction-time validation of
-// the forced-sparse mode: interface-loop engines and kernel-less
-// configurations must be rejected, kernel engines accepted.
+// the forced-delta test hook: kernel-less configurations must be
+// rejected (the hook would pin nothing there), kernel engines accepted.
 func TestSparseOnRequiresKernels(t *testing.T) {
 	g := graph.Cycle(64)
 	proto := NewAlg1(KnownMaxDegreeExact(DefaultC1KnownDelta))
-	for _, e := range []beep.Engine{beep.Parallel, beep.PerVertex} {
-		if _, err := beep.NewNetwork(g, proto, 1, beep.WithEngine(e), beep.WithSparse(beep.SparseOn)); err == nil {
-			t.Fatalf("WithSparse(on) accepted on %v", e)
-		}
+	if _, err := beep.NewNetwork(g, proto, 1, beep.WithFlatKernels(false), beep.WithForcedDelta()); err == nil {
+		t.Fatal("WithForcedDelta accepted with kernels disabled")
 	}
-	if _, err := beep.NewNetwork(g, proto, 1, beep.WithFlatKernels(false), beep.WithSparse(beep.SparseOn)); err == nil {
-		t.Fatal("WithSparse(on) accepted with kernels disabled")
-	}
-	for _, e := range []beep.Engine{beep.Sequential, beep.Flat, beep.FlatParallel} {
-		net, err := beep.NewNetwork(g, proto, 1, beep.WithEngine(e), beep.WithSparse(beep.SparseOn))
+	for _, e := range []beep.Engine{beep.Sequential, beep.FlatParallel} {
+		net, err := beep.NewNetwork(g, proto, 1, beep.WithEngine(e), beep.WithForcedDelta())
 		if err != nil {
-			t.Fatalf("WithSparse(on) rejected on %v: %v", e, err)
+			t.Fatalf("WithForcedDelta rejected on %v: %v", e, err)
 		}
 		net.Close()
 	}
 }
 
-// TestSparseFrontierDecay asserts the whole point of the sparse path:
-// on a fault-free run the frontier reported by WithStatsObserver
-// shrinks to zero and stays there (O(1) elided rounds), while the
-// execution stays bit-identical to the dense path round by round.
+// TestSparseFrontierDecay asserts the whole point of the pipeline's
+// activity gating: on a fault-free run the frontier reported by
+// WithStatsObserver shrinks to zero and stays there (O(1) elided
+// rounds), while the execution stays bit-identical to the reference
+// loop round by round.
 func TestSparseFrontierDecay(t *testing.T) {
 	g := graph.GNPAvgDegree(4096, 8, rng.New(99))
 	proto := NewAlg1(KnownMaxDegreeExact(DefaultC1KnownDelta))
@@ -69,7 +39,7 @@ func TestSparseFrontierDecay(t *testing.T) {
 	for _, eng := range []struct {
 		name   string
 		engine beep.Engine
-	}{{"flat", beep.Flat}, {"flatparallel", beep.FlatParallel}} {
+	}{{"flat", beep.Sequential}, {"flatparallel", beep.FlatParallel}} {
 		t.Run(eng.name, func(t *testing.T) {
 			ref := runEngineTrace(t, g, proto, seed, beep.Sequential, rounds, beep.WithFlatKernels(false))
 
@@ -138,7 +108,8 @@ func TestSparseFrontierDecay(t *testing.T) {
 // TestSparseExternalMutationExact pins the invalidation hooks: state
 // mutated between rounds through the public surface (Corrupt, retained
 // Machine handles / SetLevel) must re-activate exactly enough of the
-// frontier that sparse executions stay bit-identical to dense ones.
+// frontier that gated executions stay bit-identical to the reference
+// loop.
 func TestSparseExternalMutationExact(t *testing.T) {
 	g := graph.GNPAvgDegree(512, 6, rng.New(5))
 	proto := NewAlg1(KnownMaxDegreeExact(DefaultC1KnownDelta))
@@ -163,16 +134,15 @@ func TestSparseExternalMutationExact(t *testing.T) {
 		}},
 	}
 
-	run := func(mode beep.SparseMode, engine beep.Engine) [][]beep.Signal {
+	run := func(opts ...beep.Option) [][]beep.Signal {
 		var trace [][]beep.Signal
-		net, err := beep.NewNetwork(g, proto, seed,
-			beep.WithEngine(engine), beep.WithSparse(mode),
+		net, err := beep.NewNetwork(g, proto, seed, append(opts,
 			beep.WithObserver(func(_ int, sent, heard []beep.Signal) {
 				row := make([]beep.Signal, 0, 2*len(sent))
 				row = append(row, sent...)
 				row = append(row, heard...)
 				trace = append(trace, row)
-			}))
+			}))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,18 +160,17 @@ func TestSparseExternalMutationExact(t *testing.T) {
 		return trace
 	}
 
-	ref := run(beep.SparseOff, beep.Flat)
+	ref := run(beep.WithFlatKernels(false))
 	for _, cfg := range []struct {
-		name   string
-		mode   beep.SparseMode
-		engine beep.Engine
+		name string
+		opts []beep.Option
 	}{
-		{"flat-auto", beep.SparseAuto, beep.Flat},
-		{"flat-on", beep.SparseOn, beep.Flat},
-		{"flatparallel-auto", beep.SparseAuto, beep.FlatParallel},
-		{"flatparallel-on", beep.SparseOn, beep.FlatParallel},
+		{"sequential", nil},
+		{"sequential-delta", []beep.Option{beep.WithForcedDelta()}},
+		{"flatparallel", []beep.Option{beep.WithEngine(beep.FlatParallel)}},
+		{"flatparallel-delta", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithForcedDelta()}},
 	} {
-		got := run(cfg.mode, cfg.engine)
+		got := run(cfg.opts...)
 		if len(got) != len(ref) {
 			t.Fatalf("%s: %d rounds, want %d", cfg.name, len(got), len(ref))
 		}
@@ -216,8 +185,8 @@ func TestSparseExternalMutationExact(t *testing.T) {
 }
 
 // FuzzSparseFrontierEquivalence pins the frontier propagation rule
-// against the dense reference on fuzz-chosen graphs, seeds and fault
-// injections: the sparse execution must be bit-identical every round,
+// against the reference loop on fuzz-chosen graphs, seeds and fault
+// injections: the gated execution must be bit-identical every round,
 // and any round whose reported frontier is empty must be a literal
 // fixed point (signals identical to the previous round).
 func FuzzSparseFrontierEquivalence(f *testing.F) {
@@ -239,11 +208,10 @@ func FuzzSparseFrontierEquivalence(f *testing.F) {
 		proto := NewAlg1(KnownMaxDegreeExact(DefaultC1KnownDelta))
 		const rounds = 90
 
-		run := func(mode beep.SparseMode) ([][]beep.Signal, []int) {
+		run := func(opts ...beep.Option) ([][]beep.Signal, []int) {
 			var trace [][]beep.Signal
 			var frontiers []int
-			net, err := beep.NewNetwork(g, proto, seed,
-				beep.WithEngine(beep.Flat), beep.WithSparse(mode),
+			net, err := beep.NewNetwork(g, proto, seed, append(opts,
 				beep.WithObserver(func(_ int, sent, heard []beep.Signal) {
 					row := make([]beep.Signal, 0, 2*len(sent))
 					row = append(row, sent...)
@@ -252,7 +220,7 @@ func FuzzSparseFrontierEquivalence(f *testing.F) {
 				}),
 				beep.WithStatsObserver(func(_, _, fw int) {
 					frontiers = append(frontiers, fw)
-				}))
+				}))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,19 +237,19 @@ func FuzzSparseFrontierEquivalence(f *testing.F) {
 			return trace, frontiers
 		}
 
-		ref, _ := run(beep.SparseOff)
-		for _, mode := range []beep.SparseMode{beep.SparseAuto, beep.SparseOn} {
-			got, frontiers := run(mode)
+		ref, _ := run(beep.WithFlatKernels(false))
+		for mode, opts := range map[string][]beep.Option{"auto": nil, "delta": {beep.WithForcedDelta()}} {
+			got, frontiers := run(opts...)
 			for r := range ref {
 				for i := range ref[r] {
 					if got[r][i] != ref[r][i] {
-						t.Fatalf("mode %v: diverged at round %d slot %d (fam %d seed %d)", mode, r+1, i, famSel%4, seed)
+						t.Fatalf("mode %s: diverged at round %d slot %d (fam %d seed %d)", mode, r+1, i, famSel%4, seed)
 					}
 				}
 				if r > 0 && frontiers[r] == 0 {
 					for i := range got[r] {
 						if got[r][i] != got[r-1][i] {
-							t.Fatalf("mode %v: empty frontier at round %d but signals moved at slot %d", mode, r+1, i)
+							t.Fatalf("mode %s: empty frontier at round %d but signals moved at slot %d", mode, r+1, i)
 						}
 					}
 				}
@@ -290,15 +258,19 @@ func FuzzSparseFrontierEquivalence(f *testing.F) {
 	})
 }
 
-// TestSparseReseedExact pins Reseed on the sparse path: a reseeded
+// TestSparseReseedExact pins Reseed on the pipeline, with crossover
+// delivery (auto) and forced delta delivery (on): a reseeded
 // network must replay the fresh-network execution bit for bit even
 // though the sender bitsets still hold the previous trial's bits
 // (Reseed invalidates them via markAll/forceDense).
 func TestSparseReseedExact(t *testing.T) {
 	g := graph.GNPAvgDegree(256, 6, rng.New(3))
 	proto := NewAlg1(KnownMaxDegreeExact(DefaultC1KnownDelta))
-	for _, mode := range []beep.SparseMode{beep.SparseAuto, beep.SparseOn} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts []beep.Option
+	}{{"auto", nil}, {"on", []beep.Option{beep.WithForcedDelta()}}} {
+		t.Run(mode.name, func(t *testing.T) {
 			run := func(net *beep.Network, rounds int) string {
 				h := ""
 				for r := 0; r < rounds; r++ {
@@ -311,14 +283,14 @@ func TestSparseReseedExact(t *testing.T) {
 				h = fmt.Sprintf("%v/%d", probe.Stabilized(), probe.StableCount())
 				return h
 			}
-			fresh, err := beep.NewNetwork(g, proto, 4242, beep.WithEngine(beep.Flat), beep.WithSparse(mode))
+			fresh, err := beep.NewNetwork(g, proto, 4242, mode.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer fresh.Close()
 			want := run(fresh, 60)
 
-			pool, err := beep.NewNetwork(g, proto, 1, beep.WithEngine(beep.Flat), beep.WithSparse(mode))
+			pool, err := beep.NewNetwork(g, proto, 1, mode.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -68,12 +68,6 @@ type Config struct {
 	CheckpointPath string
 	// Resume restores this checkpoint instead of applying Init.
 	Resume *beep.Checkpoint
-	// Sparse selects the round exchange. SparseAuto (the default) uses
-	// the delta protocol whenever the protocol's kernels support it;
-	// SparseOn fails setup if they don't; SparseOff forces the dense
-	// position-implicit word tables.
-	Sparse beep.SparseMode
-
 	// Spawner launches partition workers; required.
 	Spawner Spawner
 	// Listen is the coordinator's listen address (default 127.0.0.1:0).
@@ -128,12 +122,10 @@ type Result struct {
 	RoundHashes []uint64
 	// LastCheckpoint is the most recent synchronized checkpoint.
 	LastCheckpoint *beep.Checkpoint
-	// Sparse reports whether the run used the delta exchange.
-	Sparse bool
 	// WireBytes totals the logical payload bytes of the per-round signal
 	// exchange (emit replies + deliver requests, the two directions that
 	// scale with the graph); retransmissions are not counted. The delta
-	// exchange shrinks this to the changed-word traffic.
+	// exchange keeps this to the changed-word traffic.
 	WireBytes int64
 }
 
@@ -306,18 +298,15 @@ type coordinator struct {
 	// merged per-channel sender word arrays of the current round.
 	merged [2][]uint64
 
-	// Sparse-exchange state (nil/false in dense mode). cur[p][c] is
-	// partition p's last-uploaded value of every word; owners[wi] lists
-	// the partitions whose range overlaps word wi (2 on unaligned
-	// boundaries), so a changed upload re-merges the word by OR over
-	// owners; dirty[c] is the bitset of merged words changed since the
-	// last deliver; needSet[p] is partition p's need set as a bitset for
-	// the dirty ∩ need filtering of its deliver delta.
-	sparse  bool
-	cur     [][2][]uint64
-	owners  [][]int32
-	dirty   [2][]uint64
-	needSet [][]uint64
+	// Delta-exchange state. cur[p][c] is partition p's last-uploaded
+	// value of every word; owners[wi] lists the partitions whose range
+	// overlaps word wi (2 on unaligned boundaries), so a changed upload
+	// re-merges the word by OR over owners; dirty[c] is the bitset of
+	// merged words changed since the last deliver, filtered per
+	// partition by the table's need sets.
+	cur    [][2][]uint64
+	owners [][]int32
+	dirty  [2][]uint64
 	// downWi/downVal are the deliver-payload scratch lists, reused
 	// across partitions and rounds.
 	downWi  [2][]int32
@@ -421,11 +410,10 @@ func (co *coordinator) setup(ctx context.Context) error {
 		return fmt.Errorf("dist: %w", err)
 	}
 	co.channels = proto.Channels()
-	// The reference network exists only to validate the configuration
-	// (the Flat engine requires the kernels Partition needs) and to
-	// capture the initial checkpoint, whose auxiliary stream states
-	// seed every later assembled checkpoint. It never steps.
-	refNet, err := beep.NewNetwork(cfg.Graph, proto, cfg.Seed, beep.WithEngine(beep.Flat))
+	// The reference network exists only to capture the initial
+	// checkpoint, whose auxiliary stream states seed every later
+	// assembled checkpoint. It never steps.
+	refNet, err := beep.NewNetwork(cfg.Graph, proto, cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("dist: %w", err)
 	}
@@ -435,27 +423,6 @@ func (co *coordinator) setup(ctx context.Context) error {
 		return fmt.Errorf("dist: protocol %s does not export levels", cfg.Protocol)
 	}
 	co.two = le.TwoChannel()
-	// Sparse probe: the delta exchange needs the activity-gated kernels
-	// on every worker, which a throwaway partition of the reference
-	// network detects. (EnableSparse resets heard values the reference
-	// never reads; the checkpoint below carries machines and streams
-	// only.)
-	if cfg.Sparse != beep.SparseOff {
-		probe, perr := refNet.Partition(0, co.g.N())
-		if perr == nil {
-			perr = probe.EnableSparse()
-		}
-		if perr != nil {
-			if cfg.Sparse == beep.SparseOn {
-				refNet.Close()
-				return fmt.Errorf("dist: sparse exchange forced but unavailable: %w", perr)
-			}
-			co.logf("sparse exchange unavailable, falling back to dense rounds: %v", perr)
-		} else {
-			co.sparse = true
-		}
-	}
-	co.res.Sparse = co.sparse
 	if cfg.Resume != nil {
 		if len(cfg.Resume.Adversaries) > 0 || cfg.Resume.NoiseLoss != 0 || cfg.Resume.NoiseFalse != 0 || cfg.Resume.SleepP != 0 {
 			refNet.Close()
@@ -497,35 +464,24 @@ func (co *coordinator) setup(ctx context.Context) error {
 	for c := 0; c < co.channels; c++ {
 		co.merged[c] = make([]uint64, co.table.words)
 	}
-	if co.sparse {
-		words := co.table.words
-		mw := (words + 63) / 64
-		co.cur = make([][2][]uint64, len(co.table.ranges))
-		for p := range co.cur {
-			for c := 0; c < co.channels; c++ {
-				co.cur[p][c] = make([]uint64, words)
-			}
-		}
-		co.owners = make([][]int32, words)
-		for p, r := range co.table.ranges {
-			if r[0] >= r[1] {
-				continue
-			}
-			for wi := r[0] >> 6; wi <= (r[1]-1)>>6; wi++ {
-				co.owners[wi] = append(co.owners[wi], int32(p))
-			}
-		}
-		co.needSet = make([][]uint64, len(co.table.ranges))
-		for p, need := range co.table.need {
-			ns := make([]uint64, mw)
-			for _, wi := range need {
-				ns[wi>>6] |= 1 << uint(wi&63)
-			}
-			co.needSet[p] = ns
-		}
+	words := co.table.words
+	co.cur = make([][2][]uint64, len(co.table.ranges))
+	for p := range co.cur {
 		for c := 0; c < co.channels; c++ {
-			co.dirty[c] = make([]uint64, mw)
+			co.cur[p][c] = make([]uint64, words)
 		}
+	}
+	co.owners = make([][]int32, words)
+	for p, r := range co.table.ranges {
+		if r[0] >= r[1] {
+			continue
+		}
+		for wi := r[0] >> 6; wi <= (r[1]-1)>>6; wi++ {
+			co.owners[wi] = append(co.owners[wi], int32(p))
+		}
+	}
+	for c := 0; c < co.channels; c++ {
+		co.dirty[c] = make([]uint64, (words+63)/64)
 	}
 
 	var gbuf bytes.Buffer
@@ -538,8 +494,6 @@ func (co *coordinator) setup(ctx context.Context) error {
 		msg, err := json.Marshal(configMsg{
 			Protocol: cfg.Protocol, Seed: cfg.Seed, Channels: co.channels,
 			Graph: gbuf.Bytes(), Lo: r[0], Hi: r[1],
-			Send: co.table.send[p], Need: co.table.need[p],
-			Sparse: co.sparse,
 		})
 		if err != nil {
 			return fmt.Errorf("dist: %w", err)
@@ -748,22 +702,20 @@ func cloneCheckpoint(cp *beep.Checkpoint) *beep.Checkpoint {
 	return &c
 }
 
-// resetExchange zeroes the merged words and, in sparse mode, every
-// per-partition upload baseline and the dirty set.
+// resetExchange zeroes the merged words, every per-partition upload
+// baseline and the dirty set.
 func (co *coordinator) resetExchange() {
 	for c := 0; c < co.channels; c++ {
 		for i := range co.merged[c] {
 			co.merged[c][i] = 0
 		}
-		if co.sparse {
-			for i := range co.dirty[c] {
-				co.dirty[c][i] = 0
-			}
-			for p := range co.cur {
-				cw := co.cur[p][c]
-				for i := range cw {
-					cw[i] = 0
-				}
+		for i := range co.dirty[c] {
+			co.dirty[c][i] = 0
+		}
+		for p := range co.cur {
+			cw := co.cur[p][c]
+			for i := range cw {
+				cw[i] = 0
 			}
 		}
 	}

@@ -43,8 +43,8 @@ func maskHash(mask []bool) uint64 {
 	return h.Sum64()
 }
 
-// flatReference executes `rounds` rounds on the single-process Flat
-// engine and returns the per-round combined digests over the given
+// flatReference executes `rounds` rounds on the single-process flat
+// kernels and returns the per-round combined digests over the given
 // partition ranges — the trace a distributed run with those ranges must
 // reproduce hash for hash.
 func flatReference(t *testing.T, g *graph.Graph, protoName string, seed uint64, ranges [][2]int, rounds int) []uint64 {
@@ -55,7 +55,7 @@ func flatReference(t *testing.T, g *graph.Graph, protoName string, seed uint64, 
 	}
 	var hashes []uint64
 	parts := make([]uint64, len(ranges))
-	net, err := beep.NewNetwork(g, proto, seed, beep.WithEngine(beep.Flat),
+	net, err := beep.NewNetwork(g, proto, seed,
 		beep.WithObserver(func(round int, sent, heard []beep.Signal) {
 			for p, r := range ranges {
 				parts[p] = RangeDigest(round, r[0], sent[r[0]:r[1]], heard[r[0]:r[1]])
@@ -78,9 +78,8 @@ func flatReference(t *testing.T, g *graph.Graph, protoName string, seed uint64, 
 }
 
 // TestPartTable pins the exchange-plan invariants: the ranges tile
-// [0, n), every word a partition needs is uploaded by someone (the send
-// union covers the need union), and uploads are restricted to words a
-// partition actually owns.
+// [0, n), and each partition's need set is exactly the set of words
+// containing a neighbor of its range.
 func TestPartTable(t *testing.T) {
 	g := graph.GNPAvgDegree(200, 8, rng.New(5))
 	for _, parts := range []int{1, 2, 3, 5, 8} {
@@ -94,27 +93,19 @@ func TestPartTable(t *testing.T) {
 			}
 		}
 		table := buildPartTable(g, ranges)
-		sent := map[int32]bool{}
-		for p, send := range table.send {
-			lo, hi := ranges[p][0], ranges[p][1]
-			for _, wi := range send {
-				sent[wi] = true
-				if int(wi) < lo>>6 || int(wi) > (hi-1)>>6 {
-					t.Fatalf("parts=%d: partition %d uploads foreign word %d", parts, p, wi)
+		for p, r := range ranges {
+			want := make([]uint64, len(table.need[p]))
+			for v := r[0]; v < r[1]; v++ {
+				for _, u := range g.Neighbors(v) {
+					wi := int(u) >> 6
+					want[wi>>6] |= 1 << uint(wi&63)
 				}
 			}
-		}
-		needAny := map[int32]bool{}
-		for _, need := range table.need {
-			for _, wi := range need {
-				needAny[wi] = true
-				if !sent[wi] {
-					t.Fatalf("parts=%d: needed word %d uploaded by nobody", parts, wi)
+			for i := range want {
+				if table.need[p][i] != want[i] {
+					t.Fatalf("parts=%d: partition %d need mask %d = %#x, want %#x", parts, p, i, table.need[p][i], want[i])
 				}
 			}
-		}
-		if len(needAny) != len(table.neededAny) {
-			t.Fatalf("parts=%d: neededAny has %d words, union of need sets %d", parts, len(table.neededAny), len(needAny))
 		}
 	}
 }
@@ -133,7 +124,7 @@ func distConfig(g *graph.Graph, parts int) Config {
 // TestDistGoldenEquivalence is the N-partition trace-equivalence
 // matrix: at every partition count the distributed engine must
 // reproduce the golden execution — stabilization round, MIS, mask hash
-// — and every per-round combined digest of the single-process Flat
+// — and every per-round combined digest of the single-process flat-kernel
 // reference over the same ranges.
 func TestDistGoldenEquivalence(t *testing.T) {
 	g := goldenGraph(t)
@@ -225,76 +216,6 @@ func TestDistFaultInjectionEquivalence(t *testing.T) {
 	}
 }
 
-// TestDistSparseDenseEquivalence pins the delta boundary exchange
-// against the dense wire: at every partition count, forced-sparse and
-// forced-dense runs must produce identical per-round combined digests
-// and the golden result, and on a graph with enough sender words the
-// sparse run must move fewer logical payload bytes.
-func TestDistSparseDenseEquivalence(t *testing.T) {
-	g := goldenGraph(t)
-	for parts := 1; parts <= 4; parts++ {
-		dcfg := distConfig(g, parts)
-		dcfg.Sparse = beep.SparseOff
-		dres, err := Run(context.Background(), dcfg)
-		if err != nil {
-			t.Fatalf("parts=%d dense: %v", parts, err)
-		}
-		scfg := distConfig(g, parts)
-		scfg.Sparse = beep.SparseOn
-		sres, err := Run(context.Background(), scfg)
-		if err != nil {
-			t.Fatalf("parts=%d sparse: %v", parts, err)
-		}
-		if dres.Sparse || !sres.Sparse {
-			t.Fatalf("parts=%d: Sparse flags dense=%v sparse=%v", parts, dres.Sparse, sres.Sparse)
-		}
-		for _, res := range []*Result{dres, sres} {
-			if !res.Stabilized || res.StabilizedRound != goldenStabRound ||
-				res.MISSize != goldenMISSize || maskHash(res.MIS) != goldenMaskHash {
-				t.Fatalf("parts=%d sparse=%v diverged from golden: stabilized=%v round=%d |MIS|=%d hash=%#x",
-					parts, res.Sparse, res.Stabilized, res.StabilizedRound, res.MISSize, maskHash(res.MIS))
-			}
-		}
-		if len(dres.RoundHashes) != len(sres.RoundHashes) {
-			t.Fatalf("parts=%d: dense %d rounds, sparse %d", parts, len(dres.RoundHashes), len(sres.RoundHashes))
-		}
-		for i := range dres.RoundHashes {
-			if dres.RoundHashes[i] != sres.RoundHashes[i] {
-				t.Fatalf("parts=%d: round %d dense hash %#x, sparse %#x",
-					parts, i+1, dres.RoundHashes[i], sres.RoundHashes[i])
-			}
-		}
-	}
-
-	// Byte savings need more than one word per range: on a 2048-vertex
-	// graph most words stop changing well before stabilization, so the
-	// delta wire must be strictly smaller than re-sending every word.
-	big := graph.GNPAvgDegree(2048, 6, rng.New(5))
-	bd := distConfig(big, 4)
-	bd.Sparse = beep.SparseOff
-	dres, err := Run(context.Background(), bd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := distConfig(big, 4)
-	bs.Sparse = beep.SparseOn
-	sres, err := Run(context.Background(), bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dres.Stabilized || !sres.Stabilized || maskHash(dres.MIS) != maskHash(sres.MIS) {
-		t.Fatalf("big-graph runs diverged: dense=%+v sparse=%+v", dres, sres)
-	}
-	if sres.WireBytes <= 0 || dres.WireBytes <= 0 {
-		t.Fatalf("WireBytes not recorded: dense=%d sparse=%d", dres.WireBytes, sres.WireBytes)
-	}
-	if sres.WireBytes >= dres.WireBytes {
-		t.Fatalf("sparse exchange moved %d bytes, dense %d — no reduction", sres.WireBytes, dres.WireBytes)
-	}
-	t.Logf("n=2048 parts=4: dense %d bytes, sparse %d bytes (%.1f%%)",
-		dres.WireBytes, sres.WireBytes, 100*float64(sres.WireBytes)/float64(dres.WireBytes))
-}
-
 // TestDistCheckpointResume pins the checkpoint interop: a run persists
 // its synchronized checkpoints; resuming a fresh distributed run (with
 // a different partition count) from the persisted file must land on the
@@ -350,7 +271,6 @@ func TestDistDeltaChain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.ckpt")
 
 	cfg := distConfig(g, 4)
-	cfg.Sparse = beep.SparseOn
 	cfg.CheckpointEvery = 4
 	cfg.CheckpointPath = path
 	res, err := Run(context.Background(), cfg)
@@ -366,7 +286,7 @@ func TestDistDeltaChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Deltas == 0 {
-		t.Fatalf("sparse run persisted no delta links (base %d bytes, format %s)", info.BaseBytes, info.BaseFormat)
+		t.Fatalf("run persisted no delta links (base %d bytes, format %s)", info.BaseBytes, info.BaseFormat)
 	}
 	if info.TornTail {
 		t.Fatal("clean shutdown left a torn delta tail")
@@ -378,7 +298,6 @@ func TestDistDeltaChain(t *testing.T) {
 	// A run resumed from the loaded chain is already at (or near) the
 	// fixed point and must stabilize onto the same MIS.
 	resumed := distConfig(g, 3)
-	resumed.Sparse = beep.SparseOn
 	resumed.Resume = cp
 	rres, err := Run(context.Background(), resumed)
 	if err != nil {

@@ -6,17 +6,14 @@ import (
 	"hash/fnv"
 
 	"repro/internal/beep"
-	"repro/internal/bitset"
 	"repro/internal/graph"
 )
 
 // This file defines the RPC payloads and the partition table: which
-// vertex range each worker owns, which sender-bitset words it must
-// upload after emit (its own words that some partition's gather reads),
-// and which merged words it must receive before update (every word
-// containing a neighbor of its range). Both sets are computed once from
-// the graph at setup, so the per-round exchange is position-implicit:
-// word payloads carry no indices, just values in table order.
+// vertex range each worker owns and which merged sender-bitset words
+// it must receive before update (every word containing a neighbor of
+// its range). The need sets are computed once from the graph at setup
+// and filter the coordinator's per-round deliver deltas.
 
 // joinMsg is the worker's hello (JSON payload of fJoin).
 type joinMsg struct {
@@ -25,8 +22,8 @@ type joinMsg struct {
 }
 
 // configMsg bootstraps a worker (JSON payload of fConfig): the graph as
-// an edge-list blob, the protocol/seed identity, and the worker's slice
-// of the partition table.
+// an edge-list blob, the protocol/seed identity, and the worker's
+// vertex range.
 type configMsg struct {
 	Protocol string `json:"protocol"`
 	Seed     uint64 `json:"seed"`
@@ -34,16 +31,6 @@ type configMsg struct {
 	Graph    []byte `json:"graph"`
 	Lo       int    `json:"lo"`
 	Hi       int    `json:"hi"`
-	// Send and Need are the worker's word-index sets, in ascending
-	// order: emit replies carry the Send words, deliver requests the
-	// Need words, values only.
-	Send []int32 `json:"send"`
-	Need []int32 `json:"need"`
-	// Sparse switches the round exchange to the delta protocol: emit
-	// replies and deliver requests carry only CHANGED words as explicit
-	// (index, value) pairs instead of the full position-implicit table
-	// sets, and the worker runs the activity-gated Partition kernels.
-	Sparse bool `json:"sparse,omitempty"`
 }
 
 // stateMsg is a worker's range state export (JSON payload of fStateOK):
@@ -76,12 +63,10 @@ type partTable struct {
 	n      int
 	words  int
 	ranges [][2]int
-	// send[p] and need[p] are ascending word-index sets per partition;
-	// neededAny is the union of the need sets (the words the coordinator
-	// merges each round).
-	send      [][]int32
-	need      [][]int32
-	neededAny []int32
+	// need[p] is partition p's need set as a bitset over word indices:
+	// every word containing a neighbor of p's range (what p's gather
+	// reads).
+	need [][]uint64
 }
 
 // computeRanges splits [0, n) into parts contiguous ranges, 64-aligned
@@ -113,60 +98,32 @@ func computeRanges(n, parts int) [][2]int {
 	return ranges
 }
 
-// buildPartTable computes the word sets: need[p] is every word
-// containing a neighbor of p's range (what p's gather reads), send[p]
-// is every word overlapping p's range that some partition needs (what p
-// must upload so the coordinator can merge it).
+// buildPartTable computes the need sets of the ranges.
 func buildPartTable(g graph.Topology, ranges [][2]int) *partTable {
 	n := g.N()
 	t := &partTable{n: n, words: (n + 63) / 64, ranges: ranges}
-	var needAny bitset.Set
-	needAny.Resize(t.words)
+	csr, _ := g.(*graph.Graph)
 	var buf []int32
-	if _, ok := g.(*graph.Graph); !ok {
+	if csr == nil {
 		buf = make([]int32, g.MaxDegree())
 	}
-	needSets := make([]bitset.Set, len(ranges))
-	for p, r := range ranges {
-		nb := &needSets[p]
-		nb.Resize(t.words)
+	for _, r := range ranges {
+		ns := make([]uint64, (t.words+63)/64)
 		for v := r[0]; v < r[1]; v++ {
 			var row []int32
-			if csr, ok := g.(*graph.Graph); ok {
+			if csr != nil {
 				row = csr.Neighbors(v)
 			} else {
 				row = g.NeighborsInto(v, buf)
 			}
 			for _, u := range row {
-				nb.Set1(int(u >> 6))
-				needAny.Set1(int(u >> 6))
+				wi := int(u >> 6)
+				ns[wi>>6] |= 1 << uint(wi&63)
 			}
 		}
-		t.need = append(t.need, setToList(nb))
-	}
-	t.neededAny = setToList(&needAny)
-	for _, r := range ranges {
-		var send []int32
-		if r[0] < r[1] {
-			for wi := r[0] >> 6; wi <= (r[1]-1)>>6; wi++ {
-				if needAny.Get(wi) {
-					send = append(send, int32(wi))
-				}
-			}
-		}
-		t.send = append(t.send, send)
+		t.need = append(t.need, ns)
 	}
 	return t
-}
-
-func setToList(s *bitset.Set) []int32 {
-	var out []int32
-	for i := 0; i < s.Len(); i++ {
-		if s.Get(i) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
 }
 
 // --- binary round payloads -------------------------------------------
@@ -181,73 +138,6 @@ func decodeRound(b []byte) (int, error) {
 		return 0, fmt.Errorf("dist: round payload is %d bytes, want 4", len(b))
 	}
 	return int(binary.LittleEndian.Uint32(b)), nil
-}
-
-// encodeEmitOK packs the emit reply: round, drew flag, then the
-// partition's Send-set words per channel in table order.
-func encodeEmitOK(round int, drew bool, send []int32, channels int, words func(c int) []uint64) []byte {
-	b := make([]byte, 0, 5+8*len(send)*channels)
-	b = binary.LittleEndian.AppendUint32(b, uint32(round))
-	if drew {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	for c := 0; c < channels; c++ {
-		w := words(c)
-		for _, wi := range send {
-			b = binary.LittleEndian.AppendUint64(b, w[wi])
-		}
-	}
-	return b
-}
-
-// decodeEmitOK unpacks an emit reply, invoking set for every word.
-func decodeEmitOK(b []byte, send []int32, channels int, set func(c, wi int, w uint64)) (round int, drew bool, err error) {
-	want := 5 + 8*len(send)*channels
-	if len(b) != want {
-		return 0, false, fmt.Errorf("dist: emit reply is %d bytes, want %d", len(b), want)
-	}
-	round = int(binary.LittleEndian.Uint32(b))
-	drew = b[4] != 0
-	off := 5
-	for c := 0; c < channels; c++ {
-		for _, wi := range send {
-			set(c, int(wi), binary.LittleEndian.Uint64(b[off:]))
-			off += 8
-		}
-	}
-	return round, drew, nil
-}
-
-// encodeDeliver packs the deliver request: round, then the partition's
-// Need-set merged words per channel in table order.
-func encodeDeliver(round int, need []int32, channels int, merged func(c int) []uint64) []byte {
-	b := make([]byte, 0, 4+8*len(need)*channels)
-	b = binary.LittleEndian.AppendUint32(b, uint32(round))
-	for c := 0; c < channels; c++ {
-		w := merged(c)
-		for _, wi := range need {
-			b = binary.LittleEndian.AppendUint64(b, w[wi])
-		}
-	}
-	return b
-}
-
-func decodeDeliver(b []byte, need []int32, channels int, set func(c, wi int, w uint64)) (round int, err error) {
-	want := 4 + 8*len(need)*channels
-	if len(b) != want {
-		return 0, fmt.Errorf("dist: deliver request is %d bytes, want %d", len(b), want)
-	}
-	round = int(binary.LittleEndian.Uint32(b))
-	off := 4
-	for c := 0; c < channels; c++ {
-		for _, wi := range need {
-			set(c, int(wi), binary.LittleEndian.Uint64(b[off:]))
-			off += 8
-		}
-	}
-	return round, nil
 }
 
 // encodeDeliverOK packs the deliver reply: round, changed flag, range

@@ -70,7 +70,7 @@ func (co *coordinator) loop(ctx context.Context) error {
 		round := r + 1
 
 		// EMIT: every worker runs its range's emit kernel and uploads
-		// its send-set words plus the drew flag.
+		// its changed words plus the drew flag.
 		errs := co.broadcast(nil, fEmit, fEmitOK, func(int) []byte { return encodeRound(round) })
 		if err := co.classify(errs); err != nil {
 			if retried, rerr := rewind(err); rerr != nil {
@@ -80,69 +80,43 @@ func (co *coordinator) loop(ctx context.Context) error {
 			}
 			return err
 		}
+		// Delta merge: a changed per-partition word re-merges by OR over
+		// the word's owners; only words whose MERGED value moved enter
+		// the dirty set (a boundary flip shadowed by the adjacent owner
+		// travels no further).
 		anyDrew := false
-		if co.sparse {
-			// Delta merge: a changed per-partition word re-merges by OR
-			// over the word's owners; only words whose MERGED value moved
-			// enter the dirty set (a boundary flip shadowed by the
-			// adjacent owner travels no further).
-			for p := range co.clients {
-				gotRound, drew, err := decodeEmitOKSparse(co.replies[p], co.channels, co.table.words, func(c, wi int, w uint64) {
-					cw := co.cur[p][c]
-					if cw[wi] == w {
-						return
-					}
-					cw[wi] = w
-					var m uint64
-					for _, q := range co.owners[wi] {
-						m |= co.cur[q][c][wi]
-					}
-					if co.merged[c][wi] != m {
-						co.merged[c][wi] = m
-						co.dirty[c][wi>>6] |= 1 << uint(wi&63)
-					}
-				})
-				if err != nil {
-					return &WorkerError{Part: p, Msg: err.Error()}
+		for p := range co.clients {
+			gotRound, drew, err := decodeEmitOKSparse(co.replies[p], co.channels, co.table.words, func(c, wi int, w uint64) {
+				cw := co.cur[p][c]
+				if cw[wi] == w {
+					return
 				}
-				if gotRound != round {
-					return &WorkerError{Part: p, Msg: fmt.Sprintf("emit reply for round %d, want %d", gotRound, round)}
+				cw[wi] = w
+				var m uint64
+				for _, q := range co.owners[wi] {
+					m |= co.cur[q][c][wi]
 				}
-				anyDrew = anyDrew || drew
-				co.res.WireBytes += int64(len(co.replies[p]))
+				if co.merged[c][wi] != m {
+					co.merged[c][wi] = m
+					co.dirty[c][wi>>6] |= 1 << uint(wi&63)
+				}
+			})
+			if err != nil {
+				return &WorkerError{Part: p, Msg: err.Error()}
 			}
-		} else {
-			for c := 0; c < co.channels; c++ {
-				for _, wi := range co.table.neededAny {
-					co.merged[c][wi] = 0
-				}
+			if gotRound != round {
+				return &WorkerError{Part: p, Msg: fmt.Sprintf("emit reply for round %d, want %d", gotRound, round)}
 			}
-			for p := range co.clients {
-				gotRound, drew, err := decodeEmitOK(co.replies[p], co.table.send[p], co.channels, func(c, wi int, w uint64) {
-					co.merged[c][wi] |= w
-				})
-				if err != nil {
-					return &WorkerError{Part: p, Msg: err.Error()}
-				}
-				if gotRound != round {
-					return &WorkerError{Part: p, Msg: fmt.Sprintf("emit reply for round %d, want %d", gotRound, round)}
-				}
-				anyDrew = anyDrew || drew
-				co.res.WireBytes += int64(len(co.replies[p]))
-			}
+			anyDrew = anyDrew || drew
+			co.res.WireBytes += int64(len(co.replies[p]))
 		}
 
-		// DELIVER: every worker receives the merged words covering its
-		// neighborhoods — all of its need set in dense mode, the changed
-		// subset in sparse mode — gathers, updates, and reports
+		// DELIVER: every worker receives the changed merged words
+		// covering its neighborhoods, gathers, updates, and reports
 		// (changed, digest).
 		payloads := make([][]byte, len(co.clients))
 		for p := range co.clients {
-			if co.sparse {
-				payloads[p] = co.sparseDeliverPayload(round, p)
-			} else {
-				payloads[p] = encodeDeliver(round, co.table.need[p], co.channels, func(c int) []uint64 { return co.merged[c] })
-			}
+			payloads[p] = co.deliverPayload(round, p)
 			co.res.WireBytes += int64(len(payloads[p]))
 		}
 		errs = co.broadcast(nil, fDeliver, fDeliverOK, func(p int) []byte { return payloads[p] })
@@ -166,13 +140,11 @@ func (co *coordinator) loop(ctx context.Context) error {
 			anyChanged = anyChanged || changed
 			digests[p] = d
 		}
-		if co.sparse {
-			// Every worker consumed this round's deltas; the merged words
-			// are the new shared baseline.
-			for c := 0; c < co.channels; c++ {
-				for i := range co.dirty[c] {
-					co.dirty[c][i] = 0
-				}
+		// Every worker consumed this round's deltas; the merged words are
+		// the new shared baseline.
+		for c := 0; c < co.channels; c++ {
+			for i := range co.dirty[c] {
+				co.dirty[c][i] = 0
 			}
 		}
 		hash := CombineDigests(round, digests)
@@ -263,12 +235,12 @@ func (co *coordinator) loop(ctx context.Context) error {
 	return nil
 }
 
-// sparseDeliverPayload builds partition p's deliver delta: the dirty
-// merged words intersected with p's need set, as per-channel (index,
-// value) pairs. The scratch lists are reused across partitions — the
-// encoder copies them into the payload before the next call.
-func (co *coordinator) sparseDeliverPayload(round, p int) []byte {
-	ns := co.needSet[p]
+// deliverPayload builds partition p's deliver delta: the dirty merged
+// words intersected with p's need set, as per-channel (index, value)
+// pairs. The scratch lists are reused across partitions — the encoder
+// copies them into the payload before the next call.
+func (co *coordinator) deliverPayload(round, p int) []byte {
+	ns := co.table.need[p]
 	return encodeDeliverSparse(round, co.channels, func(c int) ([]int32, []uint64) {
 		wis, vals := co.downWi[c][:0], co.downVal[c][:0]
 		d := co.dirty[c]

@@ -43,10 +43,8 @@ type workerState struct {
 	lo   int
 	hi   int
 	cfg  configMsg
-	// sparse mirrors cfg.Sparse after a successful EnableSparse; words
-	// bounds delta word indices on decode.
-	sparse bool
-	words  int
+	// words bounds delta word indices on decode.
+	words int
 
 	emittedRound int
 	updatedRound int
@@ -157,14 +155,11 @@ func handleFrame(wsp **workerState, part int, f frame, logf func(string, ...any)
 		if err := ws.net.Restore(cp); err != nil {
 			return fail("worker %d: restore: %v", part, err)
 		}
-		if ws.sparse {
-			// The restored state invalidates every delta baseline; the
-			// coordinator zeroes its side in the same recovery.
-			ws.part.ResetSparse()
-		}
-		// The restored state also invalidates the incremental state
-		// export's baseline: the next fStateDelta covers the full range.
-		ws.part.MarkAllStateDirty()
+		// The restored state invalidates every delta baseline — the
+		// coordinator zeroes its side in the same recovery — and the
+		// incremental state export's: the next fStateDelta covers the
+		// full range.
+		ws.part.ResetSparse()
 		ws.emittedRound, ws.updatedRound = cp.Round, cp.Round
 		ws.emitReply, ws.deliverReply = nil, nil
 		ws.stateDeltaRound, ws.stateDeltaReply = -1, nil
@@ -181,19 +176,11 @@ func handleFrame(wsp **workerState, part int, f frame, logf func(string, ...any)
 			// Retransmit of the round we already emitted.
 			return &frame{Type: fEmitOK, Seq: f.Seq, Payload: ws.emitReply}, false
 		case r == ws.updatedRound+1:
-			if ws.sparse {
-				drew, err := ws.part.EmitLocalSparse()
-				if err != nil {
-					return fail("worker %d: emit round %d: %v", part, r, err)
-				}
-				ws.emitReply = encodeEmitOKSparse(r, drew, ws.cfg.Channels, ws.part.SparseUpload)
-			} else {
-				drew, err := ws.part.EmitLocal()
-				if err != nil {
-					return fail("worker %d: emit round %d: %v", part, r, err)
-				}
-				ws.emitReply = encodeEmitOK(r, drew, ws.cfg.Send, ws.cfg.Channels, ws.part.SenderWords)
+			drew, err := ws.part.EmitLocalSparse()
+			if err != nil {
+				return fail("worker %d: emit round %d: %v", part, r, err)
 			}
+			ws.emitReply = encodeEmitOKSparse(r, drew, ws.cfg.Channels, ws.part.SparseUpload)
 			ws.emittedRound = r
 			return &frame{Type: fEmitOK, Seq: f.Seq, Payload: ws.emitReply}, false
 		case r <= ws.updatedRound:
@@ -216,21 +203,10 @@ func handleFrame(wsp **workerState, part int, f frame, logf func(string, ...any)
 			}
 			return &frame{Type: fDeliverOK, Seq: f.Seq, Payload: ws.deliverReply}, false
 		case round == ws.emittedRound && round == ws.updatedRound+1:
-			var changed bool
-			var err error
-			if ws.sparse {
-				if _, err = decodeDeliverSparse(f.Payload, ws.cfg.Channels, ws.words, ws.part.ApplyDeltaWord); err != nil {
-					return fail("worker %d: deliver: %v", part, err)
-				}
-				changed, err = ws.part.UpdateLocalSparse()
-			} else {
-				if _, err = decodeDeliver(f.Payload, ws.cfg.Need, ws.cfg.Channels, func(c, wi int, w uint64) {
-					ws.part.SetSenderWord(c, wi, w)
-				}); err != nil {
-					return fail("worker %d: deliver: %v", part, err)
-				}
-				changed, err = ws.part.UpdateLocal()
+			if _, err := decodeDeliverSparse(f.Payload, ws.cfg.Channels, ws.words, ws.part.ApplyDeltaWord); err != nil {
+				return fail("worker %d: deliver: %v", part, err)
 			}
+			changed, err := ws.part.UpdateLocalSparse()
 			if err != nil {
 				return fail("worker %d: update round %d: %v", part, round, err)
 			}
@@ -305,7 +281,7 @@ func newWorkerState(payload []byte) (*workerState, error) {
 	if proto.Channels() != cfg.Channels {
 		return nil, fmt.Errorf("protocol %s has %d channels, config says %d", cfg.Protocol, proto.Channels(), cfg.Channels)
 	}
-	net, err := beep.NewNetwork(g, proto, cfg.Seed, beep.WithEngine(beep.Flat))
+	net, err := beep.NewNetwork(g, proto, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -314,18 +290,10 @@ func newWorkerState(payload []byte) (*workerState, error) {
 		net.Close()
 		return nil, err
 	}
-	ws := &workerState{
+	return &workerState{
 		net: net, part: part, lo: cfg.Lo, hi: cfg.Hi, cfg: cfg,
 		words: (g.N() + 63) / 64, stateDeltaRound: -1,
-	}
-	if cfg.Sparse {
-		if err := part.EnableSparse(); err != nil {
-			net.Close()
-			return nil, err
-		}
-		ws.sparse = true
-	}
-	return ws, nil
+	}, nil
 }
 
 // exportState serializes the worker's range state: the checkpoint slice

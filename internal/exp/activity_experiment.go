@@ -10,22 +10,20 @@ import (
 	"repro/internal/rng"
 )
 
-// RunE21 measures the activity decay that the sparse round path
-// (DESIGN §11) converts into wall-clock: once most vertices reach
-// their stable behavior, the round-to-round frontier — vertices whose
-// state or signal can still change — collapses to the neighborhoods of
-// the few still-contending vertices, while the dense path keeps paying
-// O(n) every round. The experiment traces per-round active counts
-// through beep.WithStatsObserver on the forced-sparse flat engine and
-// times the identical whole run (same seed, bit-identical trace) on
-// the dense and auto-sparse paths.
+// RunE21 measures the activity decay that the pipeline's frontier
+// gating (DESIGN §11) converts into wall-clock: once most vertices
+// reach their stable behavior, the round-to-round frontier — vertices
+// whose state or signal can still change — collapses to the
+// neighborhoods of the few still-contending vertices. The experiment
+// traces per-round active counts through beep.WithStatsObserver and
+// times the identical whole run (same seed, bit-identical trace).
 //
-//   - work-frac: Σ active / (n · rounds) — the fraction of dense work
-//     the sparse path actually performs over the whole run.
+//   - work-frac: Σ active / (n · rounds) — the fraction of the per-vertex
+//     work of an ungated round that the pipeline actually performs over
+//     the whole run.
 //   - tail-frac: the same ratio over the second half of the run, where
 //     decay has set in; this bounds the long-run speedup.
-//   - speedup: dense wall-clock / sparse wall-clock for the whole run
-//     (min over trials on both sides).
+//   - ms: wall-clock of the whole run (min over trials).
 func RunE21(cfg Config) error {
 	trials := cfg.trials(2, 3)
 	sizes := []int{4096, 65536}
@@ -34,12 +32,11 @@ func RunE21(cfg Config) error {
 	}
 
 	tab := &Table{
-		Title:   "E21: activity decay and the sparse-round payoff (flat engine, randomized start)",
-		Columns: []string{"family", "n", "rounds", "work-frac", "tail-frac", "dense-ms", "sparse-ms", "speedup"},
+		Title:   "E21: activity decay and the frontier-gated round (randomized start)",
+		Columns: []string{"family", "n", "rounds", "work-frac", "tail-frac", "ms"},
 		Notes: []string{
-			"work-frac: fraction of dense per-vertex work the sparse path performs over the whole run (Σ active / n·rounds)",
+			"work-frac: fraction of per-vertex work the gated pipeline performs over the whole run (Σ active / n·rounds)",
 			"tail-frac: same ratio over the run's second half, once activity has decayed",
-			"dense/sparse runs share the seed and are bit-identical (TestSparseEquivalence*); only wall-clock differs",
 			"timing is the min over trials of whole fixed-length runs (the stabilization round count of trial's own trace)",
 		},
 	}
@@ -53,15 +50,15 @@ func RunE21(cfg Config) error {
 	for _, fam := range fams {
 		for _, n := range sizes {
 			var rounds, workFrac, tailFrac []float64
-			bestDense, bestSparse := 0.0, 0.0
+			best := 0.0
 			for trial := 0; trial < trials; trial++ {
 				g := fam.build(n, rng.New(cellSeed(cfg.Seed, 21, uint64(n), uint64(trial), 1)))
 				seed := cellSeed(cfg.Seed, 21, uint64(n), uint64(trial), 2)
 
-				// Pass 1: forced-sparse run to stabilization, tracing the
-				// per-round active counts.
+				// Pass 1: run to stabilization, tracing the per-round
+				// active counts.
 				var active []int
-				r, err := runToStabilization(g, seed, beep.WithSparse(beep.SparseOn),
+				r, err := runToStabilization(g, seed,
 					beep.WithStatsObserver(func(_, act, _ int) { active = append(active, act) }))
 				if err != nil {
 					return fmt.Errorf("E21 %s n=%d: %w", fam.name, n, err)
@@ -77,38 +74,28 @@ func RunE21(cfg Config) error {
 				workFrac = append(workFrac, float64(sum)/float64(n*r))
 				tailFrac = append(tailFrac, float64(tailSum)/float64(n*(r-r/2)))
 
-				// Pass 2: time the same fixed-length run on both paths.
-				// The probe is out of the loop, so the timing is pure
-				// round cost.
-				denseMS, err := timeFixedRun(g, seed, r, beep.SparseOff)
+				// Pass 2: time the same fixed-length run. The probe is
+				// out of the loop, so the timing is pure round cost.
+				ms, err := timeFixedRun(g, seed, r)
 				if err != nil {
-					return fmt.Errorf("E21 %s n=%d dense: %w", fam.name, n, err)
+					return fmt.Errorf("E21 %s n=%d: %w", fam.name, n, err)
 				}
-				sparseMS, err := timeFixedRun(g, seed, r, beep.SparseAuto)
-				if err != nil {
-					return fmt.Errorf("E21 %s n=%d sparse: %w", fam.name, n, err)
-				}
-				if trial == 0 || denseMS < bestDense {
-					bestDense = denseMS
-				}
-				if trial == 0 || sparseMS < bestSparse {
-					bestSparse = sparseMS
+				if trial == 0 || ms < best {
+					best = ms
 				}
 			}
 			tab.AddRow(fam.name, I(n), F(Summarize(rounds).Mean),
-				F(Summarize(workFrac).Mean), F(Summarize(tailFrac).Mean),
-				F(bestDense), F(bestSparse), F(bestDense/bestSparse))
+				F(Summarize(workFrac).Mean), F(Summarize(tailFrac).Mean), F(best))
 		}
 	}
 	return cfg.Render(tab)
 }
 
-// runToStabilization runs a flat-engine network from a randomized
-// start until the legality probe stabilizes and returns the round
-// count.
+// runToStabilization runs a network from a randomized start until the
+// legality probe stabilizes and returns the round count.
 func runToStabilization(g *graph.Graph, seed uint64, opts ...beep.Option) (int, error) {
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(g, proto, seed, append([]beep.Option{beep.WithEngine(beep.Flat)}, opts...)...)
+	net, err := beep.NewNetwork(g, proto, seed, opts...)
 	if err != nil {
 		return 0, err
 	}
@@ -124,11 +111,11 @@ func runToStabilization(g *graph.Graph, seed uint64, opts ...beep.Option) (int, 
 	return r, nil
 }
 
-// timeFixedRun times `rounds` flat-engine rounds from a randomized
-// start under the given sparse mode and returns milliseconds.
-func timeFixedRun(g *graph.Graph, seed uint64, rounds int, mode beep.SparseMode) (float64, error) {
+// timeFixedRun times `rounds` rounds from a randomized start and returns
+// milliseconds.
+func timeFixedRun(g *graph.Graph, seed uint64, rounds int) (float64, error) {
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(g, proto, seed, beep.WithEngine(beep.Flat), beep.WithSparse(mode))
+	net, err := beep.NewNetwork(g, proto, seed)
 	if err != nil {
 		return 0, err
 	}

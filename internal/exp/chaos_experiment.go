@@ -80,7 +80,7 @@ func RunE17(cfg Config) error {
 		},
 	}
 
-	engines := []beep.Engine{beep.Sequential, beep.Parallel, beep.PerVertex, beep.Flat, beep.FlatParallel}
+	engines := []beep.Engine{beep.Sequential, beep.FlatParallel}
 	combo := 0
 	for _, base := range chaosCombos(cfg, rounds) {
 		for _, e := range engines {

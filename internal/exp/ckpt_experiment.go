@@ -29,8 +29,8 @@ import (
 //
 // Each cell starts from the same stabilized torus configuration
 // (restored from a held base snapshot, then re-baselined), corrupts k
-// distinct random states, advances `cadence` rounds on the auto-sparse
-// flat engine, and times each codec's capture+encode. Sizes are
+// distinct random states, advances `cadence` rounds on the flat-kernel
+// pipeline, and times each codec's capture+encode. Sizes are
 // per-cell costs, not chain totals; timings are min over trials.
 func RunE22(cfg Config) error {
 	trials := cfg.trials(2, 3)
@@ -42,7 +42,7 @@ func RunE22(cfg Config) error {
 	corrupts := []int{1, 16, 256}
 
 	tab := &Table{
-		Title:   "E22: checkpoint cost vs cadence vs corruption (flat engine, stabilized torus start)",
+		Title:   "E22: checkpoint cost vs cadence vs corruption (flat kernels, stabilized torus start)",
 		Columns: []string{"n", "cadence", "corrupt", "dirty-frac", "json-KB", "bin-KB", "delta-KB", "json-us", "bin-us", "delta-us", "speedup"},
 		Notes: []string{
 			"per-tick checkpoint cost: state walk + serialization, min over trials; sizes are per-cell, not chain totals",
@@ -166,12 +166,12 @@ func (w *countingDiscard) Write(p []byte) (int, error) {
 
 var _ io.Writer = (*countingDiscard)(nil)
 
-// stableCkptBaseline builds an auto-sparse flat network, runs it to
+// stableCkptBaseline builds a flat-kernel network, runs it to
 // stabilization, and returns it together with its base snapshot (which
 // also arms the dirty-word baseline).
 func stableCkptBaseline(g *graph.Graph, seed uint64) (*beep.Network, *beep.Checkpoint, error) {
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(g, proto, seed, beep.WithEngine(beep.Flat), beep.WithSparse(beep.SparseAuto))
+	net, err := beep.NewNetwork(g, proto, seed)
 	if err != nil {
 		return nil, nil, err
 	}

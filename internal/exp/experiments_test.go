@@ -286,7 +286,7 @@ func TestRunE21Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"work-frac", "tail-frac", "speedup", "gnp-avg8", "4096"} {
+	for _, want := range []string{"work-frac", "tail-frac", "ms", "gnp-avg8", "4096"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("E21 output missing %q:\n%s", want, out)
 		}

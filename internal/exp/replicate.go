@@ -41,13 +41,13 @@ type ReplicatedConfig struct {
 	MaxRounds int
 	// CheckEvery sets stabilization-probe granularity (0 = every round).
 	CheckEvery int
-	// Engine defaults to Sequential, which auto-upgrades to the flat
-	// kernels when the protocol provides them. Parallelism across the
-	// replication pool beats parallelism inside one round, so the
-	// single-threaded engines are the right default here.
+	// Engine defaults to Sequential, which runs the flat kernels when
+	// the protocol provides them. Parallelism across the replication
+	// pool beats parallelism inside one round, so the single-threaded
+	// engine is the right default here.
 	Engine beep.Engine
-	// Options are extra network options (noise, sleep, batched
-	// sampling, …) applied to every worker's network.
+	// Options are extra network options (noise, sleep, …) applied to
+	// every worker's network.
 	Options []beep.Option
 	// Workers bounds the worker pool (0 = GOMAXPROCS).
 	Workers int

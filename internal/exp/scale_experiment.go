@@ -11,7 +11,7 @@ import (
 
 // RunE19 measures how far one process scales when graph memory — not
 // kernel arithmetic — is the constraint (ROADMAP open item 2): the same
-// torus instance is run through the flat engine on each of the three
+// torus instance is run through the flat kernels on each of the three
 // graph backends, recording the two numbers that decide feasibility at
 // n = 10⁸:
 //
@@ -47,7 +47,7 @@ func RunE19(cfg Config) error {
 	}
 
 	tab := &Table{
-		Title:   "E19: backend scaling on the torus — ns/vertex/round and bytes/vertex (flat engine, randomized start, min over trials)",
+		Title:   "E19: backend scaling on the torus — ns/vertex/round and bytes/vertex (flat kernels, randomized start, min over trials)",
 		Columns: []string{"n", "backend", "bytes/vertex", "build-ms", "round-ms", "ns/vertex/round"},
 		Notes: []string{
 			"backends present the identical canonical torus: executions are bit-identical, only cost differs",
@@ -108,8 +108,7 @@ func minRoundMS(t graph.Topology, seed uint64, trials int) (float64, error) {
 	best := 0.0
 	for trial := 0; trial < trials; trial++ {
 		proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-		net, err := beep.NewNetwork(t, proto, cellSeed(seed, 19, uint64(trial)),
-			beep.WithEngine(beep.Flat))
+		net, err := beep.NewNetwork(t, proto, cellSeed(seed, 19, uint64(trial)))
 		if err != nil {
 			return 0, err
 		}

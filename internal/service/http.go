@@ -212,6 +212,9 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
+	// Send the headers now: a follower of a queued job may wait a long
+	// time for its first event.
+	flush()
 
 	writeFrame := func(line []byte) bool {
 		if sse {

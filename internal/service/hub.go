@@ -2,8 +2,12 @@ package service
 
 import "sync"
 
-// hub fans each running job's event stream out to its live subscribers.
-// The replay-then-follow handoff is atomic under the hub lock: a
+// hub fans each live job's event stream out to its subscribers. A job's
+// topic opens when the job is admitted (or re-queued at startup) and
+// closes at its terminal state (or when the daemon drains), so a client
+// that follows a queued job waits for its events instead of getting an
+// empty, already-closed stream. The replay-then-follow handoff is
+// atomic under the hub lock: a
 // subscriber first receives every event already on disk (the topic's
 // flush callback makes the trace file current before the read), then
 // its channel, registered under the same critical section, receives
@@ -19,10 +23,10 @@ type hub struct {
 }
 
 type topic struct {
-	subs   map[chan []byte]struct{}
-	lastID int
+	subs map[chan []byte]struct{}
 	// flush forces the runner's buffered trace writer to disk (without
-	// fsync) so a replay read observes every published event.
+	// fsync) so a replay read observes every published event; nil while
+	// the job is queued.
 	flush func() error
 }
 
@@ -32,27 +36,35 @@ func newHub() *hub {
 	return &hub{topics: make(map[string]*topic)}
 }
 
-// open registers a running job's topic. flush may be nil.
-func (h *hub) open(jobID string, lastID int, flush func() error) {
+// open registers the topic of a job entering the queue; an existing
+// topic is kept.
+func (h *hub) open(jobID string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.topics[jobID] = &topic{
-		subs:   make(map[chan []byte]struct{}),
-		lastID: lastID,
-		flush:  flush,
+	if h.topics[jobID] == nil {
+		h.topics[jobID] = &topic{subs: make(map[chan []byte]struct{})}
+	}
+}
+
+// attach hands a running job's trace flush to the topic its admission
+// opened, keeping the subscribers that joined while the job was queued.
+func (h *hub) attach(jobID string, flush func() error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if t := h.topics[jobID]; t != nil {
+		t.flush = flush
 	}
 }
 
 // publish delivers one encoded event line to the job's subscribers.
 // The line must not be mutated afterwards.
-func (h *hub) publish(jobID string, eventID int, line []byte) {
+func (h *hub) publish(jobID string, line []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	t := h.topics[jobID]
 	if t == nil {
 		return
 	}
-	t.lastID = eventID
 	for ch := range t.subs {
 		select {
 		case ch <- line:
@@ -64,20 +76,9 @@ func (h *hub) publish(jobID string, eventID int, line []byte) {
 	}
 }
 
-// lastID reports the job's latest published event ID, and whether the
-// job currently streams live.
-func (h *hub) last(jobID string) (int, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := h.topics[jobID]
-	if t == nil {
-		return 0, false
-	}
-	return t.lastID, true
-}
-
-// closeTopic tears a finished job's topic down, closing every
-// subscriber channel (the handler then observes the terminal state).
+// closeTopic tears a job's topic down at its terminal state (or a drain),
+// closing every subscriber channel (the handler then drains the durable
+// log and ends the stream).
 func (h *hub) closeTopic(jobID string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -81,7 +81,7 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) {
 	d.registerCancel(j.ID, cancelRun)
 	defer d.unregisterCancel(j.ID)
 
-	d.hub.open(j.ID, resumeRound, tw.Flush)
+	d.hub.attach(j.ID, tw.Flush)
 
 	checkpointEvery := j.Spec.CheckpointEvery
 	if checkpointEvery <= 0 {
@@ -134,7 +134,7 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) {
 			cancelRun(fmt.Errorf("trace append: %w", err))
 			return
 		}
-		d.hub.publish(j.ID, round, line)
+		d.hub.publish(j.ID, line)
 		// Make the trace durable BEFORE the supervisor writes the
 		// checkpoint for this round (the observer fires inside TryStep;
 		// the checkpoint write happens after it returns). This ordering
@@ -176,9 +176,7 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) {
 		Resume:             resume,
 	})
 	if err != nil {
-		tw.Close()
-		d.hub.closeTopic(j.ID)
-		d.finishFailed(j, nil, resumeRound, fmt.Sprintf("configure run: %v", err))
+		d.finishFailed(j, tw, resumeRound, fmt.Sprintf("configure run: %v", err))
 		return
 	}
 
@@ -255,7 +253,7 @@ func (d *Daemon) finishTerminal(j *Job, tw *traceWriter, finalRound int, mutate 
 		tw.Append(line) // best effort; Close flushes and fsyncs
 		tw.Close()
 	}
-	d.hub.publish(j.ID, done.ID, line)
+	d.hub.publish(j.ID, line)
 	d.hub.closeTopic(j.ID)
 }
 

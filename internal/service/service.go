@@ -185,6 +185,7 @@ func (d *Daemon) recover() error {
 		case JobPending:
 			d.jobs[id] = j
 			d.pending = append(d.pending, j)
+			d.hub.open(id)
 
 		case JobRunning, JobInterrupted:
 			cpPath := d.store.CheckpointPath(id)
@@ -214,6 +215,7 @@ func (d *Daemon) recover() error {
 			d.saveLocked(j)
 			d.jobs[id] = j
 			d.pending = append(d.pending, j)
+			d.hub.open(id)
 
 		default:
 			d.jobs[id] = j
@@ -346,6 +348,7 @@ func (d *Daemon) Submit(spec JobSpec) (*Job, error) {
 	}
 	d.jobs[j.ID] = j
 	d.pending = append(d.pending, j)
+	d.hub.open(j.ID)
 	d.queued[spec.Tenant]++
 	d.admitted++
 	out := j.clone()
@@ -427,6 +430,8 @@ func (d *Daemon) Cancel(id string) (*Job, bool, error) {
 		d.saveLocked(j)
 		out := j.clone()
 		d.mu.Unlock()
+		// The job will never run: end its followers' streams.
+		d.hub.closeTopic(id)
 		return out, true, nil
 	case JobRunning:
 		cancel := d.cancels[id]

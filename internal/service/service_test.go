@@ -614,6 +614,91 @@ func TestLiveStreamFollowsToDone(t *testing.T) {
 	}
 }
 
+// followStream reads a job's NDJSON event stream to its end and
+// returns the events, failing on any ID gap.
+func followStream(t *testing.T, body io.Reader) []Event {
+	t.Helper()
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var out []Event
+	for sc.Scan() {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad line %q: %v", sc.Text(), err)
+		}
+		if e.ID != len(out)+1 {
+			t.Fatalf("stream gap: %d after %d", e.ID, len(out))
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestStreamFollowsQueuedJobToDone pins the replay-then-follow promise
+// for a job that has not started: a subscriber that connects while its
+// job waits behind a busy runner must stay connected and follow the
+// job, once it runs, to its done event with no gap — not receive an
+// empty, already-closed stream.
+func TestStreamFollowsQueuedJobToDone(t *testing.T) {
+	_, base := testDaemon(t, func(c *Config) { c.Workers = 1 })
+	busy := submitJob(t, base, JobSpec{Family: "gnp:32:0.15", Seed: 5, Rounds: 5000, RoundDelayMS: 2})
+	waitState(t, base, busy.ID, func(s JobState) bool { return s == JobRunning }, 10*time.Second)
+	queued := submitJob(t, base, JobSpec{Family: "gnp:48:0.1", Seed: 31, Rounds: 60, CheckpointEvery: 8})
+
+	resp, err := http.Get(base + "/v1/jobs/" + queued.ID + "/events")
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	defer resp.Body.Close()
+	if j := getJob(t, base, queued.ID); j.State != JobPending {
+		t.Fatalf("job already %s when the subscriber connected; the test needs it queued", j.State)
+	}
+	// Free the runner: the queued job starts behind the canceled one.
+	cresp, err := http.Post(base+"/v1/jobs/"+busy.ID+"/cancel", "", nil)
+	if err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	io.Copy(io.Discard, cresp.Body)
+	cresp.Body.Close()
+	events := followStream(t, resp.Body)
+	if n := len(events); n != 61 || events[n-1].Type != "done" || events[n-1].State != JobDone {
+		t.Fatalf("stream ended after %d events (last %+v), want 60 rounds and a done event", n, events[max(0, n-1):])
+	}
+}
+
+// TestStreamOfQueuedJobEndsOnCancel pins the other side of opening
+// topics at admission: a job canceled while queued never runs, so its
+// followers' streams must end instead of waiting forever.
+func TestStreamOfQueuedJobEndsOnCancel(t *testing.T) {
+	_, base := testDaemon(t, func(c *Config) { c.Workers = 1 })
+	busy := submitJob(t, base, JobSpec{Family: "gnp:32:0.15", Seed: 5, Rounds: 5000, RoundDelayMS: 2})
+	waitState(t, base, busy.ID, func(s JobState) bool { return s == JobRunning }, 10*time.Second)
+	queued := submitJob(t, base, JobSpec{Family: "gnp:32:0.15", Seed: 6, Rounds: 50})
+
+	resp, err := http.Get(base + "/v1/jobs/" + queued.ID + "/events")
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	defer resp.Body.Close()
+	ended := make(chan []Event, 1)
+	go func() { ended <- followStream(t, resp.Body) }()
+
+	cresp, err := http.Post(base+"/v1/jobs/"+queued.ID+"/cancel", "", nil)
+	if err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	io.Copy(io.Discard, cresp.Body)
+	cresp.Body.Close()
+	select {
+	case events := <-ended:
+		if len(events) != 0 {
+			t.Fatalf("canceled queued job streamed %d events", len(events))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower of a job canceled while queued still waiting")
+	}
+}
+
 // TestHealthzReportsLoad pins the operator view: with one worker busy
 // and two jobs queued under distinct tenants, /v1/healthz must report
 // the running-job count, total queue depth, and the per-tenant backlog

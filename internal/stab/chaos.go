@@ -39,12 +39,12 @@ type ChaosScenario struct {
 	Protocol beep.Protocol
 	Seed     uint64
 	Engine   beep.Engine
-	// Sparse selects the flat engines' round path (the zero value is
-	// SparseAuto). SparseOn forces the delta path on every fault-free
-	// round and is only constructible on engines with flat kernels.
-	Sparse beep.SparseMode
-	Noise  beep.Noise
-	Sleep  beep.Sleep
+	// ForceDelta routes every fault-free round that is not forced dense
+	// through the delta delivery (beep.WithForcedDelta, a test hook for
+	// the small graphs where the crossover always picks dense).
+	ForceDelta bool
+	Noise      beep.Noise
+	Sleep      beep.Sleep
 	// AdvPolicy/AdvVertices install adversaries at construction time
 	// (resumed passes rely on Restore to reinstall them — deliberately,
 	// so the harness catches checkpoints that forget adversary state).
@@ -165,7 +165,6 @@ func runPass(s *ChaosScenario, p chaosPass) (*chaosTrace, error) {
 
 	opts := []beep.Option{
 		beep.WithEngine(engineOrDefault(s.Engine)),
-		beep.WithSparse(s.Sparse),
 		beep.WithNoise(s.Noise),
 		beep.WithSleep(s.Sleep),
 		beep.WithObserver(func(round int, sent, heard []beep.Signal) {
@@ -173,6 +172,9 @@ func runPass(s *ChaosScenario, p chaosPass) (*chaosTrace, error) {
 				tr.hashes[round] = TraceHash(round, sent, heard)
 			}
 		}),
+	}
+	if s.ForceDelta {
+		opts = append(opts, beep.WithForcedDelta())
 	}
 	// A fresh pass installs adversaries explicitly; a resumed pass must
 	// get them back from the checkpoint alone.

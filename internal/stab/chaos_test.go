@@ -59,10 +59,10 @@ func chaosScenarios(t *testing.T) []ChaosScenario {
 		},
 	}
 	// quiet is the only fault-free scenario: with no noise, sleep or
-	// adversaries the flat engines take the sparse delta path between the
+	// adversaries the pipeline gates rounds by activity between the
 	// rewires, so kill–resume here certifies the activity masks and the
 	// delta-delivery baselines across Restore (which must invalidate them
-	// wholesale) rather than just the dense fallback.
+	// wholesale) rather than just the dense fault rounds.
 	quiet := ChaosScenario{
 		Name:     "quiet-churn",
 		Graph:    graph.GNPAvgDegree(32, 4, rng.New(34)),
@@ -87,26 +87,23 @@ func chaosScenarios(t *testing.T) []ChaosScenario {
 // ≥ 200 randomized kill points across {noise, adversaries, churn} ×
 // {sequential, parallel, per-vertex, flat, flatparallel} must all
 // resume from their last auto-checkpoint with bit-exact trace
-// equivalence against the uninterrupted execution. Including the flat
-// engines here certifies the vectorized kernels (and their sharded
-// variant's stripe state) against checkpoint v2 and the
-// quiescence-elision fast path under kill/resume.
+// equivalence against the uninterrupted execution. Both engines run the
+// flat-kernel pipeline here, which certifies the kernels (and the
+// sharded variant's stripe state) against checkpoint v2 and the
+// empty-frontier elision under kill/resume.
 func TestChaosKillResume(t *testing.T) {
 	const killsPerCombo = 23
 	engines := []struct {
-		name   string
-		engine beep.Engine
-		sparse beep.SparseMode
+		name       string
+		engine     beep.Engine
+		forceDelta bool
 	}{
-		{"sequential", beep.Sequential, beep.SparseAuto},
-		{"parallel", beep.Parallel, beep.SparseAuto},
-		{"pervertex", beep.PerVertex, beep.SparseAuto},
-		{"flat", beep.Flat, beep.SparseAuto},
-		{"flatparallel", beep.FlatParallel, beep.SparseAuto},
-		// Forced-sparse combos: the delta path (and its dense fallback on
-		// faulty rounds) must survive kill–resume bit-exactly too.
-		{"flat-sparse-on", beep.Flat, beep.SparseOn},
-		{"flatparallel-sparse-on", beep.FlatParallel, beep.SparseOn},
+		{"sequential", beep.Sequential, false},
+		{"flatparallel", beep.FlatParallel, false},
+		// Forced-delta combos: the delta delivery (and the dense fault
+		// rounds around it) must survive kill–resume bit-exactly too.
+		{"sequential-delta", beep.Sequential, true},
+		{"flatparallel-delta", beep.FlatParallel, true},
 	}
 	src := rng.New(4242)
 	total, combo := 0, 0
@@ -115,7 +112,7 @@ func TestChaosKillResume(t *testing.T) {
 			combo++
 			s := base
 			s.Engine = e.engine
-			s.Sparse = e.sparse
+			s.ForceDelta = e.forceDelta
 			s.Name = fmt.Sprintf("%s/%s", base.Name, e.name)
 			rep, err := RunChaos(s, killsPerCombo, src.Split(uint64(combo)))
 			if err != nil {
@@ -190,14 +187,13 @@ func TestChaosDetectsForgottenAdversaries(t *testing.T) {
 func TestChaosChainKillResume(t *testing.T) {
 	const killsPerCombo = 12
 	engines := []struct {
-		name   string
-		engine beep.Engine
-		sparse beep.SparseMode
+		name       string
+		engine     beep.Engine
+		forceDelta bool
 	}{
-		{"flat", beep.Flat, beep.SparseAuto},
-		{"flatparallel", beep.FlatParallel, beep.SparseAuto},
-		{"flat-sparse-on", beep.Flat, beep.SparseOn},
-		{"sequential", beep.Sequential, beep.SparseAuto},
+		{"sequential", beep.Sequential, false},
+		{"flatparallel", beep.FlatParallel, false},
+		{"sequential-delta", beep.Sequential, true},
 	}
 	src := rng.New(7117)
 	combo := 0
@@ -207,7 +203,7 @@ func TestChaosChainKillResume(t *testing.T) {
 			combo++
 			s := base
 			s.Engine = e.engine
-			s.Sparse = e.sparse
+			s.ForceDelta = e.forceDelta
 			s.Name = fmt.Sprintf("%s/%s/chain", base.Name, e.name)
 			s.ChainDir = t.TempDir()
 			rep, err := RunChaos(s, killsPerCombo, src.Split(uint64(combo)))

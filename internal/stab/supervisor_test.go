@@ -118,7 +118,7 @@ func TestSupervisorDeadline(t *testing.T) {
 
 func TestSupervisorContainsPanicTyped(t *testing.T) {
 	g := testGraph(t)
-	for _, engine := range []beep.Engine{beep.Sequential, beep.Parallel, beep.PerVertex} {
+	for _, engine := range []beep.Engine{beep.Sequential} {
 		sup, err := NewSupervisor(SupervisorConfig{
 			Graph: g, Protocol: panicAtProto{round: 3}, Seed: 9, Engine: engine,
 			MaxRetries: 5, // retries must NOT mask a deterministic panic
@@ -563,7 +563,7 @@ func TestSupervisorChainCheckpoints(t *testing.T) {
 		}
 	}
 	sup, err := NewSupervisor(SupervisorConfig{
-		Graph: g, Protocol: testProto(), Seed: 9, Engine: beep.Flat,
+		Graph: g, Protocol: testProto(), Seed: 9, Engine: beep.Sequential,
 		CheckpointEvery: 1, CheckpointPath: path, CheckpointObserver: obs,
 	})
 	if err != nil {
@@ -599,7 +599,7 @@ func TestSupervisorChainCheckpoints(t *testing.T) {
 	path2 := filepath.Join(dir, "resumed.ckpt")
 	target := res.Rounds + 40
 	sup2, err := NewSupervisor(SupervisorConfig{
-		Graph: g, Protocol: testProto(), Seed: 9, Engine: beep.Flat,
+		Graph: g, Protocol: testProto(), Seed: 9, Engine: beep.Sequential,
 		Resume: cp, FixedRounds: target,
 		CheckpointEvery: 1, CheckpointPath: path2, CheckpointObserver: obs,
 	})
@@ -640,7 +640,7 @@ func TestSupervisorChainCheckpoints(t *testing.T) {
 	// checkpoints must land on the identical state.
 	kinds = nil
 	sup3, err := NewSupervisor(SupervisorConfig{
-		Graph: g, Protocol: testProto(), Seed: 9, Engine: beep.Flat,
+		Graph: g, Protocol: testProto(), Seed: 9, Engine: beep.Sequential,
 		Resume: cp, FixedRounds: target,
 		CheckpointEvery: 1, CheckpointObserver: obs,
 	})

@@ -18,7 +18,7 @@ import (
 // the sizes where holding the adjacency is the problem and the implicit
 // and compact backends earn their keep. All run the sequential flat
 // engine from a randomized (convergence-phase) configuration, and all
-// assert the flat engine's 0-steady-state-allocs contract before the
+// assert the pipeline's 0-steady-state-allocs contract before the
 // timed loop: on the synthesizing backends every neighbor row is
 // decoded into preallocated scratch, so a regression that starts
 // allocating per round at n=10⁷ costs seconds per step and must fail
@@ -31,7 +31,7 @@ func benchScaleRound(b *testing.B, t graph.Topology) {
 	b.Helper()
 	n := t.N()
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(t, proto, 3, beep.WithEngine(beep.Flat))
+	net, err := beep.NewNetwork(t, proto, 3)
 	if err != nil {
 		b.Fatal(err)
 	}

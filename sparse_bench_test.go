@@ -10,25 +10,21 @@ import (
 )
 
 // Whole-run benchmarks: the BENCH_sparse.json provenance. The per-round
-// benches in bench_test.go measure a convergence-phase round, where the
-// dense and sparse paths cost about the same; the sparse path's payoff
-// is the whole execution, where activity decays geometrically after the
-// first rounds and the frontier collapses to the few still-contending
-// neighborhoods. Each benchmark times a complete fixed-length run — the
-// instance's own stabilization-round count, discovered once at setup
-// with the legality probe (untimed; the stop check is identical on both
-// paths and orthogonal to the engine work measured here) — under
-// SparseOff and the default SparseAuto. The two runs share the seed and
-// are bit-identical (TestSparseEquivalence* in internal/core), so the
-// ratio is pure round-path wall-clock.
+// benches in bench_test.go measure a convergence-phase round; the
+// activity-gated pipeline's payoff is the whole execution, where
+// activity decays geometrically after the first rounds and the frontier
+// collapses to the few still-contending neighborhoods. Each benchmark
+// times a complete fixed-length run — the instance's own
+// stabilization-round count, discovered once at setup with the legality
+// probe (untimed; the stop check is orthogonal to the engine work
+// measured here).
 
-// stabilizationRounds discovers the instance's stabilization round on
-// the (fast) sparse path; the result is seed-determined and identical
-// for every mode.
+// stabilizationRounds discovers the instance's stabilization round; the
+// result is seed-determined.
 func stabilizationRounds(b *testing.B, t graph.Topology, seed uint64) int {
 	b.Helper()
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(t, proto, seed, beep.WithEngine(beep.Flat))
+	net, err := beep.NewNetwork(t, proto, seed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,14 +40,15 @@ func stabilizationRounds(b *testing.B, t graph.Topology, seed uint64) int {
 	return r
 }
 
-func benchWholeRun(b *testing.B, t graph.Topology, seed uint64, rounds int, mode beep.SparseMode) {
+func benchWholeRun(b *testing.B, t graph.Topology, seed uint64) {
 	b.Helper()
+	rounds := stabilizationRounds(b, t, seed)
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		net, err := beep.NewNetwork(t, proto, seed, beep.WithEngine(beep.Flat), beep.WithSparse(mode))
+		net, err := beep.NewNetwork(t, proto, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,17 +64,10 @@ func benchWholeRun(b *testing.B, t graph.Topology, seed uint64, rounds int, mode
 	b.ReportMetric(float64(rounds), "rounds")
 }
 
-func benchWholeRunModes(b *testing.B, t graph.Topology, seed uint64) {
-	b.Helper()
-	rounds := stabilizationRounds(b, t, seed)
-	b.Run("dense", func(b *testing.B) { benchWholeRun(b, t, seed, rounds, beep.SparseOff) })
-	b.Run("sparse", func(b *testing.B) { benchWholeRun(b, t, seed, rounds, beep.SparseAuto) })
-}
-
 // BenchmarkWholeRunFlat4k: complete run on the 4k G(n,p) instance the
 // per-round benches use — the CI smoke size.
 func BenchmarkWholeRunFlat4k(b *testing.B) {
-	benchWholeRunModes(b, graph.GNPAvgDegree(4096, 8, rng.New(2)), 3)
+	benchWholeRun(b, graph.GNPAvgDegree(4096, 8, rng.New(2)), 3)
 }
 
 // BenchmarkWholeRunFlat1M: complete run at n = 10⁶ on the implicit
@@ -87,81 +77,69 @@ func BenchmarkWholeRunFlat1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("n=10^6 whole-run benchmark skipped in -short mode")
 	}
-	benchWholeRunModes(b, graph.ImplicitTorus(1000, 1000), 3)
+	benchWholeRun(b, graph.ImplicitTorus(1000, 1000), 3)
 }
 
-// BenchmarkWholeRunFlat10M: complete run at n = 10⁷, the scale where a
-// dense whole run costs a minute and the sparse path's activity gating
-// decides whether scaling experiments are practical.
+// BenchmarkWholeRunFlat10M: complete run at n = 10⁷, the scale where
+// activity gating decides whether scaling experiments are practical.
 func BenchmarkWholeRunFlat10M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("n=10^7 whole-run benchmark skipped in -short mode")
 	}
-	benchWholeRunModes(b, graph.ImplicitTorus(2500, 4000), 3)
+	benchWholeRun(b, graph.ImplicitTorus(2500, 4000), 3)
 }
 
 // BenchmarkRecoveryFlat1M times the self-stabilization scenario itself:
 // from a stabilized n = 10⁶ configuration, corrupt 64 random vertex
 // states and run until the legality probe accepts again. The
-// perturbation is local, so the sparse frontier stays proportional to
-// the corrupted neighborhoods while the dense path re-pays O(n) every
-// recovery round — this regime, not cold-start convergence, is where
-// activity gating changes the complexity class of a round. Each
+// perturbation is local, so the frontier stays proportional to the
+// corrupted neighborhoods — this regime, not cold-start convergence, is
+// where activity gating changes the complexity class of a round. Each
 // iteration is one whole corrupt → re-stabilize run (probe included,
 // as in every experiment); corruption vertices are redrawn per
-// iteration from a fixed stream, identically across modes.
+// iteration from a fixed stream.
 func BenchmarkRecoveryFlat1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("n=10^6 recovery benchmark skipped in -short mode")
 	}
 	t := graph.ImplicitTorus(1000, 1000)
-	proto := func() beep.Protocol { return core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta)) }
-	for _, mode := range []struct {
-		name string
-		m    beep.SparseMode
-	}{{"dense", beep.SparseOff}, {"sparse", beep.SparseAuto}} {
-		b.Run(mode.name, func(b *testing.B) {
-			net, err := beep.NewNetwork(t, proto(), 3, beep.WithEngine(beep.Flat), beep.WithSparse(mode.m))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer net.Close()
-			net.RandomizeAll()
-			var probe core.State
-			stop := func() bool { return probe.Refresh(net) == nil && probe.Stabilized() }
-			if _, ok := net.Run(10_000_000, stop); !ok {
-				b.Fatal("no initial stabilization")
-			}
-			faults := rng.New(17)
-			totalRounds := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				perm := faults.Perm(t.N())
-				b.StartTimer()
-				if err := net.Corrupt(perm[:64]); err != nil {
-					b.Fatal(err)
-				}
-				before := net.Round()
-				if _, ok := net.Run(1_000_000, stop); !ok {
-					b.Fatal("no recovery")
-				}
-				totalRounds += net.Round() - before
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds")
-		})
+	net, err := beep.NewNetwork(t, core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta)), 3)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer net.Close()
+	net.RandomizeAll()
+	var probe core.State
+	stop := func() bool { return probe.Refresh(net) == nil && probe.Stabilized() }
+	if _, ok := net.Run(10_000_000, stop); !ok {
+		b.Fatal("no initial stabilization")
+	}
+	faults := rng.New(17)
+	totalRounds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		perm := faults.Perm(t.N())
+		b.StartTimer()
+		if err := net.Corrupt(perm[:64]); err != nil {
+			b.Fatal(err)
+		}
+		before := net.Round()
+		if _, ok := net.Run(1_000_000, stop); !ok {
+			b.Fatal("no recovery")
+		}
+		totalRounds += net.Round() - before
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(totalRounds)/float64(b.N), "rounds")
 }
 
 // BenchmarkSparseRound benches the steady-state round — the regime a
 // perpetually-running self-stabilizing protocol spends its life in.
-// The network is stabilized before the timed loop, so the dense path
-// pays its quiescence check (an O(n) slab compare per round; see
-// FlatQuiescer) while the sparse path's dirty-word tracking elides the
-// round in O(1). Sub-benchmarks at the CI smoke size and at n = 10⁷,
-// where the O(n) compare is milliseconds per round.
+// The network is stabilized before the timed loop, so the pipeline's
+// empty frontier elides the round in O(1). Sub-benchmarks at the CI
+// smoke size and at n = 10⁷.
 func BenchmarkSparseRound(b *testing.B) {
 	cases := []struct {
 		name string
@@ -177,30 +155,25 @@ func BenchmarkSparseRound(b *testing.B) {
 	}
 	proto := func() beep.Protocol { return core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta)) }
 	for _, c := range cases {
-		for _, mode := range []struct {
-			name string
-			m    beep.SparseMode
-		}{{"dense", beep.SparseOff}, {"sparse", beep.SparseAuto}} {
-			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
-				net, err := beep.NewNetwork(c.t, proto(), 3, beep.WithEngine(beep.Flat), beep.WithSparse(mode.m))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer net.Close()
-				net.RandomizeAll()
-				var probe core.State
-				if _, ok := net.Run(10_000_000, func() bool {
-					return probe.Refresh(net) == nil && probe.Stabilized()
-				}); !ok {
-					b.Fatal("no stabilization")
-				}
-				net.Step() // settle into the quiescent fast path
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					net.Step()
-				}
-			})
-		}
+		b.Run(c.name, func(b *testing.B) {
+			net, err := beep.NewNetwork(c.t, proto(), 3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer net.Close()
+			net.RandomizeAll()
+			var probe core.State
+			if _, ok := net.Run(10_000_000, func() bool {
+				return probe.Refresh(net) == nil && probe.Stabilized()
+			}); !ok {
+				b.Fatal("no stabilization")
+			}
+			net.Step() // settle into the elided fast path
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Step()
+			}
+		})
 	}
 }
