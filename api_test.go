@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -439,6 +441,47 @@ func TestInstanceSaveLoadResume(t *testing.T) {
 		if la != lb {
 			t.Fatalf("level of %d diverged: %d vs %d", v, la, lb)
 		}
+	}
+}
+
+// TestInstanceLoadV2JSON pins backward compatibility: a checkpoint in
+// the v2 JSON format that Save wrote before it switched to binary
+// snapshots still loads and resumes.
+func TestInstanceLoadV2JSON(t *testing.T) {
+	g, _ := NewGraph(30, cycleEdges(30))
+	a, err := NewInstance(g, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for i := 0; i < 7; i++ {
+		a.Step()
+	}
+	cp, err := a.net.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewInstance(g, WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Load(bytes.NewReader(v2)); err != nil {
+		t.Fatalf("v2 JSON checkpoint rejected: %v", err)
+	}
+	var sa, sb bytes.Buffer
+	if err := a.Save(&sa); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Save(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sa.Bytes(), sb.Bytes()) {
+		t.Fatal("instance loaded from v2 JSON saves a different state")
 	}
 }
 

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"io"
 	"testing"
 
 	"repro/internal/beep"
@@ -12,13 +11,11 @@ import (
 
 // Checkpoint-path benchmarks: the BENCH_ckpt.json provenance. Each
 // sub-benchmark times one complete checkpoint capture — state walk
-// plus serialization — of the same stabilized network, across the
-// three codecs a durability consumer can pick (DESIGN §12):
+// plus serialization — of the same stabilized network, for the two
+// kinds a checkpoint tick writes (DESIGN §12):
 //
-//   - json-full:   the v2 JSON snapshot (Checkpoint + WriteCheckpoint),
-//     the only format before this PR — O(n) text encode per tick.
 //   - binary-full: the v3 binary snapshot (Checkpoint + EncodeSnapshot),
-//     same O(n) walk, constant-factor cheaper encode.
+//     an O(n) walk and encode.
 //   - delta:       an incremental v3 delta (CheckpointDelta +
 //     EncodeDelta) after a localized perturbation — cost proportional
 //     to the dirty words, not n. The perturbation (corrupt 64 random
@@ -26,21 +23,10 @@ import (
 //     iteration, exactly the steady-state regime a perpetually-running
 //     self-stabilizing network checkpoints in.
 //
-// All three capture bit-equivalent information (the chain replay
-// equals the full snapshot; pinned by internal/ckpt and the chaos
-// matrices); only wall-clock and bytes differ, which is what the
-// recorded ratios isolate.
-
-// countWriter counts bytes; the JSON bench writes into it so the
-// encode cost is measured without any file-system noise.
-type countWriter struct{ n int64 }
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-var _ io.Writer = (*countWriter)(nil)
+// Both capture bit-equivalent information (the chain replay equals the
+// full snapshot; pinned by internal/ckpt and the chaos matrices); only
+// wall-clock and bytes differ, which is what the recorded ratios
+// isolate.
 
 // stableCkptNet builds a stabilized flat-kernel network with an armed
 // dirty-word baseline (the first Checkpoint call arms tracking).
@@ -68,24 +54,6 @@ func stableCkptNet(b *testing.B, t graph.Topology, seed uint64) *beep.Network {
 
 func benchCheckpointWrite(b *testing.B, t graph.Topology, seed uint64) {
 	b.Helper()
-	b.Run("json-full", func(b *testing.B) {
-		net := stableCkptNet(b, t, seed)
-		defer net.Close()
-		var bytes int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cp, err := net.Checkpoint()
-			if err != nil {
-				b.Fatal(err)
-			}
-			var w countWriter
-			if err := beep.WriteCheckpoint(&w, cp); err != nil {
-				b.Fatal(err)
-			}
-			bytes = w.n
-		}
-		b.ReportMetric(float64(bytes), "bytes/op")
-	})
 	b.Run("binary-full", func(b *testing.B) {
 		net := stableCkptNet(b, t, seed)
 		defer net.Close()
@@ -140,15 +108,15 @@ func benchCheckpointWrite(b *testing.B, t graph.Topology, seed uint64) {
 }
 
 // BenchmarkCheckpointWrite4k: the CI smoke size — fast enough for a
-// per-push timing check of all three codecs.
+// per-push timing check of both kinds.
 func BenchmarkCheckpointWrite4k(b *testing.B) {
 	benchCheckpointWrite(b, graph.GNPAvgDegree(4096, 8, rng.New(2)), 3)
 }
 
 // BenchmarkCheckpointWrite1M: the BENCH_ckpt.json headline — at n=10⁶
-// the full-snapshot walk plus JSON encode is the cost that made
-// frequent durability unaffordable, and the delta's dirty-word
-// proportionality is the tentpole claim under measurement.
+// the full-snapshot walk plus encode is the cost that made frequent
+// durability unaffordable, and the delta's dirty-word proportionality
+// is the claim under measurement.
 func BenchmarkCheckpointWrite1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("n=10^6 checkpoint benchmark skipped in -short mode")

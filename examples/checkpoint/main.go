@@ -1,7 +1,9 @@
 // Checkpoint/resume walkthrough: long simulation campaigns can be
 // snapshotted to disk and resumed exactly — the resumed execution is
 // bit-identical to an uninterrupted one, because the checkpoint carries
-// every vertex's algorithm state and random stream.
+// every vertex's algorithm state and random stream. Instance.Save
+// writes a binary snapshot (checkpoint format v3, integrity-hashed);
+// Instance.Load also reads the JSON checkpoints of older builds.
 package main
 
 import (
@@ -56,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	first.Close()
-	fmt.Printf("checkpoint: %d bytes after %d rounds\n", snapshot.Len(), 10)
+	fmt.Printf("checkpoint: %d-byte binary snapshot after %d rounds\n", snapshot.Len(), 10)
 
 	// Resume in a brand-new process (simulated by a new instance with a
 	// different seed — the checkpoint overrides everything).

@@ -147,22 +147,25 @@ func (i *Instance) RunUntilStabilized(maxRounds int) (int, error) {
 	return i.net.Round() - start, nil
 }
 
-// Save writes a resumable JSON checkpoint of the execution: the round
-// counter, every vertex's algorithm state, and every random stream. A
-// later Load on an instance built with the same graph and options
-// resumes the exact execution.
+// Save writes a resumable checkpoint of the execution as a binary
+// snapshot (checkpoint format v3): the round counter, every vertex's
+// algorithm state, and every random stream, sealed with an integrity
+// hash. A later Load on an instance built with the same graph and
+// options resumes the exact execution.
 func (i *Instance) Save(w io.Writer) error {
 	cp, err := i.net.Checkpoint()
 	if err != nil {
 		return err
 	}
-	return beep.WriteCheckpoint(w, cp)
+	return beep.WriteSnapshot(w, cp)
 }
 
-// Load restores a checkpoint written by Save. The instance must have
-// been built on the same graph with the same algorithm.
+// Load restores a checkpoint written by Save, in either format: the
+// binary snapshot of this build or the JSON of builds before it. The
+// instance must have been built on the same graph with the same
+// algorithm.
 func (i *Instance) Load(r io.Reader) error {
-	cp, err := beep.ReadCheckpoint(r)
+	cp, err := beep.ReadSnapshot(r)
 	if err != nil {
 		return err
 	}

@@ -36,11 +36,11 @@ const CheckpointFormatVersion = 2
 // identity header binding it to the (graph, protocol, seed, fault
 // model) it was captured from, the full execution state (round counter,
 // every machine's state, every random stream), and an integrity hash
-// over the payload. It is JSON-encodable for storage; WriteCheckpoint
-// and ReadCheckpoint enforce the hash at the serialization boundary and
-// Network.Restore enforces the identity header, so a checkpoint can
-// neither be corrupted in flight nor restored onto the wrong run
-// without an error.
+// over the payload. EncodeSnapshot and DecodeCheckpointAuto enforce the
+// hash at the serialization boundary and Network.Restore enforces the
+// identity header, so a checkpoint can neither be corrupted in flight
+// nor restored onto the wrong run without an error. (The JSON tags are
+// the v2 format, which this build still reads.)
 type Checkpoint struct {
 	// FormatVersion is CheckpointFormatVersion at capture time.
 	FormatVersion int `json:"formatVersion"`
@@ -98,8 +98,8 @@ type Checkpoint struct {
 	AdvEpoch    uint64  `json:"advEpoch"`
 
 	// Hash is the FNV-1a digest of every field above, in canonical
-	// order. WriteCheckpoint refuses to persist a checkpoint whose hash
-	// does not match its payload, and ReadCheckpoint / Restore reject
+	// order. EncodeSnapshot refuses to persist a checkpoint whose hash
+	// does not match its payload, and the decoders and Restore reject
 	// one whose payload does not match its hash.
 	Hash uint64 `json:"hash"`
 }
@@ -336,26 +336,14 @@ func (n *Network) Restore(c *Checkpoint) error {
 	return nil
 }
 
-// WriteCheckpoint serializes a checkpoint as JSON. It refuses to
-// persist a checkpoint whose integrity hash does not match its payload,
-// so corruption is caught at write time instead of resume time.
-func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
-	if err := c.Validate(); err != nil {
-		return fmt.Errorf("beep: write checkpoint: %w", err)
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(c); err != nil {
-		return fmt.Errorf("beep: write checkpoint: %w", err)
-	}
-	return nil
-}
-
-// ReadCheckpoint parses and validates a JSON checkpoint: malformed
-// JSON, unsupported format versions, inconsistent vector lengths and
-// integrity-hash mismatches all surface as errors, never panics.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
+// decodeCheckpointJSON parses and validates a v2 JSON checkpoint, the
+// format builds before v3 wrote (DecodeCheckpointAuto routes to it):
+// malformed JSON, unsupported format versions, inconsistent vector
+// lengths and integrity-hash mismatches all surface as errors, never
+// panics.
+func decodeCheckpointJSON(data []byte) (*Checkpoint, error) {
 	var c Checkpoint
-	if err := json.NewDecoder(r).Decode(&c); err != nil {
+	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("beep: read checkpoint: %w", err)
 	}
 	if err := c.Validate(); err != nil {

@@ -8,8 +8,9 @@ import (
 	"repro/internal/rng"
 )
 
-// FuzzReadCheckpoint asserts the hard-constraint of the checkpoint
-// reader: whatever bytes arrive — malformed JSON, truncated payloads,
+// FuzzReadCheckpoint asserts the hard constraint of the v2 JSON
+// checkpoint reader (read-only, kept for files older builds wrote):
+// whatever bytes arrive — malformed JSON, truncated payloads,
 // wrong-length state vectors, corrupted integrity hashes — the reader
 // returns an error or a checkpoint that Validate and Restore accept
 // or reject cleanly. It must never panic. The corpus seeds a genuine
@@ -32,11 +33,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := WriteCheckpoint(&sb, cp); err != nil {
-		f.Fatal(err)
-	}
-	valid := sb.String()
+	valid := string(mustJSON(f, cp))
 
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])                                 // truncated payload
@@ -53,13 +50,13 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(`[1,2,3]`)
 
 	f.Fuzz(func(t *testing.T, data string) {
-		c, err := ReadCheckpoint(strings.NewReader(data))
+		c, err := decodeCheckpointJSON([]byte(data))
 		if err != nil {
 			return // rejection is always fine; panics are not
 		}
 		// Anything the reader accepts must be internally consistent…
 		if err := c.Validate(); err != nil {
-			t.Fatalf("ReadCheckpoint accepted a checkpoint Validate rejects: %v", err)
+			t.Fatalf("the v2 reader accepted a checkpoint Validate rejects: %v", err)
 		}
 		// …and survive a restore attempt (success or clean error) onto a
 		// live network without panicking.

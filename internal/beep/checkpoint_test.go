@@ -83,12 +83,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Serialize and parse the checkpoint to exercise the JSON round trip.
-	var sb strings.Builder
-	if err := WriteCheckpoint(&sb, cp); err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := ReadCheckpoint(strings.NewReader(sb.String()))
+	// Serialize and parse the checkpoint to exercise the v2 JSON reader.
+	cp2, err := DecodeCheckpointAuto(mustJSON(t, cp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +140,7 @@ func TestCheckpointErrors(t *testing.T) {
 }
 
 func TestReadCheckpointRejectsGarbage(t *testing.T) {
-	if _, err := ReadCheckpoint(strings.NewReader("not json")); err == nil {
+	if _, err := DecodeCheckpointAuto([]byte("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -188,11 +184,7 @@ func TestCheckpointAdversaryDivergenceRegression(t *testing.T) {
 	if cp.Adversaries == nil || cp.AdvRNG == ([4]uint64{}) {
 		t.Fatal("checkpoint did not capture adversary state (the pre-v2 bug)")
 	}
-	var sb strings.Builder
-	if err := WriteCheckpoint(&sb, cp); err != nil {
-		t.Fatal(err)
-	}
-	cp2, err := ReadCheckpoint(strings.NewReader(sb.String()))
+	cp2, err := DecodeCheckpointAuto(mustJSON(t, cp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +290,8 @@ func TestCheckpointIdentityRejections(t *testing.T) {
 	if err := net.Restore(cp); err == nil {
 		t.Fatal("tampered checkpoint accepted by Restore")
 	}
-	var sb strings.Builder
-	if err := WriteCheckpoint(&sb, cp); err == nil {
-		t.Fatal("tampered checkpoint accepted by WriteCheckpoint")
+	if _, err := EncodeSnapshot(cp); err == nil {
+		t.Fatal("tampered checkpoint accepted by EncodeSnapshot")
 	}
 	cp.Machines[0][0]--
 

@@ -406,75 +406,40 @@ var ErrTornFrame = errors.New("beep: torn delta frame (truncated tail)")
 
 // EncodeDelta serializes a sealed delta as one self-delimiting binary
 // frame: magic, u32 payload length, payload. Appending frames to a
-// file yields a chain readable by DecodeDeltaFrame.
+// file yields a chain readable by DecodeDeltaFrame. The payload is the
+// fixed header, the protocol identity, the dirty words and their
+// vertex states as one state-row section (rows.go), and the optional
+// adversary table.
 func EncodeDelta(d *Delta) ([]byte, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("beep: encode delta: %w", err)
 	}
-	payload := encodeDeltaPayload(d)
-	frame := make([]byte, 0, 8+len(payload))
-	frame = append(frame, deltaMagic[:]...)
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(payload)))
-	frame = append(frame, l[:]...)
-	return append(frame, payload...), nil
-}
-
-func encodeDeltaPayload(d *Delta) []byte {
-	var buf bytes.Buffer
-	var b8 [8]byte
 	le := binary.LittleEndian
-	put := func(x uint64) {
-		le.PutUint64(b8[:], x)
-		buf.Write(b8[:])
+	size := 8 + 6*8 + 4*32 + 4 + len(d.Protocol) + 1 + 8 + 4*len(d.Words) + 34*len(d.Machines) + 4 + len(d.Adversaries)
+	frame := append(make([]byte, 0, size), deltaMagic[:]...)
+	frame = append(frame, 0, 0, 0, 0) // payload length, patched below
+	for _, x := range [6]uint64{d.GraphFingerprint, uint64(d.Round), d.ParentHash, d.NextStream, d.AdvEpoch, d.Hash} {
+		frame = le.AppendUint64(frame, x)
 	}
-	put(d.GraphFingerprint)
-	put(uint64(d.Round))
-	put(d.ParentHash)
-	put(d.NextStream)
-	put(d.AdvEpoch)
-	put(d.Hash)
-	for _, rng := range [][4]uint64{d.NoiseRNG, d.SleepRNG, d.AdvRNG, d.RootRNG} {
+	for _, rng := range [4][4]uint64{d.NoiseRNG, d.SleepRNG, d.AdvRNG, d.RootRNG} {
 		for _, w := range rng {
-			put(w)
+			frame = le.AppendUint64(frame, w)
 		}
 	}
-	var b4 [4]byte
-	put32 := func(x uint32) {
-		le.PutUint32(b4[:], x)
-		buf.Write(b4[:])
-	}
-	put32(uint32(len(d.Protocol)))
-	buf.WriteString(d.Protocol)
-	hasAdv := byte(0)
+	frame = le.AppendUint32(frame, uint32(len(d.Protocol)))
+	frame = append(frame, d.Protocol...)
 	if d.Adversaries != nil {
-		hasAdv = 1
+		frame = append(frame, 1)
+	} else {
+		frame = append(frame, 0)
 	}
-	buf.WriteByte(hasAdv)
-	put32(uint32(len(d.Words)))
-	for _, w := range d.Words {
-		put32(uint32(w))
+	frame = AppendStateRows(frame, &StateRows{Index: d.Words, Streams: d.Streams, Machines: d.Machines})
+	if d.Adversaries != nil {
+		frame = le.AppendUint32(frame, uint32(len(d.Adversaries)))
+		frame = append(frame, d.Adversaries...)
 	}
-	put32(uint32(len(d.Machines)))
-	for _, s := range d.Streams {
-		for _, w := range s {
-			put(w)
-		}
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	for _, m := range d.Machines {
-		k := binary.PutUvarint(tmp[:], uint64(len(m)))
-		buf.Write(tmp[:k])
-		for _, v := range m {
-			k = binary.PutVarint(tmp[:], v)
-			buf.Write(tmp[:k])
-		}
-	}
-	if hasAdv == 1 {
-		put32(uint32(len(d.Adversaries)))
-		buf.Write(d.Adversaries)
-	}
-	return buf.Bytes()
+	le.PutUint32(frame[4:], uint32(len(frame)-8))
+	return frame, nil
 }
 
 // DecodeDeltaFrame parses one delta frame from the front of data,
@@ -534,59 +499,17 @@ func decodeDeltaPayload(p []byte) (*Delta, error) {
 	d.Round = int(round)
 	protoLen := int(le.Uint32(p[off:]))
 	off += 4
-	if protoLen < 0 || protoLen > snapMaxProto || off+protoLen+1+4 > len(p) {
+	if protoLen < 0 || protoLen > snapMaxProto || off+protoLen+1 > len(p) {
 		return nil, fmt.Errorf("beep: delta protocol length %d out of range", protoLen)
 	}
 	d.Protocol = string(p[off : off+protoLen])
 	off += protoLen
 	hasAdv := p[off]
-	off++
-	nw := int(le.Uint32(p[off:]))
-	off += 4
-	if nw < 0 || off+nw*4+4 > len(p) {
-		return nil, fmt.Errorf("beep: delta word list of %d entries exceeds payload", nw)
+	rows, rest, err := DecodeStateRows(p[off+1:])
+	if err != nil {
+		return nil, fmt.Errorf("beep: delta: %w", err)
 	}
-	d.Words = make([]int32, nw)
-	for i := range d.Words {
-		d.Words[i] = int32(le.Uint32(p[off+i*4:]))
-	}
-	off += nw * 4
-	nv := int(le.Uint32(p[off:]))
-	off += 4
-	if nv < 0 || nv > (len(p)-off)/32 {
-		return nil, fmt.Errorf("beep: delta claims %d vertex states, %d payload bytes cannot hold them", nv, len(p)-off)
-	}
-	d.Streams = make([][4]uint64, nv)
-	for i := range d.Streams {
-		base := off + i*32
-		d.Streams[i] = [4]uint64{
-			le.Uint64(p[base:]), le.Uint64(p[base+8:]),
-			le.Uint64(p[base+16:]), le.Uint64(p[base+24:]),
-		}
-	}
-	off += nv * 32
-	rest := p[off:]
-	d.Machines = make([][]int64, nv)
-	for i := 0; i < nv; i++ {
-		l, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return nil, fmt.Errorf("beep: delta vertex state %d: truncated length", i)
-		}
-		rest = rest[k:]
-		if l > uint64(len(rest)) {
-			return nil, fmt.Errorf("beep: delta vertex state %d: length %d exceeds remaining payload", i, l)
-		}
-		m := make([]int64, int(l))
-		for j := range m {
-			x, k := binary.Varint(rest)
-			if k <= 0 {
-				return nil, fmt.Errorf("beep: delta vertex state %d: truncated value %d", i, j)
-			}
-			m[j] = x
-			rest = rest[k:]
-		}
-		d.Machines[i] = m
-	}
+	d.Words, d.Streams, d.Machines = rows.Index, rows.Streams, rows.Machines
 	if hasAdv == 1 {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("beep: delta adversary table truncated")

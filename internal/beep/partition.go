@@ -45,6 +45,13 @@ import (
 // so the first round after a rewind repacks and re-exchanges everything
 // that beeps.
 //
+// Checkpoint state leaves a partition as state rows (rows.go):
+// UpdateLocalSparse ORs each round's drew|changed union into the
+// network's own dirty-word tracker, and AppendDirtyRows exports the
+// rows of the marked words of [lo, hi) and rebaselines it — the same
+// tracker and the same row layout a single-process CheckpointDelta
+// uses.
+//
 // Partitioned execution excludes the fault models that consume shared
 // sequential randomness (noise, sleep, adversaries): their draw order is
 // a whole-network sequence that vertex ranges cannot consume
@@ -84,13 +91,6 @@ type Partition struct {
 	// rounds never allocate.
 	upWi  [2][]int32
 	upVal [2][]uint64
-	// ckDirty marks the slab words of [lo, hi) whose vertex state
-	// (machine or stream) may have moved since the last
-	// ExportStateDelta. ckDirtyAll is the conservative everything-dirty
-	// flag, set at creation and by any restore (see ResetSparse)
-	// — the partition-side twin of the Network's dirtyState invariant.
-	ckDirty    []uint64
-	ckDirtyAll bool
 }
 
 // Partition creates the execution window for vertices [lo, hi). It
@@ -121,7 +121,6 @@ func (n *Network) Partition(lo, hi int) (*Partition, error) {
 	p.changedW = make([]uint64, mw)
 	p.updW = make([]uint64, mw)
 	p.touchW = make([]uint64, mw)
-	p.ckDirty = make([]uint64, mw)
 	for c := 0; c < n.channels; c++ {
 		p.words[c] = make([]uint64, words)
 		p.own[c] = make([]uint64, words)
@@ -142,11 +141,11 @@ func (p *Partition) Range() (lo, hi int) { return p.lo, p.hi }
 func (p *Partition) Channels() int { return p.net.channels }
 
 // ResetSparse rewinds the partition to the base case: every own word
-// active, upload and download baselines zeroed, heard[lo:hi) Silent,
-// and the state-delta baseline saturated. Callers invoke it after
-// Network.Restore — the restored machine state invalidates every
-// incremental baseline — and the coordinator must zero its side of the
-// exchange in the same breath.
+// active, upload and download baselines zeroed, and heard[lo:hi)
+// Silent. Callers invoke it after Network.Restore — the restored
+// machine state invalidates every incremental baseline (Restore itself
+// marks every row dirty) — and the coordinator must zero its side of
+// the exchange in the same breath.
 func (p *Partition) ResetSparse() {
 	n := p.net
 	for c := 0; c < n.channels; c++ {
@@ -157,7 +156,6 @@ func (p *Partition) ResetSparse() {
 	}
 	clearMask(p.touchW)
 	p.allActive = true
-	p.ckDirtyAll = true
 	for v := p.lo; v < p.hi; v++ {
 		n.heard[v] = Silent
 	}
@@ -272,16 +270,17 @@ func (p *Partition) UpdateLocalSparse() (changed bool, err error) {
 	}
 	// The end-of-round activity union is exactly the set of own words
 	// that drew a stream or changed machine state this round (the
-	// dirty-accumulation invariant, see delta.go); fuse the state-delta
-	// accumulation into the same pass.
+	// dirty-accumulation invariant, see delta.go); fuse the network's
+	// dirty-word accumulation into the same pass.
+	dirty := n.ckDirty.accum(len(p.act))
 	cnt := 0
 	for mi := range p.act {
 		a := p.drewW[mi] | p.changedW[mi]
 		p.act[mi] = a
 		cnt += bits.OnesCount64(a)
 		changed = changed || p.changedW[mi] != 0
-		if !p.ckDirtyAll {
-			p.ckDirty[mi] |= a
+		if dirty != nil {
+			dirty[mi] |= a
 		}
 	}
 	p.actCount = cnt
@@ -296,84 +295,50 @@ func (p *Partition) UpdateLocalSparse() (changed bool, err error) {
 // network storage.
 func (p *Partition) Signals() (sent, heard []Signal) { return p.net.sent, p.net.heard }
 
-// ExportRangeState returns the machine and stream states of vertices
-// [lo, hi), the per-partition slice of a Checkpoint: a distributed
-// coordinator assembles the full checkpoint from these. It fails on a
-// poisoned network (the state is not a round boundary) or machines
-// without StateCodec.
-func (n *Network) ExportRangeState(lo, hi int) (machines [][]int64, streams [][4]uint64, err error) {
-	if n.failed != nil {
-		return nil, nil, fmt.Errorf("beep: state export of failed network: %w", n.failed)
-	}
-	if lo < 0 || hi < lo || hi > n.N() {
-		return nil, nil, fmt.Errorf("beep: state export range [%d, %d) out of [0, %d)", lo, hi, n.N())
-	}
-	machines = make([][]int64, hi-lo)
-	streams = make([][4]uint64, hi-lo)
-	for v := lo; v < hi; v++ {
-		codec, ok := n.machines[v].(StateCodec)
-		if !ok {
-			return nil, nil, fmt.Errorf("beep: machine %T of vertex %d does not support checkpointing", n.machines[v], v)
-		}
-		machines[v-lo] = codec.EncodeState()
-		streams[v-lo] = n.srcs[v].State()
-	}
-	return machines, streams, nil
-}
-
-// ExportStateDelta exports the machine and stream states of every
-// vertex whose slab word was dirtied since the previous export (the
-// whole range after creation, ResetSparse or MarkAllStateDirty),
-// then rebaselines: the next export accumulates from here. Verts is
-// ascending and bounded to [lo, hi) — boundary words shared with an
-// adjacent partition export disjoint vertex sets, so a coordinator can
-// splice deltas from all partitions without ownership conflicts. On
-// error (poisoned network, non-checkpointable machine) the baseline is
-// left untouched.
-func (p *Partition) ExportStateDelta() (verts []int32, machines [][]int64, streams [][4]uint64, err error) {
+// AppendDirtyRows appends the state rows (see rows.go) of every own
+// vertex whose slab word the network's dirty tracker marked since the
+// previous export — all of [lo, hi) after creation or Restore — and
+// rebaselines the tracker. Rows are ascending and clamped to [lo, hi),
+// so adjacent partitions sharing a boundary word export disjoint
+// vertex sets. On error (poisoned network, non-checkpointable machine)
+// the baseline is left untouched.
+func (p *Partition) AppendDirtyRows(dst []byte) ([]byte, error) {
 	n := p.net
 	if n.failed != nil {
-		return nil, nil, nil, fmt.Errorf("beep: state export of failed network: %w", n.failed)
+		return nil, fmt.Errorf("beep: state export of failed network: %w", n.failed)
 	}
-	appendWord := func(wi int) error {
-		lo, hi := wi<<6, wi<<6+64
-		if lo < p.lo {
-			lo = p.lo
-		}
-		if hi > p.hi {
-			hi = p.hi
-		}
+	var rows StateRows
+	add := func(wi int) error {
+		lo, hi := max(wi<<6, p.lo), min(wi<<6+64, p.hi)
 		for v := lo; v < hi; v++ {
 			codec, ok := n.machines[v].(StateCodec)
 			if !ok {
 				return fmt.Errorf("beep: machine %T of vertex %d does not support checkpointing", n.machines[v], v)
 			}
-			verts = append(verts, int32(v))
-			machines = append(machines, codec.EncodeState())
-			streams = append(streams, n.srcs[v].State())
+			rows.Index = append(rows.Index, int32(v))
+			rows.Machines = append(rows.Machines, codec.EncodeState())
+			rows.Streams = append(rows.Streams, n.srcs[v].State())
 		}
 		return nil
 	}
-	if p.ckDirtyAll {
-		if p.lo < p.hi {
-			for wi := p.lo >> 6; wi <= (p.hi-1)>>6; wi++ {
-				if err := appendWord(wi); err != nil {
-					return nil, nil, nil, err
-				}
+	if n.DirtyAll() {
+		for wi := p.lo >> 6; wi < p.lo>>6+p.ownWords; wi++ {
+			if err := add(wi); err != nil {
+				return nil, err
 			}
 		}
 	} else {
-		for mi, m := range p.ckDirty {
+		for mi, m := range n.ckDirty.mask {
 			for m != 0 {
 				b := bits.TrailingZeros64(m)
 				m &= m - 1
-				if err := appendWord(mi<<6 + b); err != nil {
-					return nil, nil, nil, err
+				if err := add(mi<<6 + b); err != nil {
+					return nil, err
 				}
 			}
 		}
 	}
-	clearMask(p.ckDirty)
-	p.ckDirtyAll = false
-	return verts, machines, streams, nil
+	n.ckDirty.rebaseline(n.N())
+	n.ckDirty.adv = false
+	return AppendStateRows(dst, &rows), nil
 }

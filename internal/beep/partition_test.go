@@ -38,49 +38,15 @@ func TestPartitionEquivalence(t *testing.T) {
 		parts[i] = p
 	}
 
-	words := (g.N() + 63) / 64
-	cur := make([][]uint64, len(parts)) // per-partition uploaded words
-	for i := range cur {
-		cur[i] = make([]uint64, words)
-	}
-	merged := make([]uint64, words)
+	ex := newExchange(g.N(), len(parts))
 	for r := 0; r < rounds; r++ {
 		if r == resetAt {
-			for i, p := range parts {
+			for _, p := range parts {
 				p.ResetSparse()
-				clear(cur[i])
 			}
-			clear(merged)
+			ex.reset()
 		}
-		for i, p := range parts {
-			if _, err := p.EmitLocalSparse(); err != nil {
-				t.Fatalf("round %d: emit: %v", r+1, err)
-			}
-			wis, vals := p.SparseUpload(0)
-			for j, wi := range wis {
-				cur[i][wi] = vals[j]
-			}
-		}
-		// Coordinator merge: OR each word over its owners (masked pack
-		// keeps foreign bits zero, so shared edge words OR cleanly) and
-		// download every word whose merged value moved.
-		for wi := range merged {
-			var m uint64
-			for i := range parts {
-				m |= cur[i][wi]
-			}
-			if m != merged[wi] {
-				merged[wi] = m
-				for _, p := range parts {
-					p.ApplyDeltaWord(0, wi, m)
-				}
-			}
-		}
-		for _, p := range parts {
-			if _, err := p.UpdateLocalSparse(); err != nil {
-				t.Fatalf("round %d: update: %v", r+1, err)
-			}
-		}
+		ex.round(t, parts)
 		for _, p := range parts {
 			lo, hi := p.Range()
 			sent, heard := p.Signals()
@@ -92,6 +58,162 @@ func TestPartitionEquivalence(t *testing.T) {
 					t.Fatalf("round %d vertex %d: partitioned heard %v, reference %v", r+1, v, heard[v], ref[r][g.N()+v])
 				}
 			}
+		}
+	}
+}
+
+// exchange is a test coordinator for single-channel partitions: the
+// per-partition uploaded words and their OR-merge.
+type exchange struct {
+	cur    [][]uint64
+	merged []uint64
+}
+
+func newExchange(n, parts int) *exchange {
+	ex := &exchange{cur: make([][]uint64, parts), merged: make([]uint64, (n+63)/64)}
+	for i := range ex.cur {
+		ex.cur[i] = make([]uint64, len(ex.merged))
+	}
+	return ex
+}
+
+// reset zeroes the coordinator's side, as a restore must.
+func (ex *exchange) reset() {
+	for _, c := range ex.cur {
+		clear(c)
+	}
+	clear(ex.merged)
+}
+
+// round runs one partitioned round: emit everywhere, OR each word over
+// its owners (masked pack keeps foreign bits zero, so shared edge words
+// OR cleanly), download every word whose merged value moved, update.
+func (ex *exchange) round(t *testing.T, parts []*Partition) {
+	t.Helper()
+	for i, p := range parts {
+		if _, err := p.EmitLocalSparse(); err != nil {
+			t.Fatalf("emit: %v", err)
+		}
+		wis, vals := p.SparseUpload(0)
+		for j, wi := range wis {
+			ex.cur[i][wi] = vals[j]
+		}
+	}
+	for wi := range ex.merged {
+		var m uint64
+		for i := range parts {
+			m |= ex.cur[i][wi]
+		}
+		if m != ex.merged[wi] {
+			ex.merged[wi] = m
+			for _, p := range parts {
+				p.ApplyDeltaWord(0, wi, m)
+			}
+		}
+	}
+	for _, p := range parts {
+		if _, err := p.UpdateLocalSparse(); err != nil {
+			t.Fatalf("update: %v", err)
+		}
+	}
+}
+
+// TestPartitionDirtyRowsShadow pins the partition state export: rows
+// each partition exports, installed into a never-stepped shadow network,
+// reproduce the checkpoint hash of a single-process network stepped to
+// the same round. Every export is ascending and clamped to its range;
+// the first one, and the first after a Restore, covers the whole range;
+// an export with no round since the previous one is empty.
+func TestPartitionDirtyRowsShadow(t *testing.T) {
+	g := graph.GNPAvgDegree(300, 5, rng.New(8))
+	newNet := func() *Network {
+		net, err := NewNetwork(g, rwKernelProtocol{}, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(net.Close)
+		net.RandomizeAll()
+		return net
+	}
+	ref, shadow := newNet(), newNet()
+	if _, err := shadow.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ranges := [][2]int{{0, 100}, {100, 190}, {190, 300}}
+	parts := make([]*Partition, len(ranges))
+	for i, r := range ranges {
+		p, err := newNet().Partition(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = p
+	}
+	export := func(p *Partition) *StateRows {
+		t.Helper()
+		b, err := p.AppendDirtyRows(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, rest, err := DecodeStateRows(b)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("export does not decode: %v (%d trailing bytes)", err, len(rest))
+		}
+		return rows
+	}
+	collect := func(round int, wantFull bool) {
+		t.Helper()
+		for _, p := range parts {
+			lo, hi := p.Range()
+			rows := export(p)
+			if wantFull && len(rows.Index) != hi-lo {
+				t.Fatalf("round %d: [%d, %d) exported %d rows, want the full range", round, lo, hi, len(rows.Index))
+			}
+			for i, v := range rows.Index {
+				if int(v) < lo || int(v) >= hi || (i > 0 && v <= rows.Index[i-1]) {
+					t.Fatalf("round %d: [%d, %d) exported vertex %d out of order or range", round, lo, hi, v)
+				}
+			}
+			if err := shadow.InstallRows(round, rows); err != nil {
+				t.Fatal(err)
+			}
+			if again := export(p); len(again.Index) != 0 {
+				t.Fatalf("round %d: re-export with no round between carried %d rows", round, len(again.Index))
+			}
+		}
+		want, err := ref.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := shadow.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Hash != want.Hash {
+			t.Fatalf("round %d: shadow checkpoint %#x, single-process %#x", round, got.Hash, want.Hash)
+		}
+	}
+
+	collect(0, true)
+	ex := newExchange(g.N(), len(parts))
+	for r := 1; r <= 12; r++ {
+		ex.round(t, parts)
+		ref.Step()
+		if r%4 == 0 {
+			collect(r, r == 12)
+		}
+		if r == 8 {
+			// Rewind every partition to the shadow, as recovery does.
+			cp, err := shadow.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range parts {
+				if err := p.net.Restore(cp); err != nil {
+					t.Fatal(err)
+				}
+				p.ResetSparse()
+			}
+			ex.reset()
 		}
 	}
 }
@@ -165,7 +287,7 @@ func TestPartitionPanicContainment(t *testing.T) {
 	if _, err := p.UpdateLocalSparse(); err == nil {
 		t.Fatal("poisoned network still updating")
 	}
-	if _, _, err := net.ExportRangeState(0, 32); err == nil {
+	if _, err := p.AppendDirtyRows(nil); err == nil {
 		t.Fatal("poisoned network still exporting state")
 	}
 }

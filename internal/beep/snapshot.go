@@ -106,8 +106,8 @@ func snapshotRanges(n int) [][2]int {
 }
 
 // EncodeSnapshot serializes a sealed checkpoint in the v3 binary
-// format. Like WriteCheckpoint it refuses a checkpoint whose integrity
-// hash does not match its payload.
+// format. It refuses a checkpoint whose integrity hash does not match
+// its payload.
 func EncodeSnapshot(c *Checkpoint) ([]byte, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("beep: encode snapshot: %w", err)
@@ -181,15 +181,7 @@ func EncodeSnapshot(c *Checkpoint) ([]byte, error) {
 		streamOff := off
 		buf = buf[:streamOff+n*32]
 		encodeStreamsRange(buf[streamOff:], c.Streams, 0, n)
-		var tmp [binary.MaxVarintLen64]byte
-		for _, m := range c.Machines {
-			k := binary.PutUvarint(tmp[:], uint64(len(m)))
-			buf = append(buf, tmp[:k]...)
-			for _, v := range m {
-				k = binary.PutVarint(tmp[:], v)
-				buf = append(buf, tmp[:k]...)
-			}
-		}
+		buf = appendMachineRows(buf, c.Machines)
 		if c.Adversaries != nil {
 			buf = append(buf, c.Adversaries...)
 		}
@@ -318,8 +310,8 @@ func DecodeSnapshot(data []byte) (*Checkpoint, error) {
 
 	if ragged {
 		var err error
-		if rest, err = decodeRaggedMachines(c, rest, n); err != nil {
-			return nil, err
+		if c.Machines, rest, err = decodeMachineRows(rest, n); err != nil {
+			return nil, fmt.Errorf("beep: snapshot: %w", err)
 		}
 	} else {
 		if stride < 0 || stride > snapMaxProto {
@@ -400,33 +392,6 @@ func decodeMachinesRange(src []byte, machines [][]int64, stride int, vals32 bool
 	}
 }
 
-func decodeRaggedMachines(c *Checkpoint, rest []byte, n int) ([]byte, error) {
-	c.Machines = make([][]int64, n)
-	for v := 0; v < n; v++ {
-		l, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return nil, fmt.Errorf("beep: snapshot vertex %d: truncated machine length", v)
-		}
-		rest = rest[k:]
-		if l > uint64(len(rest)) {
-			// Each varint value costs at least one byte, so a length
-			// beyond the remaining bytes can never decode.
-			return nil, fmt.Errorf("beep: snapshot vertex %d: machine length %d exceeds remaining payload", v, l)
-		}
-		m := make([]int64, int(l))
-		for i := range m {
-			x, k := binary.Varint(rest)
-			if k <= 0 {
-				return nil, fmt.Errorf("beep: snapshot vertex %d: truncated machine value %d", v, i)
-			}
-			m[i] = x
-			rest = rest[k:]
-		}
-		c.Machines[v] = m
-	}
-	return rest, nil
-}
-
 // DecodeCheckpointAuto parses a checkpoint in either supported
 // encoding, sniffing the leading bytes: the v3 binary magic selects
 // DecodeSnapshot, anything else falls back to the v2 JSON decoder.
@@ -434,7 +399,7 @@ func DecodeCheckpointAuto(data []byte) (*Checkpoint, error) {
 	if len(data) >= 4 && bytes.Equal(data[0:4], snapshotMagic[:]) {
 		return DecodeSnapshot(data)
 	}
-	return ReadCheckpoint(bytes.NewReader(data))
+	return decodeCheckpointJSON(data)
 }
 
 // WriteSnapshot serializes a checkpoint in the v3 binary format.

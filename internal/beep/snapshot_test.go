@@ -3,7 +3,6 @@ package beep
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -92,11 +91,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			// The Hash field must be bit-identical to the v2 JSON
 			// encoding of the same state: chains and wire messages
 			// reference it across formats.
-			var sb strings.Builder
-			if err := WriteCheckpoint(&sb, cp); err != nil {
-				t.Fatal(err)
-			}
-			viaJSON, err := ReadCheckpoint(strings.NewReader(sb.String()))
+			viaJSON, err := DecodeCheckpointAuto(mustJSON(t, cp))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,16 +125,13 @@ func TestSnapshotWideValues(t *testing.T) {
 func TestSnapshotAutoDetect(t *testing.T) {
 	cp := snapshotTestCheckpoint(t, codecProtocol{})
 
-	var jsonBuf bytes.Buffer
-	if err := WriteCheckpoint(&jsonBuf, cp); err != nil {
-		t.Fatal(err)
-	}
+	jsonBuf := mustJSON(t, cp)
 	binBuf, err := EncodeSnapshot(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	fromJSON, err := DecodeCheckpointAuto(jsonBuf.Bytes())
+	fromJSON, err := DecodeCheckpointAuto(jsonBuf)
 	if err != nil {
 		t.Fatalf("auto-detect rejected v2 JSON: %v", err)
 	}

@@ -22,6 +22,12 @@
 // but-invalid link is a hard error naming the link; no partially
 // patched state is ever returned.
 //
+// Ticks. Writer.Tick takes one cadence checkpoint of a network — a base
+// or a delta, per the compaction policy below — and keeps the chain tip
+// in memory. The supervisor, the chaos harness and the distributed
+// coordinator all checkpoint through it; WriteBase and AppendDelta stay
+// exported for callers that time the two halves of a tick separately.
+//
 // Compaction. The writer starts a fresh base — collapsing the chain —
 // whenever the engine reports everything dirty, the accumulated chain
 // reaches CompactEvery links, or the delta would cover at least half
@@ -54,6 +60,11 @@ type Writer struct {
 	haveBase   bool
 	parentHash uint64
 	deltas     int
+	// tip is the checkpoint at the chain tip when the chain was written
+	// by Tick: the base it wrote, patched by every delta since and
+	// resealed lazily by Tip (tipSealed false after a patch).
+	tip       *beep.Checkpoint
+	tipSealed bool
 }
 
 // NewWriter creates a chain writer for path. The writer carries no
@@ -83,6 +94,53 @@ func (w *Writer) ParentHash() uint64 { return w.parentHash }
 // Deltas returns the number of chain links since the last base.
 func (w *Writer) Deltas() int { return w.deltas }
 
+// Tick takes one checkpoint of net at the caller's cadence: a base
+// snapshot when NeedsBase asks for one (net.Checkpoint + WriteBase),
+// otherwise a delta of the words dirtied since the previous tick,
+// chained to the tip (net.CheckpointDelta + AppendDelta). It returns the
+// kind written ("base" or "delta") and its size in bytes, and keeps the
+// tip in memory for Tip. Every durable checkpoint of the supervisor, the
+// chaos harness and the distributed coordinator is taken here.
+func (w *Writer) Tick(net *beep.Network) (kind string, nbytes int, err error) {
+	if w.NeedsBase(net.DirtyAll(), net.DirtyWords(), (net.N()+63)/64) {
+		cp, err := net.Checkpoint()
+		if err != nil {
+			return "", 0, fmt.Errorf("ckpt: tick: %w", err)
+		}
+		if nbytes, err = w.WriteBase(cp); err != nil {
+			return "", 0, err
+		}
+		w.tip, w.tipSealed = cp, true
+		return "base", nbytes, nil
+	}
+	d, err := net.CheckpointDelta(w.parentHash)
+	if err != nil {
+		return "", 0, fmt.Errorf("ckpt: tick: %w", err)
+	}
+	tip := w.tip
+	if nbytes, err = w.AppendDelta(d); err != nil {
+		return "", 0, err
+	}
+	if tip != nil {
+		if err := beep.ApplyDelta(tip, d); err != nil {
+			return "", 0, fmt.Errorf("ckpt: tick: patch tip: %w", err)
+		}
+		w.tip, w.tipSealed = tip, false
+	}
+	return "delta", nbytes, nil
+}
+
+// Tip returns the sealed checkpoint at the chain tip, or nil when the
+// chain was not written by Tick since its last base. Resealing is an
+// O(n) pass, so it happens here, once per read, not per delta.
+func (w *Writer) Tip() *beep.Checkpoint {
+	if w.tip != nil && !w.tipSealed {
+		w.tip.Seal()
+		w.tipSealed = true
+	}
+	return w.tip
+}
+
 // WriteBase persists c as a fresh base, collapsing any existing chain.
 // The delta sidecar is truncated first (see the crash-ordering note in
 // the package comment). Returns the encoded size in bytes.
@@ -104,6 +162,7 @@ func (w *Writer) WriteBase(c *beep.Checkpoint) (int, error) {
 	w.haveBase = true
 	w.parentHash = c.Hash
 	w.deltas = 0
+	w.tip = nil
 	return len(buf), nil
 }
 
@@ -136,6 +195,7 @@ func (w *Writer) AppendDelta(d *beep.Delta) (int, error) {
 	}
 	w.parentHash = d.Hash
 	w.deltas++
+	w.tip = nil
 	return len(frame), nil
 }
 

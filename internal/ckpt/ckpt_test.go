@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,7 +20,11 @@ import (
 // vertices.
 func chainNet(t *testing.T) *beep.Network {
 	t.Helper()
-	g := graph.GNPAvgDegree(600, 6, rng.New(4))
+	return stableNet(t, graph.GNPAvgDegree(600, 6, rng.New(4)))
+}
+
+func stableNet(t *testing.T, g *graph.Graph) *beep.Network {
+	t.Helper()
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
 	net, err := beep.NewNetwork(g, proto, 7)
 	if err != nil {
@@ -264,14 +269,14 @@ func TestChainV2JSONBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(path)
+	// A v2 JSON base as builds before v3 wrote it (JSON plus newline).
+	v2, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := beep.WriteCheckpoint(f, cp); err != nil {
+	if err := os.WriteFile(path, append(v2, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	got, info, err := Load(path)
 	if err != nil {
 		t.Fatalf("v2 JSON base rejected: %v", err)
@@ -327,5 +332,67 @@ func TestChainAppendGuards(t *testing.T) {
 	}
 	if _, err := w.AppendDelta(d); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTickChainsAndTip drives the one cadence tick the supervisor, the
+// chaos harness and the distributed coordinator share: the first tick
+// is a base, localized activity ticks as deltas, a Restore forces a
+// base again, and after every tick both the in-memory tip and the chain
+// on disk equal the live network bit-exactly.
+func TestTickChainsAndTip(t *testing.T) {
+	// A torus keeps a 3-vertex fault local: far fewer than half of its
+	// 36 words dirty, so the compaction policy leaves the ticks deltas.
+	net := stableNet(t, graph.Torus(48, 48))
+	path := filepath.Join(t.TempDir(), "ck")
+	w := NewWriter(path)
+	defer w.Close()
+	if w.Tip() != nil {
+		t.Fatal("fresh writer has a tip")
+	}
+	src := rng.New(12)
+	var kinds []string
+	tick := func() {
+		t.Helper()
+		kind, nbytes, err := w.Tick(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nbytes <= 0 {
+			t.Fatalf("%s tick reported %d bytes", kind, nbytes)
+		}
+		kinds = append(kinds, kind)
+		mustEqualLive(t, path, net)
+		live, err := net.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tip := w.Tip(); tip == nil || !reflect.DeepEqual(tip, live) {
+			t.Fatalf("tick %d (%s): in-memory tip differs from the live network", len(kinds), kind)
+		}
+	}
+	tick()
+	for i := 0; i < 3; i++ {
+		perturbAndSettle(t, net, src, 3)
+		tick()
+	}
+	cp, err := net.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	tick()
+	want := []string{"base", "delta", "delta", "delta", "base"}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("tick kinds %v, want %v", kinds, want)
+	}
+	// A base written around Tick drops the tip it can no longer vouch for.
+	if _, err := w.WriteBase(cp); err != nil {
+		t.Fatal(err)
+	}
+	if w.Tip() != nil {
+		t.Fatal("tip survived a base written outside Tick")
 	}
 }

@@ -231,22 +231,6 @@ func NewState(g graph.Topology, levels, caps []int) *State {
 	return s
 }
 
-// NewStateWith builds a snapshot from exported int32 level and cap
-// slices with an explicit channel discipline — the form distributed
-// coordinators assemble from per-partition level exports (see
-// LevelExporter). The slices are copied; twoChannel selects Algorithm 2
-// membership semantics (ℓ = 0) over Algorithm 1 (ℓ = -cap).
-func NewStateWith(g graph.Topology, levels, caps []int32, twoChannel bool) *State {
-	s := &State{
-		levels:      append([]int32(nil), levels...),
-		caps:        append([]int32(nil), caps...),
-		capsMutable: true,
-		twoChannel:  twoChannel,
-	}
-	s.setGraph(g)
-	return s
-}
-
 // SetExcluded installs the mask of non-cooperating vertices (length n,
 // true = excluded from the legality machinery), typically captured from
 // beep.Network.FillAdversaryMask. The mask is copied; nil clears it.

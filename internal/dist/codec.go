@@ -5,7 +5,8 @@
 // robustness-first: length-prefixed CRC-checksummed frames with resync,
 // deterministic fault injection (FaultConn), per-RPC timeouts with
 // capped exponential backoff and bounded retransmission, heartbeats,
-// and crash-exact recovery from coordinator-assembled checkpoints.
+// and crash-exact recovery from the coordinator's shadow network, into
+// which workers ship their dirty state rows.
 package dist
 
 import (
@@ -54,8 +55,6 @@ const (
 	fEmitOK
 	fDeliver
 	fDeliverOK
-	fState
-	fStateOK
 	fPing
 	fPong
 	fShutdown

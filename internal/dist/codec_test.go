@@ -43,7 +43,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameResync(t *testing.T) {
 	a := frame{Type: fPing, Seq: 1, Payload: []byte("a")}
 	b := frame{Type: fPong, Seq: 2, Payload: []byte("bb")}
-	c := frame{Type: fState, Seq: 3, Payload: []byte("ccc")}
+	c := frame{Type: fStateDelta, Seq: 3, Payload: []byte("ccc")}
 
 	t.Run("leading garbage", func(t *testing.T) {
 		wire := append([]byte("noise BPW garbage \x00\xff"), appendFrame(nil, a)...)

@@ -63,8 +63,8 @@ type Config struct {
 	// CheckpointEvery is the synchronized-checkpoint cadence in rounds
 	// (0 = every 8: recovery needs a checkpoint to rewind to).
 	CheckpointEvery int
-	// CheckpointPath, when set, persists each assembled checkpoint
-	// atomically.
+	// CheckpointPath, when set, persists the run's state at every
+	// cadence tick as a base + delta chain (internal/ckpt).
 	CheckpointPath string
 	// Resume restores this checkpoint instead of applying Init.
 	Resume *beep.Checkpoint
@@ -120,7 +120,8 @@ type Result struct {
 	// round initialRound+1+i (see CombineDigests); recovered rounds
 	// overwrite their slot with — by determinism — the same value.
 	RoundHashes []uint64
-	// LastCheckpoint is the most recent synchronized checkpoint.
+	// LastCheckpoint is the state at round Rounds, sealed: bit-exact the
+	// checkpoint a single-process network stepped to that round holds.
 	LastCheckpoint *beep.Checkpoint
 	// WireBytes totals the logical payload bytes of the per-round signal
 	// exchange (emit replies + deliver requests, the two directions that
@@ -283,7 +284,6 @@ type coordinator struct {
 	g        *graph.Graph
 	table    *partTable
 	channels int
-	two      bool
 	token    string
 	addr     string
 
@@ -312,21 +312,16 @@ type coordinator struct {
 	downWi  [2][]int32
 	downVal [2][]uint64
 
-	// lastCP is the recovery anchor. Between checkpoint-cadence ticks
-	// it is patched vertex-granularly from worker state deltas and left
-	// UNSEALED (lastCPSealed false) — resealing is an O(n) pass the
-	// delta path exists to avoid — and sealed lazily wherever the
-	// checkpoint escapes: the fRestore payload, a base write, and the
-	// final Result. lastCPBytes caches the encoded fRestore payload
-	// (nil after a patch; regenerated on demand).
-	lastCP       *beep.Checkpoint
-	lastCPBytes  []byte
-	lastCPSealed bool
-	// chain persists the checkpoint to cfg.CheckpointPath as a base
-	// snapshot plus delta links (lazily created on the first cadence
-	// tick); totalWords feeds its base-vs-delta policy.
-	chain      *ckpt.Writer
-	totalWords int
+	// shadow is a network over the run's graph and protocol that never
+	// steps: it starts at the initial (or resumed) state and installs
+	// the state rows of every complete collection, so it holds the last
+	// collected round. It is the recovery anchor (restored workers
+	// rewind to it), the legality probe's input, the source of
+	// Result.LastCheckpoint, and the network the chain writer
+	// checkpoints at each cadence tick (chain is nil without a
+	// CheckpointPath).
+	shadow *beep.Network
+	chain  *ckpt.Writer
 
 	res *Result
 }
@@ -357,10 +352,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if co.logf == nil {
 		co.logf = func(string, ...any) {}
 	}
+	defer co.shutdown()
 	if err := co.setup(ctx); err != nil {
 		return nil, err
 	}
-	defer co.shutdown()
 	if err := co.loop(ctx); err != nil {
 		return nil, err
 	}
@@ -400,9 +395,8 @@ func applyDefaults(cfg *Config) {
 	}
 }
 
-// setup validates the run against a local reference network, captures
-// the initial checkpoint, builds the partition table, starts the
-// listener, and brings every worker to the restored start state.
+// setup builds the shadow network at the start state, the partition
+// table and the listener, and brings every worker to the start state.
 func (co *coordinator) setup(ctx context.Context) error {
 	cfg := &co.cfg
 	proto, err := core.ProtocolByName(cfg.Protocol)
@@ -410,49 +404,24 @@ func (co *coordinator) setup(ctx context.Context) error {
 		return fmt.Errorf("dist: %w", err)
 	}
 	co.channels = proto.Channels()
-	// The reference network exists only to capture the initial
-	// checkpoint, whose auxiliary stream states seed every later
-	// assembled checkpoint. It never steps.
-	refNet, err := beep.NewNetwork(cfg.Graph, proto, cfg.Seed)
-	if err != nil {
+	if co.shadow, err = beep.NewNetwork(cfg.Graph, proto, cfg.Seed); err != nil {
 		return fmt.Errorf("dist: %w", err)
 	}
-	le, ok := refNet.BulkState().(core.LevelExporter)
-	if !ok {
-		refNet.Close()
+	if _, ok := co.shadow.BulkState().(core.LevelExporter); !ok {
 		return fmt.Errorf("dist: protocol %s does not export levels", cfg.Protocol)
 	}
-	co.two = le.TwoChannel()
 	if cfg.Resume != nil {
 		if len(cfg.Resume.Adversaries) > 0 || cfg.Resume.NoiseLoss != 0 || cfg.Resume.NoiseFalse != 0 || cfg.Resume.SleepP != 0 {
-			refNet.Close()
 			return fmt.Errorf("dist: checkpoint carries fault models (noise/sleep/adversaries), which the distributed engine does not run")
 		}
-		if err := refNet.Restore(cfg.Resume); err != nil {
-			refNet.Close()
+		if err := co.shadow.Restore(cfg.Resume); err != nil {
 			return fmt.Errorf("dist: resume: %w", err)
 		}
-		// Clone: the anchor is patched in place between checkpoints and
-		// must never mutate the caller's checkpoint.
-		co.lastCP = cloneCheckpoint(cfg.Resume)
-	} else {
-		if err := core.ApplyInit(refNet, cfg.Init); err != nil {
-			refNet.Close()
-			return fmt.Errorf("dist: %w", err)
-		}
-		cp, err := refNet.Checkpoint()
-		if err != nil {
-			refNet.Close()
-			return fmt.Errorf("dist: initial checkpoint: %w", err)
-		}
-		co.lastCP = cp
+	} else if err := core.ApplyInit(co.shadow, cfg.Init); err != nil {
+		return fmt.Errorf("dist: %w", err)
 	}
-	refNet.Close()
-	co.lastCPSealed = true
-	co.totalWords = (co.g.N() + 63) / 64
-	co.lastCPBytes, err = encodeCheckpoint(co.lastCP)
-	if err != nil {
-		return err
+	if cfg.CheckpointPath != "" {
+		co.chain = ckpt.NewWriter(cfg.CheckpointPath)
 	}
 
 	parts := cfg.Partitions
@@ -653,53 +622,26 @@ func (co *coordinator) classify(errs []error) error {
 // round loop must run the recovery path. Never returned from Run.
 var errNeedRecovery = errors.New("dist: worker death, recovery required")
 
-// restoreAll rewinds every worker to the last synchronized checkpoint.
-// The coordinator's exchange baselines are zeroed in the same breath:
-// every worker's fRestore handler runs ResetSparse, so both sides of
-// the delta protocol restart from the all-zero word state.
+// restoreAll rewinds every worker to the shadow: the last complete
+// collection, in practice the last cadence tick. The coordinator's
+// exchange baselines are zeroed in the same breath: every worker's
+// fRestore handler runs ResetSparse, so both sides of the delta
+// protocol restart from the all-zero word state. Capturing the payload
+// rebaselines the shadow's dirty words; that is safe only because every
+// restored worker re-exports its full range at the next collection, so
+// the next persisted tick is a base.
 func (co *coordinator) restoreAll() error {
 	co.resetExchange()
-	payload, err := co.restorePayload()
+	cp, err := co.shadow.Checkpoint()
 	if err != nil {
-		return err
+		return fmt.Errorf("dist: restore payload: %w", err)
+	}
+	payload, err := beep.EncodeSnapshot(cp)
+	if err != nil {
+		return fmt.Errorf("dist: restore payload: %w", err)
 	}
 	errs := co.broadcast(nil, fRestore, fRestoreOK, func(int) []byte { return payload })
 	return co.classify(errs)
-}
-
-// restorePayload returns the encoded fRestore payload of the current
-// anchor, sealing and re-encoding it if delta patches invalidated the
-// cache.
-func (co *coordinator) restorePayload() ([]byte, error) {
-	if co.lastCPBytes == nil {
-		co.sealLastCP()
-		b, err := encodeCheckpoint(co.lastCP)
-		if err != nil {
-			return nil, err
-		}
-		co.lastCPBytes = b
-	}
-	return co.lastCPBytes, nil
-}
-
-// sealLastCP reseals the anchor after delta patches (no-op when already
-// sealed).
-func (co *coordinator) sealLastCP() {
-	if !co.lastCPSealed {
-		co.lastCP.Seal()
-		co.lastCPSealed = true
-	}
-}
-
-// cloneCheckpoint copies a checkpoint so in-place anchor patches never
-// touch the source. Machine rows are shared: patches replace rows, they
-// never mutate one.
-func cloneCheckpoint(cp *beep.Checkpoint) *beep.Checkpoint {
-	c := *cp
-	c.Machines = append([][]int64(nil), cp.Machines...)
-	c.Streams = append([][4]uint64(nil), cp.Streams...)
-	c.Adversaries = append([]uint8(nil), cp.Adversaries...)
-	return &c
 }
 
 // resetExchange zeroes the merged words, every per-partition upload
@@ -722,7 +664,7 @@ func (co *coordinator) resetExchange() {
 }
 
 // recoverWorkers revives every dead partition and rewinds the run to
-// the last synchronized checkpoint. Bounded: each revival consumes the
+// the shadow's round. Bounded: each revival consumes the
 // respawn budget, and a partition that cannot come back (spawn failure,
 // join timeout, budget exhausted) fails the run with ErrWorkerLost.
 func (co *coordinator) recoverWorkers(ctx context.Context) error {
@@ -765,7 +707,7 @@ func (co *coordinator) recoverWorkers(ctx context.Context) error {
 			}
 			return err
 		}
-		co.logf("recovered: all %d workers restored at round %d", len(co.clients), co.lastCP.Round)
+		co.logf("recovered: all %d workers restored at round %d", len(co.clients), co.shadow.Round())
 		return nil
 	}
 }
@@ -791,5 +733,8 @@ func (co *coordinator) shutdown() {
 	}
 	if co.chain != nil {
 		co.chain.Close()
+	}
+	if co.shadow != nil {
+		co.shadow.Close()
 	}
 }

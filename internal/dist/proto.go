@@ -33,31 +33,6 @@ type configMsg struct {
 	Hi       int    `json:"hi"`
 }
 
-// stateMsg is a worker's range state export (JSON payload of fStateOK):
-// the checkpoint slice plus the level/cap export the coordinator's
-// legality probe reads.
-type stateMsg struct {
-	Round    int         `json:"round"`
-	Machines [][]int64   `json:"machines"`
-	Streams  [][4]uint64 `json:"streams"`
-	Levels   []int32     `json:"levels"`
-	Caps     []int32     `json:"caps"`
-}
-
-// stateDeltaMsg is a worker's incremental range-state export (JSON
-// payload of fStateDeltaOK): the machine and stream states of exactly
-// the vertices whose slab word was dirtied since the worker's previous
-// export (the whole range after a restore). Verts is ascending and
-// bounded to the worker's range, so adjacent owners of a shared
-// boundary word report disjoint vertex sets. The legality probe's
-// levels/caps are not needed on checkpoint cadence and are omitted.
-type stateDeltaMsg struct {
-	Round    int         `json:"round"`
-	Verts    []int32     `json:"verts"`
-	Machines [][]int64   `json:"machines"`
-	Streams  [][4]uint64 `json:"streams"`
-}
-
 // partTable is the static exchange plan for one partitioned run.
 type partTable struct {
 	n      int
@@ -158,6 +133,39 @@ func decodeDeliverOK(b []byte) (round int, changed bool, digest uint64, err erro
 		return 0, false, 0, fmt.Errorf("dist: deliver reply is %d bytes, want 13", len(b))
 	}
 	return int(binary.LittleEndian.Uint32(b)), b[4] != 0, binary.LittleEndian.Uint64(b[5:]), nil
+}
+
+// decodeStateReply parses a worker's fStateDeltaOK payload — the round,
+// then the worker's dirty state rows in beep's row layout — and
+// validates it against the worker's range: the requested round,
+// ascending vertices inside [lo, hi), one stream and machine state per
+// vertex, no trailing bytes. Replies are untrusted input: anything else
+// is an error, never a panic.
+func decodeStateReply(b []byte, round int, r [2]int) (*beep.StateRows, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("dist: state reply is %d bytes, want >= 4", len(b))
+	}
+	if got := int(binary.LittleEndian.Uint32(b)); got != round {
+		return nil, fmt.Errorf("dist: state reply for round %d, want %d", got, round)
+	}
+	rows, rest, err := beep.DecodeStateRows(b[4:])
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("dist: state reply has %d trailing bytes", len(rest))
+	}
+	if len(rows.Machines) != len(rows.Index) {
+		return nil, fmt.Errorf("dist: state reply carries %d rows for %d vertices", len(rows.Machines), len(rows.Index))
+	}
+	prev := r[0] - 1
+	for _, v := range rows.Index {
+		if int(v) <= prev || int(v) >= r[1] {
+			return nil, fmt.Errorf("dist: state reply vertex %d outside ascending range [%d, %d)", v, r[0], r[1])
+		}
+		prev = int(v)
+	}
+	return rows, nil
 }
 
 // --- sparse (delta) round payloads ------------------------------------

@@ -2,15 +2,12 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 	"time"
 
 	"repro/internal/beep"
-	"repro/internal/ckpt"
 	"repro/internal/core"
 )
 
@@ -26,19 +23,20 @@ func defaultBudget(n int) int {
 
 // loop drives the per-round exchange until stabilization (or the fixed
 // round target), recovering from worker deaths by rewinding everyone to
-// the last synchronized checkpoint.
+// the shadow's round.
 func (co *coordinator) loop(ctx context.Context) error {
 	cfg := &co.cfg
-	startRound := co.lastCP.Round
+	startRound := co.shadow.Round()
 	r := startRound
 	budget := cfg.MaxRounds
 	if budget == 0 {
 		budget = defaultBudget(co.g.N())
 	}
 	digests := make([]uint64, len(co.clients))
+	var probe core.State
 
 	// rewind routes a dead-worker signal through recovery and resets
-	// the round cursor to the restored checkpoint.
+	// the round cursor to the restored shadow round.
 	rewind := func(err error) (bool, error) {
 		if !errors.Is(err, errNeedRecovery) {
 			return false, err
@@ -46,7 +44,7 @@ func (co *coordinator) loop(ctx context.Context) error {
 		if rerr := co.recoverWorkers(ctx); rerr != nil {
 			return false, rerr
 		}
-		r = co.lastCP.Round
+		r = co.shadow.Round()
 		return true, nil
 	}
 
@@ -177,8 +175,7 @@ func (co *coordinator) loop(ctx context.Context) error {
 		// probe it for MIS legality. (A non-legal fixed point keeps
 		// looping and falls to the budget.)
 		if cfg.FixedRounds == 0 && !anyDrew && !anyChanged {
-			states, err := co.collectStates(round)
-			if err != nil {
+			if err := co.collect(round); err != nil {
 				if retried, rerr := rewind(err); rerr != nil {
 					return rerr
 				} else if retried {
@@ -186,20 +183,16 @@ func (co *coordinator) loop(ctx context.Context) error {
 				}
 				return err
 			}
-			probe := co.buildProbe(states)
+			if err := probe.Refresh(co.shadow); err != nil {
+				return fmt.Errorf("dist: %w", err)
+			}
 			if probe.Stabilized() {
 				if err := probe.VerifyMIS(); err != nil {
 					return fmt.Errorf("dist: stabilized configuration failed verification: %w", err)
 				}
 				co.res.Stabilized = true
 				co.res.StabilizedRound = round - 1
-				co.res.MIS = probe.MISMask()
-				for _, in := range co.res.MIS {
-					if in {
-						co.res.MISSize++
-					}
-				}
-				co.finalCheckpoint(round, states)
+				co.setMIS(&probe)
 				break
 			}
 		}
@@ -208,8 +201,7 @@ func (co *coordinator) loop(ctx context.Context) error {
 
 	if co.cfg.FixedRounds > 0 {
 		// Fixed-round runs still report legality and state at the end.
-		states, err := co.collectStates(r)
-		if err != nil {
+		if err := co.collect(r); err != nil {
 			if errors.Is(err, errNeedRecovery) {
 				// Workers died after the last round completed; the run's
 				// results are already determined, so don't revive anyone
@@ -218,21 +210,31 @@ func (co *coordinator) loop(ctx context.Context) error {
 			}
 			return err
 		}
-		probe := co.buildProbe(states)
+		if err := probe.Refresh(co.shadow); err != nil {
+			return fmt.Errorf("dist: %w", err)
+		}
 		if probe.Stabilized() && probe.VerifyMIS() == nil {
 			co.res.Stabilized = true
-			co.res.MIS = probe.MISMask()
-			for _, in := range co.res.MIS {
-				if in {
-					co.res.MISSize++
-				}
-			}
+			co.setMIS(&probe)
 		}
-		co.finalCheckpoint(r, states)
 	}
-	co.sealLastCP()
-	co.res.LastCheckpoint = co.lastCP
+	cp, err := co.shadow.Checkpoint()
+	if err != nil {
+		return fmt.Errorf("dist: final checkpoint: %w", err)
+	}
+	co.res.LastCheckpoint = cp
 	return nil
+}
+
+// setMIS records the probe's MIS in the result.
+func (co *coordinator) setMIS(probe *core.State) {
+	co.res.MIS = probe.MISMask()
+	co.res.MISSize = 0
+	for _, in := range co.res.MIS {
+		if in {
+			co.res.MISSize++
+		}
+	}
 }
 
 // deliverPayload builds partition p's deliver delta: the dirty merged
@@ -259,205 +261,54 @@ func (co *coordinator) deliverPayload(round, p int) []byte {
 	})
 }
 
-// collectStates gathers every worker's range state at the given round.
-func (co *coordinator) collectStates(round int) ([]stateMsg, error) {
-	errs := co.broadcast(nil, fState, fStateOK, func(int) []byte { return encodeRound(round) })
-	if err := co.classify(errs); err != nil {
-		return nil, err
-	}
-	states := make([]stateMsg, len(co.clients))
-	for p := range co.clients {
-		var st stateMsg
-		if err := json.Unmarshal(co.replies[p], &st); err != nil {
-			return nil, &WorkerError{Part: p, Msg: fmt.Sprintf("state reply: %v", err)}
-		}
-		r := co.table.ranges[p]
-		span := r[1] - r[0]
-		if st.Round != round || len(st.Machines) != span || len(st.Streams) != span ||
-			len(st.Levels) != span || len(st.Caps) != span {
-			return nil, &WorkerError{Part: p, Msg: fmt.Sprintf(
-				"state reply shape: round %d (want %d), %d/%d/%d/%d entries (want %d)",
-				st.Round, round, len(st.Machines), len(st.Streams), len(st.Levels), len(st.Caps), span)}
-		}
-		states[p] = st
-	}
-	return states, nil
-}
-
-// buildProbe assembles the workers' level exports into a legality
-// checker over the full graph.
-func (co *coordinator) buildProbe(states []stateMsg) *core.State {
-	n := co.g.N()
-	levels := make([]int32, n)
-	caps := make([]int32, n)
-	for p, st := range states {
-		r := co.table.ranges[p]
-		copy(levels[r[0]:r[1]], st.Levels)
-		copy(caps[r[0]:r[1]], st.Caps)
-	}
-	return core.NewStateWith(co.g, levels, caps, co.two)
-}
-
-// assembleCheckpoint splices the workers' range states into a sealed
-// full checkpoint. The identity header and allocator/fault stream
-// fields are invariant across rounds, so the previous checkpoint is the
-// template.
-func (co *coordinator) assembleCheckpoint(round int, states []stateMsg) *beep.Checkpoint {
-	cp := *co.lastCP
-	cp.Round = round
-	cp.Machines = make([][]int64, cp.GraphN)
-	cp.Streams = make([][4]uint64, cp.GraphN)
-	for p, st := range states {
-		r := co.table.ranges[p]
-		copy(cp.Machines[r[0]:r[1]], st.Machines)
-		copy(cp.Streams[r[0]:r[1]], st.Streams)
-	}
-	cp.Seal()
-	return &cp
-}
-
-// checkpointNow advances the recovery anchor incrementally: every
-// worker uploads the state of exactly the slab words its range dirtied
-// since the previous collection (its full range right after a restore),
-// the coordinator patches the anchor vertex-granularly, and — when a
-// checkpoint path is configured — persists either a base snapshot or a
-// delta link chained to it, per the chain writer's compaction policy.
-// Collection is all-or-nothing: a dead worker surfaces before the first
-// patch, and the recovery it triggers restores every worker (marking
-// everything dirty again), so a partially collected tick can never leak
-// into the chain.
+// checkpointNow is the synchronized checkpoint cadence: it brings the
+// shadow to round and, with a checkpoint path, persists one chain tick
+// of it — a base or a delta, per the chain writer's compaction policy.
+// A dead worker surfaces from the collection before anything is
+// installed or written, and the recovery it triggers restores every
+// worker, so a partially collected tick never reaches the chain.
 func (co *coordinator) checkpointNow(round int) error {
-	deltas, err := co.collectStateDeltas(round)
-	if err != nil {
+	if err := co.collect(round); err != nil {
 		return err
 	}
-	dirtyWords := make(map[int32]struct{})
-	cp := co.lastCP
-	for _, sd := range deltas {
-		for i, v := range sd.Verts {
-			cp.Machines[v] = sd.Machines[i]
-			cp.Streams[v] = sd.Streams[i]
-			dirtyWords[v>>6] = struct{}{}
+	kind, nbytes := "memory", 0
+	if co.chain != nil {
+		var err error
+		if kind, nbytes, err = co.chain.Tick(co.shadow); err != nil {
+			return fmt.Errorf("dist: persist checkpoint: %w", err)
 		}
 	}
-	cp.Round = round
-	co.lastCPSealed = false
-	co.lastCPBytes = nil
-
-	kind := "memory"
-	nbytes := 0
-	if co.cfg.CheckpointPath != "" {
-		if co.chain == nil {
-			co.chain = ckpt.NewWriter(co.cfg.CheckpointPath)
-		}
-		if co.chain.NeedsBase(false, len(dirtyWords), co.totalWords) {
-			co.sealLastCP()
-			if nbytes, err = co.chain.WriteBase(cp); err != nil {
-				return fmt.Errorf("dist: persist checkpoint: %w", err)
-			}
-			kind = "base"
-		} else {
-			d := co.buildDelta(round, dirtyWords)
-			if nbytes, err = co.chain.AppendDelta(d); err != nil {
-				return fmt.Errorf("dist: persist checkpoint: %w", err)
-			}
-			kind = "delta"
-		}
-	}
-	co.logf("checkpoint at round %d (%d workers, %d dirty words, %s, %d bytes)",
-		round, len(co.clients), len(dirtyWords), kind, nbytes)
+	co.logf("checkpoint at round %d (%d workers, %s, %d bytes)", round, len(co.clients), kind, nbytes)
 	return nil
 }
 
-// collectStateDeltas gathers every worker's incremental range state at
-// the given round, validating all replies before returning any.
-func (co *coordinator) collectStateDeltas(round int) ([]stateDeltaMsg, error) {
+// collect gathers every worker's state rows dirtied since its previous
+// export (its full range after a restore) and installs them into the
+// shadow at round. It is all-or-nothing: a dead worker surfaces before
+// the first install, and every reply is validated (round, ascending
+// vertices inside the worker's range, lengths, no trailing bytes)
+// before the first install. A machine rejecting its row fails the run.
+// A shadow already at round has nothing to collect.
+func (co *coordinator) collect(round int) error {
+	if co.shadow.Round() == round {
+		return nil
+	}
 	errs := co.broadcast(nil, fStateDelta, fStateDeltaOK, func(int) []byte { return encodeRound(round) })
 	if err := co.classify(errs); err != nil {
-		return nil, err
+		return err
 	}
-	n := co.g.N()
-	deltas := make([]stateDeltaMsg, len(co.clients))
+	rows := make([]*beep.StateRows, len(co.clients))
 	for p := range co.clients {
-		var sd stateDeltaMsg
-		if err := json.Unmarshal(co.replies[p], &sd); err != nil {
-			return nil, &WorkerError{Part: p, Msg: fmt.Sprintf("state delta reply: %v", err)}
+		r, err := decodeStateReply(co.replies[p], round, co.table.ranges[p])
+		if err != nil {
+			return &WorkerError{Part: p, Msg: err.Error()}
 		}
-		r := co.table.ranges[p]
-		if sd.Round != round || len(sd.Machines) != len(sd.Verts) || len(sd.Streams) != len(sd.Verts) {
-			return nil, &WorkerError{Part: p, Msg: fmt.Sprintf(
-				"state delta shape: round %d (want %d), %d verts / %d machines / %d streams",
-				sd.Round, round, len(sd.Verts), len(sd.Machines), len(sd.Streams))}
-		}
-		prev := int32(-1)
-		for _, v := range sd.Verts {
-			if v <= prev || int(v) < r[0] || int(v) >= r[1] || int(v) >= n {
-				return nil, &WorkerError{Part: p, Msg: fmt.Sprintf(
-					"state delta vertex %d outside ascending range [%d, %d)", v, r[0], r[1])}
-			}
-			prev = v
-		}
-		deltas[p] = sd
+		rows[p] = r
 	}
-	return deltas, nil
-}
-
-// buildDelta assembles the persistable delta link for the given dirty
-// word set, reading the word-complete vertex states from the freshly
-// patched anchor (vertices of a dirty word that no worker re-uploaded
-// are unchanged, so the anchor's rows are exact). The auxiliary RNG and
-// allocator fields are invariant in a partitioned run (Partition
-// rejects the fault models that would advance them).
-func (co *coordinator) buildDelta(round int, dirtyWords map[int32]struct{}) *beep.Delta {
-	cp := co.lastCP
-	wis := make([]int32, 0, len(dirtyWords))
-	for wi := range dirtyWords {
-		wis = append(wis, wi)
-	}
-	sort.Slice(wis, func(i, j int) bool { return wis[i] < wis[j] })
-	d := &beep.Delta{
-		GraphFingerprint: cp.GraphFingerprint,
-		Protocol:         cp.Protocol,
-		Round:            round,
-		ParentHash:       co.chain.ParentHash(),
-		Words:            wis,
-		NoiseRNG:         cp.NoiseRNG,
-		SleepRNG:         cp.SleepRNG,
-		AdvRNG:           cp.AdvRNG,
-		RootRNG:          cp.RootRNG,
-		NextStream:       cp.NextStream,
-		AdvEpoch:         cp.AdvEpoch,
-	}
-	n := cp.GraphN
-	for _, wi := range wis {
-		lo, hi := int(wi)*64, int(wi)*64+64
-		if hi > n {
-			hi = n
-		}
-		for v := lo; v < hi; v++ {
-			d.Machines = append(d.Machines, cp.Machines[v])
-			d.Streams = append(d.Streams, cp.Streams[v])
+	for p, r := range rows {
+		if err := co.shadow.InstallRows(round, r); err != nil {
+			return &WorkerError{Part: p, Msg: err.Error()}
 		}
 	}
-	d.Seal()
-	return d
-}
-
-// finalCheckpoint installs an assembled checkpoint as the current
-// anchor without persisting it.
-func (co *coordinator) finalCheckpoint(round int, states []stateMsg) {
-	cp := co.assembleCheckpoint(round, states)
-	co.lastCP = cp
-	co.lastCPSealed = true
-	co.lastCPBytes = nil
-}
-
-// encodeCheckpoint serializes a sealed checkpoint into the fRestore
-// payload (the v3 binary snapshot; workers auto-detect the format).
-func encodeCheckpoint(cp *beep.Checkpoint) ([]byte, error) {
-	b, err := beep.EncodeSnapshot(cp)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode checkpoint: %w", err)
-	}
-	return b, nil
+	return nil
 }

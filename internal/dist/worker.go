@@ -50,15 +50,11 @@ type workerState struct {
 	updatedRound int
 	emitReply    []byte
 	deliverReply []byte
-	// stateDeltaRound/stateDeltaReply cache the incremental state
-	// export: ExportStateDelta rebaselines (unlike the idempotent full
-	// fState export), so a retransmitted fStateDelta must be answered
-	// from the cache, never re-exported.
+	// stateDeltaRound/stateDeltaReply cache the state-row export:
+	// AppendDirtyRows rebaselines, so a retransmitted fStateDelta must
+	// be answered from the cache, never re-exported.
 	stateDeltaRound int
 	stateDeltaReply []byte
-
-	levelBuf []int32
-	capBuf   []int32
 }
 
 // RunWorker dials the coordinator, serves its partition until the
@@ -148,7 +144,7 @@ func handleFrame(wsp **workerState, part int, f frame, logf func(string, ...any)
 	}
 	switch f.Type {
 	case fRestore:
-		cp, err := beep.DecodeCheckpointAuto(f.Payload)
+		cp, err := beep.DecodeSnapshot(f.Payload)
 		if err != nil {
 			return fail("worker %d: restore: %v", part, err)
 		}
@@ -156,9 +152,9 @@ func handleFrame(wsp **workerState, part int, f frame, logf func(string, ...any)
 			return fail("worker %d: restore: %v", part, err)
 		}
 		// The restored state invalidates every delta baseline — the
-		// coordinator zeroes its side in the same recovery — and the
-		// incremental state export's: the next fStateDelta covers the
-		// full range.
+		// coordinator zeroes its side in the same recovery — and Restore
+		// marks every row dirty: the next fStateDelta covers the full
+		// range.
 		ws.part.ResetSparse()
 		ws.emittedRound, ws.updatedRound = cp.Round, cp.Round
 		ws.emitReply, ws.deliverReply = nil, nil
@@ -222,20 +218,6 @@ func handleFrame(wsp **workerState, part int, f frame, logf func(string, ...any)
 				part, round, ws.emittedRound, ws.updatedRound)
 		}
 
-	case fState:
-		r, err := decodeRound(f.Payload)
-		if err != nil {
-			return fail("worker %d: state: %v", part, err)
-		}
-		if r != ws.updatedRound {
-			return fail("worker %d: state at round %d out of sync (updated %d)", part, r, ws.updatedRound)
-		}
-		msg, err := ws.exportState()
-		if err != nil {
-			return fail("worker %d: state: %v", part, err)
-		}
-		return &frame{Type: fStateOK, Seq: f.Seq, Payload: msg}, false
-
 	case fStateDelta:
 		r, err := decodeRound(f.Payload)
 		if err != nil {
@@ -249,16 +231,12 @@ func handleFrame(wsp **workerState, part int, f frame, logf func(string, ...any)
 		if r != ws.updatedRound {
 			return fail("worker %d: state delta at round %d out of sync (updated %d)", part, r, ws.updatedRound)
 		}
-		verts, machines, streams, err := ws.part.ExportStateDelta()
+		reply, err := ws.part.AppendDirtyRows(encodeRound(r))
 		if err != nil {
 			return fail("worker %d: state delta: %v", part, err)
 		}
-		msg, err := json.Marshal(stateDeltaMsg{Round: r, Verts: verts, Machines: machines, Streams: streams})
-		if err != nil {
-			return fail("worker %d: state delta: %v", part, err)
-		}
-		ws.stateDeltaRound, ws.stateDeltaReply = r, msg
-		return &frame{Type: fStateDeltaOK, Seq: f.Seq, Payload: msg}, false
+		ws.stateDeltaRound, ws.stateDeltaReply = r, reply
+		return &frame{Type: fStateDeltaOK, Seq: f.Seq, Payload: reply}, false
 	}
 	return nil, false // unknown frame type: ignore
 }
@@ -294,32 +272,4 @@ func newWorkerState(payload []byte) (*workerState, error) {
 		net: net, part: part, lo: cfg.Lo, hi: cfg.Hi, cfg: cfg,
 		words: (g.N() + 63) / 64, stateDeltaRound: -1,
 	}, nil
-}
-
-// exportState serializes the worker's range state: the checkpoint slice
-// plus the level export the coordinator's legality probe reads.
-func (ws *workerState) exportState() ([]byte, error) {
-	machines, streams, err := ws.net.ExportRangeState(ws.lo, ws.hi)
-	if err != nil {
-		return nil, err
-	}
-	le, ok := ws.net.BulkState().(core.LevelExporter)
-	if !ok {
-		return nil, fmt.Errorf("bulk state %T does not export levels", ws.net.BulkState())
-	}
-	n := ws.net.N()
-	if cap(ws.levelBuf) < n {
-		ws.levelBuf = make([]int32, n)
-		ws.capBuf = make([]int32, n)
-	}
-	ws.levelBuf, ws.capBuf = ws.levelBuf[:n], ws.capBuf[:n]
-	le.ExportLevels(ws.levelBuf, ws.capBuf)
-	msg := stateMsg{
-		Round:    ws.updatedRound,
-		Machines: machines,
-		Streams:  streams,
-		Levels:   append([]int32(nil), ws.levelBuf[ws.lo:ws.hi]...),
-		Caps:     append([]int32(nil), ws.capBuf[ws.lo:ws.hi]...),
-	}
-	return json.Marshal(msg)
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/beep"
@@ -11,16 +10,16 @@ import (
 	"repro/internal/rng"
 )
 
-// RunE22 measures what checkpoint format v3 (DESIGN §12) buys each
+// RunE22 measures what incremental checkpoints (DESIGN §12) buy each
 // durability consumer: the per-tick cost of a checkpoint — state walk
-// plus serialization — across the three codecs (v2 JSON full
-// snapshot, v3 binary full snapshot, v3 incremental delta), swept
-// over the two knobs an operator actually turns:
+// plus serialization — of the v3 binary full snapshot against the v3
+// incremental delta, swept over the two knobs an operator actually
+// turns:
 //
 //   - cadence: rounds between checkpoint ticks. Shorter cadences give
 //     tighter recovery points and fewer dirty words per tick — the
-//     delta's cost shrinks with the cadence while both full snapshots
-//     stay O(n).
+//     delta's cost shrinks with the cadence while the full snapshot
+//     stays O(n).
 //   - corruption: transient faults injected right after the baseline
 //     (the self-stabilization workload). More corruption dirties more
 //     words, pushing the delta toward full-snapshot cost; the
@@ -43,12 +42,12 @@ func RunE22(cfg Config) error {
 
 	tab := &Table{
 		Title:   "E22: checkpoint cost vs cadence vs corruption (flat kernels, stabilized torus start)",
-		Columns: []string{"n", "cadence", "corrupt", "dirty-frac", "json-KB", "bin-KB", "delta-KB", "json-us", "bin-us", "delta-us", "speedup"},
+		Columns: []string{"n", "cadence", "corrupt", "dirty-frac", "bin-KB", "delta-KB", "bin-us", "delta-us", "speedup"},
 		Notes: []string{
 			"per-tick checkpoint cost: state walk + serialization, min over trials; sizes are per-cell, not chain totals",
 			"dirty-frac: slab words dirtied since the baseline / total words — what the delta pays for, and what the chain writer's ≥1/2 compaction policy inspects",
-			"json/bin: v2 JSON and v3 binary full snapshots (both O(n) regardless of dirt); delta: v3 incremental (cost tracks dirty-frac)",
-			"speedup: json-us / delta-us — the factor the delta path takes off the pre-v3 per-tick cost",
+			"bin: v3 binary full snapshot (O(n) regardless of dirt); delta: v3 incremental (cost tracks dirty-frac)",
+			"speedup: bin-us / delta-us — the factor the delta path takes off a full snapshot's per-tick cost",
 			"chain replay equals the full snapshot bit-exactly (internal/ckpt round-trip suites, E17 chaos matrices)",
 		},
 	}
@@ -64,8 +63,8 @@ func RunE22(cfg Config) error {
 		faults := rng.New(cellSeed(cfg.Seed, 22, uint64(n), 0, 2))
 		for _, cadence := range cadences {
 			for _, corrupt := range corrupts {
-				var dirtyFrac, jsonKB, binKB, deltaKB []float64
-				bestJSON, bestBin, bestDelta := 0.0, 0.0, 0.0
+				var dirtyFrac, binKB, deltaKB []float64
+				bestBin, bestDelta := 0.0, 0.0
 				for trial := 0; trial < trials; trial++ {
 					// Same stabilized start for every cell: restore the
 					// held base (marks everything dirty), then re-arm the
@@ -118,25 +117,8 @@ func RunE22(cfg Config) error {
 					}
 					binUS := float64(time.Since(start)) / float64(time.Microsecond)
 
-					start = time.Now()
-					cp, err = net.Checkpoint()
-					if err != nil {
-						net.Close()
-						return fmt.Errorf("E22 n=%d snapshot: %w", n, err)
-					}
-					var cw countingDiscard
-					if err := beep.WriteCheckpoint(&cw, cp); err != nil {
-						net.Close()
-						return fmt.Errorf("E22 n=%d json encode: %w", n, err)
-					}
-					jsonUS := float64(time.Since(start)) / float64(time.Microsecond)
-
-					jsonKB = append(jsonKB, float64(cw.n)/1024)
 					binKB = append(binKB, float64(len(bEnc))/1024)
 					deltaKB = append(deltaKB, float64(len(dEnc))/1024)
-					if trial == 0 || jsonUS < bestJSON {
-						bestJSON = jsonUS
-					}
 					if trial == 0 || binUS < bestBin {
 						bestBin = binUS
 					}
@@ -146,25 +128,14 @@ func RunE22(cfg Config) error {
 				}
 				tab.AddRow(I(n), I(cadence), I(corrupt),
 					F(Summarize(dirtyFrac).Mean),
-					F(Summarize(jsonKB).Mean), F(Summarize(binKB).Mean), F(Summarize(deltaKB).Mean),
-					F(bestJSON), F(bestBin), F(bestDelta), F(bestJSON/bestDelta))
+					F(Summarize(binKB).Mean), F(Summarize(deltaKB).Mean),
+					F(bestBin), F(bestDelta), F(bestBin/bestDelta))
 			}
 		}
 		net.Close()
 	}
 	return cfg.Render(tab)
 }
-
-// countingDiscard counts bytes written, so serialization cost is
-// timed without file-system noise.
-type countingDiscard struct{ n int64 }
-
-func (w *countingDiscard) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-var _ io.Writer = (*countingDiscard)(nil)
 
 // stableCkptBaseline builds a flat-kernel network, runs it to
 // stabilization, and returns it together with its base snapshot (which

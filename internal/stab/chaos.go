@@ -1,7 +1,6 @@
 package stab
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -17,12 +16,12 @@ import (
 // (optionally noisy, adversarial and churning) to completion recording a
 // per-round trace hash, then repeatedly "kills" the same execution at
 // randomized rounds, resumes each kill from the last auto-checkpoint
-// (after a serialize/deserialize roundtrip, exactly what a crashed
-// process would read back from disk), and asserts that every resumed
-// round reproduces the reference trace hash bit-exactly. Any divergence
-// — a field missing from the checkpoint, an RNG stream restored out of
-// phase, an adversary forgotten — shows up as a hash mismatch at a
-// specific round.
+// (after a v3 encode/decode roundtrip or a chain load, exactly what a
+// crashed process would read back from disk), and asserts that every
+// resumed round reproduces the reference trace hash bit-exactly. Any
+// divergence — a field missing from the checkpoint, an RNG stream
+// restored out of phase, an adversary forgotten — shows up as a hash
+// mismatch at a specific round.
 
 // ChaosChurn schedules one live-rewire event inside a chaos scenario:
 // the event is applied immediately after round AfterRound completes,
@@ -57,10 +56,9 @@ type ChaosScenario struct {
 	Rounds int
 	// ChainDir, when set, routes every crash pass's checkpoints through
 	// an on-disk base + delta chain (internal/ckpt) in this directory,
-	// and resumes from ckpt.Load instead of an in-memory JSON roundtrip
-	// — the v3 incremental format under the exact kill–resume pressure
-	// the JSON path has always faced. Empty keeps the classic v2 wire
-	// roundtrip.
+	// and resumes from ckpt.Load — the incremental format under the same
+	// kill–resume pressure as full snapshots. Empty takes full captures
+	// and resumes from a v3 snapshot encode/decode roundtrip.
 	ChainDir string
 }
 
@@ -201,31 +199,14 @@ func runPass(s *ChaosScenario, p chaosPass) (*chaosTrace, error) {
 		chain = ckpt.NewWriter(p.chainPath)
 		defer chain.Close()
 	}
-	totalWords := (net.N() + 63) / 64
 	checkpoint := func() error {
-		if chain == nil || chain.NeedsBase(net.DirtyAll(), net.DirtyWords(), totalWords) {
-			cp, err := net.Checkpoint()
-			if err != nil {
-				return fmt.Errorf("stab: chaos %q checkpoint: %w", s.Name, err)
-			}
-			if chain != nil {
-				if _, err := chain.WriteBase(cp); err != nil {
-					return fmt.Errorf("stab: chaos %q checkpoint: %w", s.Name, err)
-				}
-			}
-			tr.lastCP = cp
-			return nil
+		var err error
+		if chain != nil {
+			_, _, err = chain.Tick(net)
+		} else {
+			tr.lastCP, err = net.Checkpoint()
 		}
-		d, err := net.CheckpointDelta(chain.ParentHash())
 		if err != nil {
-			return fmt.Errorf("stab: chaos %q checkpoint: %w", s.Name, err)
-		}
-		if _, err := chain.AppendDelta(d); err != nil {
-			return fmt.Errorf("stab: chaos %q checkpoint: %w", s.Name, err)
-		}
-		// Keep the in-memory tip honest (unsealed is fine: chain-mode
-		// resume loads from disk, lastCP only marks that one was taken).
-		if err := beep.ApplyDelta(tr.lastCP, d); err != nil {
 			return fmt.Errorf("stab: chaos %q checkpoint: %w", s.Name, err)
 		}
 		return nil
@@ -269,6 +250,9 @@ func runPass(s *ChaosScenario, p chaosPass) (*chaosTrace, error) {
 			}
 		}
 	}
+	if chain != nil {
+		tr.lastCP = chain.Tip()
+	}
 	return tr, nil
 }
 
@@ -276,7 +260,7 @@ func runPass(s *ChaosScenario, p chaosPass) (*chaosTrace, error) {
 // pass, then kills kill points sampled by src (uniform over the run,
 // with churn-adjacent rounds double-weighted — the rounds where resume
 // is most likely to go wrong). Each kill uses a fresh random checkpoint
-// cadence in [1,8], serializes the last checkpoint through the wire
+// cadence in [1,8], reads the last checkpoint back through its on-disk
 // format, restores it into a brand-new network, finishes the run, and
 // compares every resumed round's trace hash against the reference. The
 // first divergence aborts the campaign with an error naming the round.
@@ -342,8 +326,7 @@ func RunChaos(s ChaosScenario, kills int, src *rng.Source) (*ChaosReport, error)
 
 		// Serialize/deserialize roundtrip: resume from what a crashed
 		// process would actually read back. Chain mode assembles base +
-		// deltas from disk; classic mode round-trips the v2 JSON wire
-		// format.
+		// deltas from disk; full-capture mode round-trips a v3 snapshot.
 		var cp *beep.Checkpoint
 		if chainPath != "" {
 			loaded, info, err := ckpt.Load(chainPath)
@@ -355,11 +338,10 @@ func RunChaos(s ChaosScenario, kills int, src *rng.Source) (*ChaosReport, error)
 			}
 			cp = loaded
 		} else {
-			var buf bytes.Buffer
-			if err := beep.WriteCheckpoint(&buf, crash.lastCP); err != nil {
-				return rep, fmt.Errorf("stab: chaos %q kill@%d: %w", s.Name, kill, err)
+			b, err := beep.EncodeSnapshot(crash.lastCP)
+			if err == nil {
+				cp, err = beep.DecodeSnapshot(b)
 			}
-			cp, err = beep.ReadCheckpoint(&buf)
 			if err != nil {
 				return rep, fmt.Errorf("stab: chaos %q kill@%d: %w", s.Name, kill, err)
 			}

@@ -1,7 +1,6 @@
 package stab
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/beep"
@@ -83,37 +82,61 @@ func chaosScenarios(t *testing.T) []ChaosScenario {
 	return []ChaosScenario{noise, adv, churn, quiet}
 }
 
+// refLoopProto forwards only NewMachine and Channels of the protocol it
+// wraps, hiding the bulk state and its flat kernels, so NewNetwork runs
+// the per-machine reference loop on it.
+type refLoopProto struct{ p beep.Protocol }
+
+func (r refLoopProto) NewMachine(v int, g graph.Topology) beep.Machine { return r.p.NewMachine(v, g) }
+func (r refLoopProto) Channels() int                                   { return r.p.Channels() }
+
+// chaosEngine is one engine row of the kill–resume matrices.
+type chaosEngine struct {
+	name       string
+	engine     beep.Engine
+	forceDelta bool
+	refLoop    bool // run the reference loop (refLoopProto)
+}
+
+// apply specializes a scenario to the engine row.
+func (e chaosEngine) apply(base ChaosScenario, suffix string) ChaosScenario {
+	s := base
+	s.Engine = e.engine
+	s.ForceDelta = e.forceDelta
+	if e.refLoop {
+		s.Protocol = refLoopProto{base.Protocol}
+	}
+	s.Name = base.Name + "/" + e.name + suffix
+	return s
+}
+
 // TestChaosKillResume is the acceptance gate of the crash-safety work:
-// ≥ 200 randomized kill points across {noise, adversaries, churn} ×
-// {sequential, parallel, per-vertex, flat, flatparallel} must all
-// resume from their last auto-checkpoint with bit-exact trace
-// equivalence against the uninterrupted execution. Both engines run the
-// flat-kernel pipeline here, which certifies the kernels (and the
-// sharded variant's stripe state) against checkpoint v2 and the
-// empty-frontier elision under kill/resume.
+// ≥ 200 randomized kill points across {noise, adversaries, churn,
+// quiet-churn} × {the pipeline on Sequential and FlatParallel, each
+// also with forced delta delivery, and the reference loop} must all
+// resume from their last auto-checkpoint, read back through a v3
+// snapshot, with bit-exact trace equivalence against the uninterrupted
+// execution. The pipeline rows certify the kernels (and the sharded
+// variant's stripe state) and the empty-frontier elision under
+// kill/resume; the reference-loop row certifies the per-machine round
+// that kernel-less protocols and WithFlatKernels(false) run.
 func TestChaosKillResume(t *testing.T) {
 	const killsPerCombo = 23
-	engines := []struct {
-		name       string
-		engine     beep.Engine
-		forceDelta bool
-	}{
-		{"sequential", beep.Sequential, false},
-		{"flatparallel", beep.FlatParallel, false},
+	engines := []chaosEngine{
+		{name: "sequential", engine: beep.Sequential},
+		{name: "flatparallel", engine: beep.FlatParallel},
 		// Forced-delta combos: the delta delivery (and the dense fault
 		// rounds around it) must survive kill–resume bit-exactly too.
-		{"sequential-delta", beep.Sequential, true},
-		{"flatparallel-delta", beep.FlatParallel, true},
+		{name: "sequential-delta", engine: beep.Sequential, forceDelta: true},
+		{name: "flatparallel-delta", engine: beep.FlatParallel, forceDelta: true},
+		{name: "sequential-refloop", engine: beep.Sequential, refLoop: true},
 	}
 	src := rng.New(4242)
 	total, combo := 0, 0
 	for _, base := range chaosScenarios(t) {
 		for _, e := range engines {
 			combo++
-			s := base
-			s.Engine = e.engine
-			s.ForceDelta = e.forceDelta
-			s.Name = fmt.Sprintf("%s/%s", base.Name, e.name)
+			s := e.apply(base, "")
 			rep, err := RunChaos(s, killsPerCombo, src.Split(uint64(combo)))
 			if err != nil {
 				t.Fatalf("%s: %v (after %d/%d kills)", s.Name, err, rep.Resumes, rep.Kills)
@@ -181,19 +204,16 @@ func TestChaosDetectsForgottenAdversaries(t *testing.T) {
 // TestChaosChainKillResume re-runs the kill–resume matrix with every
 // crash pass's checkpoints persisted as an on-disk v3 base + delta
 // chain and every resume assembled by ckpt.Load — the incremental
-// checkpoint format under the same bit-exactness gate as the classic
-// JSON roundtrip. The quiet scenario must produce at least some resumes
+// checkpoint format under the same bit-exactness gate as full
+// snapshots. The quiet scenario must produce at least some resumes
 // that actually replayed delta links.
 func TestChaosChainKillResume(t *testing.T) {
 	const killsPerCombo = 12
-	engines := []struct {
-		name       string
-		engine     beep.Engine
-		forceDelta bool
-	}{
-		{"sequential", beep.Sequential, false},
-		{"flatparallel", beep.FlatParallel, false},
-		{"sequential-delta", beep.Sequential, true},
+	engines := []chaosEngine{
+		{name: "sequential", engine: beep.Sequential},
+		{name: "flatparallel", engine: beep.FlatParallel},
+		{name: "sequential-delta", engine: beep.Sequential, forceDelta: true},
+		{name: "sequential-refloop", engine: beep.Sequential, refLoop: true},
 	}
 	src := rng.New(7117)
 	combo := 0
@@ -201,10 +221,7 @@ func TestChaosChainKillResume(t *testing.T) {
 	for _, base := range chaosScenarios(t) {
 		for _, e := range engines {
 			combo++
-			s := base
-			s.Engine = e.engine
-			s.ForceDelta = e.forceDelta
-			s.Name = fmt.Sprintf("%s/%s/chain", base.Name, e.name)
+			s := e.apply(base, "/chain")
 			s.ChainDir = t.TempDir()
 			rep, err := RunChaos(s, killsPerCombo, src.Split(uint64(combo)))
 			if err != nil {

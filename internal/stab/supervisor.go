@@ -254,69 +254,41 @@ func (s *Supervisor) Run() (*SupervisorResult, error) {
 	}
 	deadline := cfg.Deadline
 
-	// The file-backed path persists a base + delta chain: a full binary
-	// snapshot when the chain writer demands one (first tick, dirty-all,
-	// compaction policy), an O(dirty words) delta frame otherwise. cur
-	// mirrors the chain tip in memory; delta patches leave it unsealed
-	// (its hash stale) and sealLast reseals it only when the result
-	// escapes — resealing every tick would cost the O(n) hash pass the
-	// delta path exists to avoid.
+	// The file-backed path persists a base + delta chain through the
+	// chain writer's tick (a base when the compaction policy asks for
+	// one, an O(dirty words) delta otherwise), which also keeps the chain
+	// tip LastCheckpoint reports; the file-less path keeps full captures.
 	var chain *ckpt.Writer
 	if cfg.CheckpointPath != "" {
 		chain = ckpt.NewWriter(cfg.CheckpointPath)
 		defer chain.Close()
 	}
-	var cur *beep.Checkpoint
-	curSealed := false
-	sealLast := func() {
-		if cur != nil && !curSealed {
-			cur.Seal()
-			curSealed = true
-		}
-	}
-	observe := func(kind string, bytes int, d time.Duration) {
-		if cfg.CheckpointObserver != nil {
-			cfg.CheckpointObserver(kind, bytes, d)
-		}
-	}
-	totalWords := (net.N() + 63) / 64
-
 	checkpoint := func() error {
 		start := cfg.now()
-		if chain == nil || chain.NeedsBase(net.DirtyAll(), net.DirtyWords(), totalWords) {
-			cp, err := net.Checkpoint()
-			if err != nil {
-				return fmt.Errorf("stab: auto-checkpoint: %w", err)
+		kind, nbytes := "full", 0
+		var err error
+		if chain != nil {
+			kind, nbytes, err = chain.Tick(net)
+		} else {
+			var cp *beep.Checkpoint
+			if cp, err = net.Checkpoint(); err == nil {
+				res.LastCheckpoint = cp
 			}
-			kind, nbytes := "full", 0
-			if chain != nil {
-				if nbytes, err = chain.WriteBase(cp); err != nil {
-					return fmt.Errorf("stab: auto-checkpoint: %w", err)
-				}
-				kind = "base"
-			}
-			cur, curSealed = cp, true
-			res.Checkpoints++
-			res.LastCheckpoint = cp
-			observe(kind, nbytes, cfg.now().Sub(start))
-			return nil
 		}
-		d, err := net.CheckpointDelta(chain.ParentHash())
 		if err != nil {
 			return fmt.Errorf("stab: auto-checkpoint: %w", err)
 		}
-		nbytes, err := chain.AppendDelta(d)
-		if err != nil {
-			return fmt.Errorf("stab: auto-checkpoint: %w", err)
-		}
-		if err := beep.ApplyDelta(cur, d); err != nil {
-			return fmt.Errorf("stab: auto-checkpoint: patch in-memory tip: %w", err)
-		}
-		curSealed = false
 		res.Checkpoints++
-		res.LastCheckpoint = cur
-		observe("delta", nbytes, cfg.now().Sub(start))
+		if cfg.CheckpointObserver != nil {
+			cfg.CheckpointObserver(kind, nbytes, cfg.now().Sub(start))
+		}
 		return nil
+	}
+	// sealLast reports the chain tip, sealed, as the last checkpoint.
+	sealLast := func() {
+		if chain != nil {
+			res.LastCheckpoint = chain.Tip()
+		}
 	}
 
 	// canceled implements the cooperative stop path: between rounds, a
