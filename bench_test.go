@@ -342,8 +342,11 @@ func benchDetectorCases(b *testing.B, fn func(b *testing.B, net *beep.Network)) 
 	}
 }
 
-// BenchmarkRefresh measures capturing the network's levels into a
-// reused State (the first half of the per-round stop closure).
+// BenchmarkRefresh measures the first half of the per-round stop
+// closure: Refresh into a reused State. Nothing changes between
+// iterations, so after the first full read each call takes an empty
+// change feed and exports no level — the quiet-round cost, O(n/4096)
+// mask words.
 func BenchmarkRefresh(b *testing.B) {
 	benchDetectorCases(b, func(b *testing.B, net *beep.Network) {
 		var st core.State
@@ -364,7 +367,10 @@ func BenchmarkRefresh(b *testing.B) {
 // Refresh followed by Stabilized, exactly what core.Run evaluates after
 // every round. Levels do not change between iterations, so this is the
 // steady-state ("nothing changed this round") cost that dominates long
-// executions.
+// executions: an empty change feed, no level export and no level
+// compare, only a few passes over the O(n/4096)-word change masks.
+// BenchmarkProbeRecovery512 measures the probe on rounds that do change
+// something.
 func BenchmarkStabilizedDetector(b *testing.B) {
 	benchDetectorCases(b, func(b *testing.B, net *beep.Network) {
 		var st core.State

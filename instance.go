@@ -105,16 +105,17 @@ func (i *Instance) MIS() ([]int, error) {
 }
 
 // Level returns the current level ℓ(v) of a vertex, the paper's whole
-// per-vertex state.
+// per-vertex state. It reads the refreshed legality probe, so a query
+// leaves the engine untouched: no vertex is marked active for the next
+// round or dirty for the next checkpoint delta.
 func (i *Instance) Level(v int) (int, error) {
 	if v < 0 || v >= i.net.N() {
 		return 0, fmt.Errorf("repro: vertex %d out of range", v)
 	}
-	m, ok := i.net.Machine(v).(core.Leveled)
-	if !ok {
-		return 0, fmt.Errorf("repro: machine %T has no level", i.net.Machine(v))
+	if err := i.probe.Refresh(i.net); err != nil {
+		return 0, err
 	}
-	return m.Level(), nil
+	return i.probe.Level(v), nil
 }
 
 // InjectFault corrupts the states of k uniformly chosen vertices

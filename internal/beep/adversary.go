@@ -118,7 +118,7 @@ func (n *Network) installAdversaries() error {
 func (n *Network) setAdversaries(adv []uint8) {
 	// The policy table is checkpointed state: the next incremental
 	// checkpoint must carry the full table (see Delta.Adversaries).
-	n.ckDirty.adv = true
+	n.dirty.adv = true
 	count := 0
 	for _, p := range adv {
 		if p != 0 {

@@ -255,8 +255,8 @@ func (n *Network) Checkpoint() (*Checkpoint, error) {
 	// This checkpoint is a complete baseline: dirty tracking restarts
 	// from it, so a later CheckpointDelta captures exactly the words
 	// that moved since this call (see delta.go).
-	n.ckDirty.rebaseline(n.N())
-	n.ckDirty.adv = false
+	n.dirty.ck.rebaseline(n.N())
+	n.dirty.adv = false
 	return c, nil
 }
 
@@ -330,9 +330,10 @@ func (n *Network) Restore(c *Checkpoint) error {
 	// which invalidates the pipeline's frontier and sender-bit baselines.
 	n.sparse.markAll()
 	// The restored state shares nothing with whatever baseline the
-	// dirty tracker held; the next checkpoint must be a full base.
-	n.ckDirty.markAll()
-	n.ckDirty.adv = true
+	// dirty tracker held; the next checkpoint must be a full base, and
+	// the probe must re-read every word.
+	n.dirty.markAll()
+	n.dirty.adv = true
 	return nil
 }
 

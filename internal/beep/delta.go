@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Incremental delta checkpoints. A Delta carries the state of exactly
@@ -31,13 +32,22 @@ import (
 //
 // Dirty accumulation invariant. The engine marks a slab word dirty
 // when any of its vertices advances its random stream or changes
-// machine state (the pipeline's end-of-round drewW|changedW union
-// is exactly that set), and marks everything dirty on any round or
-// mutation the masks do not describe: reference-loop rounds,
-// fault-model rounds, Corrupt, RandomizeAll, Restore, Reseed, Rewire, retained
-// Machine handles, adversary-set changes. Sent/heard arrays are not
-// checkpointed state — Restore rebuilds delivery invariants densely —
-// so word-level stream+machine coverage is complete.
+// machine state: the end-of-round drewW|changedW union of the pipeline
+// and of a Partition is exactly that set, and Corrupt, InstallRows and
+// Machine handles mark their vertices. It marks everything dirty on
+// any round or mutation the masks do not describe: reference-loop and
+// fault-model rounds, a TryStep round cut short by a contained panic,
+// RandomizeAll, Restore, Reseed and Rewire. Adversary-set changes are
+// flagged apart (the next delta carries the table). Sent/heard arrays
+// are not checkpointed state — Restore rebuilds delivery invariants
+// densely — so word-level stream+machine coverage is complete.
+//
+// Two readers. Every mark feeds two readers, each with its own
+// baseline: the checkpoint baseline (Checkpoint, CheckpointDelta,
+// Partition.AppendDirtyRows) and the legality probe's change feed
+// (ChangedWords, read by core.State.Refresh), so a quiet round costs
+// neither a delta nor the probe more than the words that moved. A
+// state change outside a marked word would be missed by both.
 
 // Delta is an incremental checkpoint: the dirty-word state patch from
 // a parent checkpoint to the capture round.
@@ -236,78 +246,126 @@ func ApplyDelta(c *Checkpoint, d *Delta) error {
 
 // ---- Dirty-word tracking (the engine side) ----
 
-// dirtyState accumulates the slab words dirtied since the last
-// checkpoint baseline. It starts conservative (everything dirty,
-// tracking disarmed) and is armed by the first baseline capture;
-// per-round accumulation is a fused OR into the pipeline's
-// end-of-round activity union and costs nothing on elided rounds.
-type dirtyState struct {
-	// enabled is set by the first baseline; until then no accumulation
-	// happens (all stays true).
-	enabled bool
-	// all conservatively marks everything dirty: initial state, dense
-	// or fault-model rounds, and every external mutation without a
-	// per-vertex mark.
-	all bool
-	// adv is set when the adversary policy table changed since the
-	// baseline; the next delta then carries the full table.
-	adv bool
+// dirtyReader is one reader's view of the dirty tracker: the slab words
+// dirtied since the reader's last rebaseline. The zero value is
+// disarmed, which reads as everything dirty until the first rebaseline.
+type dirtyReader struct {
+	// armed is set by rebaseline and cleared by markAll; while it is
+	// clear the reader reports everything dirty and mask is not kept.
+	armed bool
 	// n is the vertex count mask is sized for; mask has one bit per
 	// slab word, same shape as sparseState.act.
 	n    int
 	mask []uint64
 }
 
-func (d *dirtyState) markAll() { d.all = true }
-
-// accum returns the mask the round loop should OR its end-of-round
-// activity union into, or nil when tracking is disarmed, saturated, or
-// sized for a different network (then saturate: a resize means the
-// topology changed under the baseline). mw is the caller's mask length.
-func (d *dirtyState) accum(mw int) []uint64 {
-	if !d.enabled || d.all {
-		return nil
-	}
-	if len(d.mask) != mw {
-		d.all = true
-		return nil
-	}
-	return d.mask
-}
-
-func (d *dirtyState) markVertex(v int) {
-	if d.all || !d.enabled {
-		d.all = true
+func (r *dirtyReader) markVertex(v int) {
+	if !r.armed {
 		return
 	}
-	if v < 0 || v >= d.n {
-		d.all = true
+	if v < 0 || v >= r.n {
+		r.armed = false
 		return
 	}
 	wi := v >> 6
-	d.mask[wi>>6] |= 1 << uint(wi&63)
+	r.mask[wi>>6] |= 1 << uint(wi&63)
 }
 
-// rebaseline arms tracking with a clean mask sized for n vertices:
-// everything from here on accumulates relative to the checkpoint the
-// caller just captured.
-func (d *dirtyState) rebaseline(n int) {
-	mw := ((n+63)>>6 + 63) >> 6
-	if d.n != n || len(d.mask) != mw {
-		d.mask = make([]uint64, mw)
-		d.n = n
-	} else {
-		clearMask(d.mask)
+// markWords ORs a word mask into the reader; a mask of another shape
+// means the topology changed under the baseline, so it saturates.
+func (r *dirtyReader) markWords(m []uint64) {
+	if !r.armed {
+		return
 	}
-	d.all = false
-	d.enabled = true
+	if len(m) != len(r.mask) {
+		r.armed = false
+		return
+	}
+	for i, w := range m {
+		r.mask[i] |= w
+	}
+}
+
+// rebaseline arms the reader with a clean mask sized for n vertices:
+// everything from here on accumulates relative to this call.
+func (r *dirtyReader) rebaseline(n int) {
+	mw := ((n+63)>>6 + 63) >> 6
+	if r.n != n || len(r.mask) != mw {
+		r.mask = make([]uint64, mw)
+		r.n = n
+	} else {
+		clearMask(r.mask)
+	}
+	r.armed = true
+}
+
+// dirtyState is the engine's dirty tracker. Every mark feeds two
+// readers with their own baselines: ck, rebaselined by each checkpoint
+// capture, and probe, rebaselined by each ChangedWords call (the
+// legality probe's change feed). Per-round accumulation ORs the
+// pipeline's end-of-round activity union into both and costs nothing
+// on elided rounds.
+type dirtyState struct {
+	ck, probe dirtyReader
+	// adv is set when the adversary policy table changed since the
+	// checkpoint baseline; the next delta then carries the full table.
+	adv bool
+	// probeTok is the token ChangedWords handed its last caller.
+	probeTok uint64
+}
+
+// markAll conservatively marks everything dirty, for both readers:
+// reference-loop or fault-model rounds, and every external mutation
+// without a per-vertex mark.
+func (d *dirtyState) markAll() {
+	d.ck.armed = false
+	d.probe.armed = false
+}
+
+func (d *dirtyState) markVertex(v int) {
+	d.ck.markVertex(v)
+	d.probe.markVertex(v)
+}
+
+func (d *dirtyState) markWords(m []uint64) {
+	d.ck.markWords(m)
+	d.probe.markWords(m)
+}
+
+// probeTokens issues the reader tokens of ChangedWords, unique across
+// the networks of a process, so a token can only ever match the network
+// and the call that issued it.
+var probeTokens atomic.Uint64
+
+// ChangedWords is the probe reader of the dirty tracker. It ORs into
+// dst — one bit per slab word, the layout of the pipeline's activity
+// masks, at least ceil(ceil(N/64)/64) uint64s — every slab word whose
+// vertices may have changed machine state since the caller's previous
+// call, and rebaselines the reader. tok is the token that previous call
+// returned (0 on a first call); the returned token goes into the next.
+// The reader follows one caller at a time: when another caller read in
+// between, or something the masks do not describe dirtied everything,
+// ChangedWords leaves dst alone and reports all, and the caller must
+// treat every word as changed. Checkpoint captures do not disturb it.
+func (n *Network) ChangedWords(tok uint64, dst []uint64) (next uint64, all bool) {
+	d := &n.dirty
+	r := &d.probe
+	all = tok == 0 || tok != d.probeTok || !r.armed || len(dst) < len(r.mask)
+	if !all {
+		for i, w := range r.mask {
+			dst[i] |= w
+		}
+	}
+	r.rebaseline(n.N())
+	d.probeTok = probeTokens.Add(1)
+	return d.probeTok, all
 }
 
 // DirtyAll reports whether the state dirtied since the last checkpoint
 // baseline covers everything (or tracking has no baseline yet), in
 // which case a delta would be a full snapshot and the caller should
 // write a base instead.
-func (n *Network) DirtyAll() bool { return n.ckDirty.all || !n.ckDirty.enabled }
+func (n *Network) DirtyAll() bool { return !n.dirty.ck.armed }
 
 // DirtyWords returns the number of slab words dirtied since the last
 // checkpoint baseline (the full word count when DirtyAll).
@@ -316,7 +374,7 @@ func (n *Network) DirtyWords() int {
 		return (n.N() + 63) >> 6
 	}
 	cnt := 0
-	for _, m := range n.ckDirty.mask {
+	for _, m := range n.dirty.ck.mask {
 		cnt += bits.OnesCount64(m)
 	}
 	return cnt
@@ -348,7 +406,7 @@ func (n *Network) CheckpointDelta(parentHash uint64) (*Delta, error) {
 		NextStream:       n.nextStream,
 		AdvEpoch:         n.advEpoch,
 	}
-	if n.ckDirty.adv {
+	if n.dirty.adv {
 		if n.adv != nil {
 			d.Adversaries = append([]uint8(nil), n.adv...)
 		} else {
@@ -357,13 +415,13 @@ func (n *Network) CheckpointDelta(parentHash uint64) (*Delta, error) {
 	}
 	N := n.N()
 	verts := 0
-	for _, m := range n.ckDirty.mask {
+	for _, m := range n.dirty.ck.mask {
 		verts += bits.OnesCount64(m) * 64
 	}
 	d.Words = make([]int32, 0, (verts+63)/64)
 	d.Machines = make([][]int64, 0, verts)
 	d.Streams = make([][4]uint64, 0, verts)
-	for mi, m := range n.ckDirty.mask {
+	for mi, m := range n.dirty.ck.mask {
 		for m != 0 {
 			b := bits.TrailingZeros64(m)
 			m &= m - 1
@@ -388,8 +446,8 @@ func (n *Network) CheckpointDelta(parentHash uint64) (*Delta, error) {
 		}
 	}
 	d.Seal()
-	n.ckDirty.rebaseline(N)
-	n.ckDirty.adv = false
+	n.dirty.ck.rebaseline(N)
+	n.dirty.adv = false
 	return d, nil
 }
 

@@ -134,10 +134,10 @@ func (n *Network) bindFlatOps() {
 	// Whatever triggered the rebind (construction, Rewire) changed the
 	// cohort or topology: the pipeline must restart from an all-active
 	// frontier and rebuild its delivery invariants densely, and any
-	// incremental-checkpoint baseline is void.
+	// dirty-word baseline is void.
 	n.sparse.markAll()
-	n.ckDirty.markAll()
-	n.ckDirty.adv = true
+	n.dirty.markAll()
+	n.dirty.adv = true
 	if n.workers != nil {
 		n.workers.close()
 		n.workers = nil
@@ -276,8 +276,8 @@ func (n *Network) Reseed(seed uint64) error {
 	// and rebuild its delivery invariants densely. Every vertex state
 	// and stream was rewritten, so the dirty baseline is void too.
 	n.sparse.markAll()
-	n.ckDirty.markAll()
-	n.ckDirty.adv = true
+	n.dirty.markAll()
+	n.dirty.adv = true
 	n.advEpoch++ // new execution: legality observers must re-key
 	return nil
 }

@@ -89,13 +89,13 @@ type Network struct {
 	roundActive   int
 	roundFrontier int
 
-	// Incremental-checkpoint dirty tracking (see delta.go): ckDirty
-	// accumulates the slab words dirtied since the last checkpoint
-	// baseline; ckRoundSparse is set by the pipeline rounds whose
-	// end-of-round masks describe the round exactly — any round that
-	// completes without setting it is conservatively marked all-dirty.
-	ckDirty       dirtyState
-	ckRoundSparse bool
+	// Dirty-word tracking (see delta.go): dirty accumulates the slab
+	// words dirtied since each reader's baseline — the checkpoint's and
+	// the legality probe's; roundSparse is set by the pipeline rounds
+	// whose end-of-round masks describe the round exactly — any round
+	// that ends without setting it is conservatively marked all-dirty.
+	dirty       dirtyState
+	roundSparse bool
 
 	// gfp caches graph.FingerprintOf(n.g), the topology identity
 	// stamped into every checkpoint and delta. The generic Topology
@@ -269,11 +269,12 @@ func (n *Network) Round() int { return n.round }
 // Machine returns the state machine of vertex v, for inspection by the
 // harness (legality checks) and the fault injector. A retained handle
 // can mutate state behind the engine's back, so the vertex is
-// conservatively marked active for the pipeline (bulk read paths —
-// core.LevelExporter — bypass this accessor and stay mark-free).
+// conservatively marked active for the pipeline and dirty for both
+// readers of the dirty tracker (bulk read paths — core.LevelExporter —
+// bypass this accessor and stay mark-free).
 func (n *Network) Machine(v int) Machine {
 	n.sparse.markVertex(v)
-	n.ckDirty.markVertex(v)
+	n.dirty.markVertex(v)
 	return n.machines[v]
 }
 
@@ -291,7 +292,7 @@ func (n *Network) N() int { return len(n.machines) }
 // self-stabilization model.
 func (n *Network) RandomizeAll() {
 	n.sparse.markAll()
-	n.ckDirty.markAll()
+	n.dirty.markAll()
 	for v, m := range n.machines {
 		m.Randomize(n.srcs[v])
 	}
@@ -309,7 +310,7 @@ func (n *Network) Corrupt(vertices []int) error {
 	}
 	for _, v := range vertices {
 		n.sparse.markVertex(v)
-		n.ckDirty.markVertex(v)
+		n.dirty.markVertex(v)
 		n.machines[v].Randomize(n.srcs[v])
 	}
 	return nil
@@ -348,7 +349,7 @@ func (n *Network) TryStep() error {
 	// Reference-loop rounds report full activity; the pipeline
 	// overwrites these with the round's real frontier.
 	n.roundActive, n.roundFrontier = n.N(), (n.N()+63)>>6
-	n.ckRoundSparse = false
+	n.roundSparse = false
 	var rerr *RunError
 	if n.flatOps != nil {
 		rerr = n.stepFlat()
@@ -357,16 +358,17 @@ func (n *Network) TryStep() error {
 		// Rewire dropped the bulk handle): the reference loop.
 		rerr = n.stepSequential()
 	}
+	if rerr != nil || !n.roundSparse {
+		// The round ran a path whose effects the activity masks do not
+		// describe (the reference loop, a fault round, a phase cut short
+		// by a contained panic): conservatively dirty everything for
+		// both readers. The pipeline accumulates its exact end-of-round
+		// union instead.
+		n.dirty.markAll()
+	}
 	if rerr != nil {
 		n.failed = rerr
 		return rerr
-	}
-	if !n.ckRoundSparse {
-		// The round ran a path whose effects the activity masks do not
-		// describe (the reference loop, a fault round): conservatively
-		// dirty everything for the incremental-checkpoint baseline. The
-		// pipeline accumulates its exact end-of-round union instead.
-		n.ckDirty.markAll()
 	}
 	n.round++
 	if n.statsObs != nil {

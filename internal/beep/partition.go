@@ -268,22 +268,20 @@ func (p *Partition) UpdateLocalSparse() (changed bool, err error) {
 		n.failed = rerr
 		return false, rerr
 	}
-	// The end-of-round activity union is exactly the set of own words
-	// that drew a stream or changed machine state this round (the
-	// dirty-accumulation invariant, see delta.go); fuse the network's
-	// dirty-word accumulation into the same pass.
-	dirty := n.ckDirty.accum(len(p.act))
 	cnt := 0
 	for mi := range p.act {
 		a := p.drewW[mi] | p.changedW[mi]
 		p.act[mi] = a
 		cnt += bits.OnesCount64(a)
 		changed = changed || p.changedW[mi] != 0
-		if dirty != nil {
-			dirty[mi] |= a
-		}
 	}
 	p.actCount = cnt
+	// The end-of-round activity union is exactly the set of own words
+	// that drew a stream or changed machine state this round (the
+	// dirty-accumulation invariant, see delta.go).
+	if cnt > 0 {
+		n.dirty.markWords(p.act)
+	}
 	clearMask(p.touchW)
 	n.round++
 	return changed, nil
@@ -328,7 +326,7 @@ func (p *Partition) AppendDirtyRows(dst []byte) ([]byte, error) {
 			}
 		}
 	} else {
-		for mi, m := range n.ckDirty.mask {
+		for mi, m := range n.dirty.ck.mask {
 			for m != 0 {
 				b := bits.TrailingZeros64(m)
 				m &= m - 1
@@ -338,7 +336,7 @@ func (p *Partition) AppendDirtyRows(dst []byte) ([]byte, error) {
 			}
 		}
 	}
-	n.ckDirty.rebaseline(n.N())
-	n.ckDirty.adv = false
+	n.dirty.ck.rebaseline(n.N())
+	n.dirty.adv = false
 	return AppendStateRows(dst, &rows), nil
 }

@@ -386,7 +386,7 @@ func (n *Network) stepFlat() *RunError {
 		// Empty frontier: a proven fixed point. Sent and heard already
 		// hold this round's signals; no stream or state moves.
 		n.roundActive, n.roundFrontier = 0, 0
-		n.ckRoundSparse = true
+		n.roundSparse = true
 		return nil
 	}
 	actEntry := s.actCount
@@ -432,21 +432,20 @@ func (n *Network) stepFlat() *RunError {
 	}
 	// Frontier fold: the next round's act is the union of the stripes'
 	// drew and changed words, and the same union is exactly what the
-	// round dirtied for the incremental checkpoint.
+	// round dirtied, for the incremental checkpoint and the probe alike.
 	cnt := 0
-	dirty := n.ckDirty.accum(len(s.act))
 	for mi := range s.act {
 		var a uint64
 		for i := range n.stripes {
 			a |= n.stripes[i].drewW[mi] | n.stripes[i].changedW[mi]
 		}
 		s.act[mi] = a
-		if dirty != nil {
-			dirty[mi] |= a
-		}
 		cnt += bits.OnesCount64(a)
 	}
 	s.actCount = cnt
+	if cnt > 0 {
+		n.dirty.markWords(s.act)
+	}
 	n.roundActive = actEntry * 64
 	if n.roundActive > N {
 		n.roundActive = N
@@ -458,7 +457,7 @@ func (n *Network) stepFlat() *RunError {
 		// all-dirty for the checkpoint baseline.
 		s.markAll()
 	} else {
-		n.ckRoundSparse = true
+		n.roundSparse = true
 	}
 	return nil
 }

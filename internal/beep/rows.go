@@ -137,7 +137,8 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // InstallRows installs decoded per-vertex rows (Index = ascending
 // vertices) into the network at the given completed-round count, and
-// marks every installed vertex dirty for the incremental checkpoint and
+// marks every installed vertex dirty for both readers of the dirty
+// tracker (the incremental checkpoint and the legality probe) and
 // active for the round pipeline. The whole section is validated before
 // the first write; a machine whose DecodeState rejects its row fails
 // the call with the rows before it already installed.
@@ -167,7 +168,7 @@ func (n *Network) InstallRows(round int, r *StateRows) error {
 		}
 		n.srcs[v].SetState(r.Streams[i])
 		n.sparse.markVertex(int(v))
-		n.ckDirty.markVertex(int(v))
+		n.dirty.markVertex(int(v))
 	}
 	n.round = round
 	return nil

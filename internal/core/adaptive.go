@@ -90,7 +90,7 @@ func (p AdaptiveAlg1) initMachine(m *adaptiveMachine) {
 // a contiguous slab exposing the bulk level accessor, so experiment E10
 // rides the same fast detector path as the paper's algorithms. Note the
 // adaptive caps are mutable state, which is why ExportLevels re-reads
-// both ℓ and ℓmax every call.
+// both ℓ and ℓmax of every word it exports.
 func (p AdaptiveAlg1) NewMachines(g graph.Topology) ([]beep.Machine, any) {
 	n := g.N()
 	slab := &adaptiveSlab{p: p, ms: make([]adaptiveMachine, n)}
@@ -114,15 +114,18 @@ type adaptiveSlab struct {
 
 var _ LevelExporter = (*adaptiveSlab)(nil)
 
-// ExportLevels copies every machine's (ℓ, ℓmax) into the destination
-// slices in one pass over the contiguous slab.
-// caps is never nil here: MutableCaps is true, so callers must always
-// re-export the caps.
-func (s *adaptiveSlab) ExportLevels(levels, caps []int32) {
-	for i := range s.ms {
-		levels[i] = s.ms[i].level
-		caps[i] = s.ms[i].lmax
-	}
+// ExportLevels copies the (ℓ, ℓmax) of the machines in the marked
+// slab words into the destination slices, one linear pass over each
+// run of contiguous slab. caps is never nil here: MutableCaps is true,
+// so callers must re-export the caps of every word they re-read.
+func (s *adaptiveSlab) ExportLevels(levels, caps []int32, words []uint64) {
+	forWordRuns(words, len(s.ms), func(lo, hi int) {
+		ms, lv, cp := s.ms[lo:hi], levels[lo:hi], caps[lo:hi]
+		for i := range ms {
+			lv[i] = ms[i].level
+			cp[i] = ms[i].lmax
+		}
+	})
 }
 
 // MutableCaps reports that the adaptive heuristic grows ℓmax during the

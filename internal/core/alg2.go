@@ -83,21 +83,25 @@ type alg2Slab struct {
 
 var _ LevelExporter = (*alg2Slab)(nil)
 
-// ExportLevels copies every machine's (ℓ, ℓmax) into the destination
-// slices in one pass over the contiguous slab.
-// A nil caps skips the ℓmax export (the caller has already captured the
-// immutable caps).
-func (s *alg2Slab) ExportLevels(levels, caps []int32) {
-	if caps == nil {
-		for i := range s.ms {
-			levels[i] = s.ms[i].level
+// ExportLevels copies the (ℓ, ℓmax) of the machines in the marked
+// slab words into the destination slices, one linear pass over each
+// run of contiguous slab. A nil caps skips the ℓmax export (the caller
+// has already captured the immutable caps).
+func (s *alg2Slab) ExportLevels(levels, caps []int32, words []uint64) {
+	forWordRuns(words, len(s.ms), func(lo, hi int) {
+		ms, lv := s.ms[lo:hi], levels[lo:hi]
+		if caps == nil {
+			for i := range ms {
+				lv[i] = ms[i].level
+			}
+			return
 		}
-		return
-	}
-	for i := range s.ms {
-		levels[i] = s.ms[i].level
-		caps[i] = s.ms[i].lmax
-	}
+		cp := caps[lo:hi]
+		for i := range ms {
+			lv[i] = ms[i].level
+			cp[i] = ms[i].lmax
+		}
+	})
 }
 
 // MutableCaps reports that Algorithm 2 caps are fixed at construction.

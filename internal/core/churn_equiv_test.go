@@ -101,9 +101,10 @@ func TestVerifyMISOn(t *testing.T) {
 // incremental detector under the full fault model: an Alg1 execution
 // with babbler and jammer adversaries is driven through a multi-event
 // churn schedule via live Rewire, and on every single round the
-// incremental probe is cross-validated against an independent
-// from-scratch Snapshot (which always rebuilds its masks). The exclusion
-// mask is re-captured whenever the network's adversary epoch moves.
+// incremental probe is cross-validated against the from-scratch oracle
+// (oracleState, which reads the slab without taking the probe's change
+// feed). The exclusion mask is re-captured whenever the network's
+// adversary epoch moves.
 func TestDetectorAcrossChurnAndAdversaries(t *testing.T) {
 	g := graph.GNPAvgDegree(36, 5, rng.New(21))
 	sched, err := graph.FlapSchedule(g, 4, 8, rng.New(22))
@@ -132,26 +133,7 @@ func TestDetectorAcrossChurnAndAdversaries(t *testing.T) {
 	}
 	check := func(tag string, r int) {
 		t.Helper()
-		if err := inc.Refresh(net); err != nil {
-			t.Fatal(err)
-		}
-		full, err := Snapshot(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full.SetExcluded(mask)
-		if got, want := inc.Stabilized(), full.Stabilized(); got != want {
-			t.Fatalf("%s round %d: incremental Stabilized=%v, full=%v", tag, r, got, want)
-		}
-		if got, want := inc.StableCount(), full.StableCount(); got != want {
-			t.Fatalf("%s round %d: incremental StableCount=%d, full=%d", tag, r, got, want)
-		}
-		gotMIS, wantMIS := inc.MISMask(), full.MISMask()
-		for v := range wantMIS {
-			if gotMIS[v] != wantMIS[v] {
-				t.Fatalf("%s round %d: MIS mask diverged at vertex %d", tag, r, v)
-			}
-		}
+		checkAgainstOracle(t, fmt.Sprintf("%s round %d", tag, r), &inc, net, mask)
 	}
 
 	capture()

@@ -138,22 +138,63 @@ func TestEngineTraceEquivalence(t *testing.T) {
 	}
 }
 
-// TestIncrementalDetectorMatchesFullRecompute cross-validates the
-// dirty-set detector against an independent from-scratch recompute on
-// every round of a full execution, including rounds with injected
-// faults (which produce large dirty sets) and the quiet rounds after
-// stabilization (empty dirty sets).
-func TestIncrementalDetectorMatchesFullRecompute(t *testing.T) {
-	families := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"path", graph.Path(40)},
-		{"grid", graph.Grid(7, 7)},
-		{"gnp", graph.GNPAvgDegree(64, 6, rng.New(7))},
-		{"complete", graph.Complete(10)},
+// oracleState is the detector's reference: a fresh State loaded by
+// LevelExporter.ExportLevels over every word, with the protocol's
+// channel semantics and the given exclusion mask. It reads the slab
+// directly — no Network.Machine call, which would mark every vertex
+// active and dirty and so force dense rounds, and no Refresh, which
+// would take the network's change feed from the State under test — and,
+// being fresh, its first query recomputes I_t and S_t from scratch.
+func oracleState(t *testing.T, net *beep.Network, excluded []bool) *State {
+	t.Helper()
+	le, ok := net.BulkState().(LevelExporter)
+	if !ok {
+		t.Fatalf("bulk state %T exports no levels", net.BulkState())
 	}
-	protos := []struct {
+	n := net.N()
+	o := &State{levels: make([]int32, n), caps: make([]int32, n), capsMutable: true, twoChannel: le.TwoChannel()}
+	o.setGraph(net.Graph())
+	le.ExportLevels(o.levels, o.caps, nil)
+	o.SetExcluded(excluded)
+	return o
+}
+
+// checkAgainstOracle refreshes inc from net and requires it to agree
+// with a from-scratch oracle on every exported level and cap and on
+// every detector answer.
+func checkAgainstOracle(t *testing.T, tag string, inc *State, net *beep.Network, excluded []bool) {
+	t.Helper()
+	if err := inc.Refresh(net); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	o := oracleState(t, net, excluded)
+	for v := range o.levels {
+		if inc.levels[v] != o.levels[v] || inc.caps[v] != o.caps[v] {
+			t.Fatalf("%s: vertex %d refreshed as (ℓ=%d, ℓmax=%d), slab holds (%d, %d)",
+				tag, v, inc.levels[v], inc.caps[v], o.levels[v], o.caps[v])
+		}
+	}
+	if got, want := inc.Stabilized(), o.Stabilized(); got != want {
+		t.Fatalf("%s: incremental Stabilized=%v, oracle %v", tag, got, want)
+	}
+	if got, want := inc.StableCount(), o.StableCount(); got != want {
+		t.Fatalf("%s: incremental StableCount=%d, oracle %d", tag, got, want)
+	}
+	gotMIS, wantMIS := inc.MISMask(), o.MISMask()
+	gotS, wantS := inc.StableMask(), o.StableMask()
+	for v := range wantMIS {
+		if gotMIS[v] != wantMIS[v] || gotS[v] != wantS[v] {
+			t.Fatalf("%s: masks diverged at vertex %d (MIS %v/%v, stable %v/%v)",
+				tag, v, gotMIS[v], wantMIS[v], gotS[v], wantS[v])
+		}
+	}
+}
+
+// detectorProtos and detectorEngines are the detector oracle matrix:
+// the three slabs on the pipeline (one stripe, three stripes, forced
+// delta delivery) and on the reference loop.
+var (
+	detectorProtos = []struct {
 		name  string
 		proto beep.Protocol
 	}{
@@ -161,64 +202,188 @@ func TestIncrementalDetectorMatchesFullRecompute(t *testing.T) {
 		{"alg2", NewAlg2(NeighborhoodMaxDegree(DefaultC1TwoHop))},
 		{"adaptive", NewAdaptiveAlg1()},
 	}
+	detectorEngines = []struct {
+		name string
+		opts []beep.Option
+	}{
+		{"sequential", nil},
+		{"flatparallel-w3", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithWorkers(3)}},
+		{"forced-delta", []beep.Option{beep.WithForcedDelta()}},
+		{"reference", []beep.Option{beep.WithFlatKernels(false)}},
+	}
+)
+
+// TestIncrementalDetectorMatchesFullRecompute cross-validates the
+// change-fed detector against a from-scratch oracle (oracleState) on
+// every round of full executions and right after every state mutation
+// the engine offers: RandomizeAll, small and large Corrupt bursts,
+// InstallRows, Restore, Reseed and a Rewire, with a checkpoint capture
+// in between (which must not disturb the probe's feed). Most graphs
+// span several slab words, and neither the oracle nor the probe marks
+// the engine, so a mutation or round whose words the dirty tracker
+// misses leaves a stale level in the probe and fails here.
+func TestIncrementalDetectorMatchesFullRecompute(t *testing.T) {
+	families := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"path", graph.Path(200)},
+		{"grid", graph.Grid(20, 20)},
+		{"gnp", graph.GNPAvgDegree(320, 6, rng.New(7))},
+		{"complete", graph.Complete(10)},
+	}
 	for _, fam := range families {
-		for _, p := range protos {
-			t.Run(fmt.Sprintf("%s/%s", fam.name, p.name), func(t *testing.T) {
-				net, err := beep.NewNetwork(fam.g, p.proto, 5150)
+		for _, p := range detectorProtos {
+			t.Run(fam.name+"/"+p.name, func(t *testing.T) {
+				for _, e := range detectorEngines {
+					t.Run(e.name, func(t *testing.T) {
+						runDetectorScript(t, fam.g, p.proto, e.opts)
+					})
+				}
+			})
+		}
+	}
+}
+
+// runDetectorScript drives one network through the mutation script of
+// TestIncrementalDetectorMatchesFullRecompute, checking the probe
+// against the oracle after every round and every mutation.
+func runDetectorScript(t *testing.T, g *graph.Graph, proto beep.Protocol, opts []beep.Option) {
+	net, err := beep.NewNetwork(g, proto, 5150, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	faultSrc := rng.New(99)
+	var inc State
+	check := func(tag string) {
+		t.Helper()
+		checkAgainstOracle(t, fmt.Sprintf("%s (round %d)", tag, net.Round()), &inc, net, nil)
+	}
+	// settle steps until the probe has reported 10 quiet rounds.
+	settle := func(tag string) {
+		t.Helper()
+		quiet := 0
+		for r := 0; quiet < 10; r++ {
+			if r == 5000 {
+				t.Fatalf("%s: no quiet run within %d rounds", tag, r)
+			}
+			net.Step()
+			check(tag)
+			if inc.Stabilized() {
+				quiet++
+			} else {
+				quiet = 0
+			}
+		}
+	}
+	corrupt := func(tag string, k int) {
+		t.Helper()
+		if err := net.Corrupt(faultSrc.Perm(net.N())[:k]); err != nil {
+			t.Fatal(err)
+		}
+		check(tag)
+	}
+
+	net.RandomizeAll()
+	check("randomize")
+	settle("randomize")
+	corrupt("corrupt-3", 3)
+	settle("corrupt-3")
+	cp, err := net.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("checkpoint")
+	corrupt("corrupt-third", net.N()/3)
+	for r := 0; r < 5; r++ {
+		net.Step()
+		check("corrupt-third")
+	}
+	// Put back the checkpointed rows of a few scattered vertices.
+	var rows beep.StateRows
+	for _, v := range []int{1, net.N() / 2, net.N() - 1} {
+		rows.Index = append(rows.Index, int32(v))
+		rows.Machines = append(rows.Machines, cp.Machines[v])
+		rows.Streams = append(rows.Streams, cp.Streams[v])
+	}
+	if err := net.InstallRows(net.Round(), &rows); err != nil {
+		t.Fatal(err)
+	}
+	check("install-rows")
+	settle("install-rows")
+	corrupt("corrupt-3-again", 3)
+	if err := net.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	check("restore")
+	settle("restore")
+	if err := net.Reseed(8086); err != nil {
+		t.Fatal(err)
+	}
+	check("reseed")
+	net.RandomizeAll()
+	check("reseed+randomize")
+	settle("reseed")
+	g2, mapping, err := graph.ApplyEdits(g, []graph.Edit{
+		{Kind: graph.EditDelVertex, U: 0},
+		{Kind: graph.EditAddVertex},
+		{Kind: graph.EditAddEdge, U: g.N(), V: 1},
+		{Kind: graph.EditAddEdge, U: g.N(), V: g.N() / 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Rewire(g2, mapping[:g.N()]); err != nil {
+		t.Fatal(err)
+	}
+	check("rewire")
+	settle("rewire")
+	corrupt("rewire-corrupt", 3)
+	settle("rewire-corrupt")
+}
+
+// TestDetectorTwoProbesOneNetwork pins the change feed's one-reader
+// rule: two States refreshing the same network — alternating every
+// round, and then one of them sitting out several rounds — must each
+// agree with the oracle on every round. A State that was not the
+// feed's last reader re-reads everything instead of missing the
+// changes another reader consumed.
+func TestDetectorTwoProbesOneNetwork(t *testing.T) {
+	g := graph.GNPAvgDegree(320, 6, rng.New(12))
+	for _, p := range detectorProtos {
+		for _, e := range detectorEngines {
+			t.Run(p.name+"/"+e.name, func(t *testing.T) {
+				net, err := beep.NewNetwork(g, p.proto, 31337, e.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer net.Close()
 				net.RandomizeAll()
-				faultSrc := rng.New(99)
-				var inc State // incremental: one probe reused every round
-				quiet := 0
-				for r := 0; r < 3000 && quiet < 25; r++ {
-					net.Step()
-					if err := inc.Refresh(net); err != nil {
-						t.Fatal(err)
-					}
-					// Independent full recompute from the same levels.
-					levels := make([]int, net.N())
-					caps := make([]int, net.N())
-					for v := 0; v < net.N(); v++ {
-						m := net.Machine(v).(Leveled)
-						levels[v], caps[v] = m.Level(), m.Cap()
-					}
-					full := NewState(fam.g, levels, caps)
-					if p.name == "alg2" {
-						// NewState assumes single-channel semantics;
-						// re-snapshot through the network instead.
-						full, err = Snapshot(net)
-						if err != nil {
+				faultSrc := rng.New(5)
+				var a, b State
+				for r := 0; r < 400; r++ {
+					if r%50 == 25 {
+						if err := net.Corrupt(faultSrc.Perm(net.N())[:4]); err != nil {
 							t.Fatal(err)
 						}
 					}
-					if got, want := inc.Stabilized(), full.Stabilized(); got != want {
-						t.Fatalf("round %d: incremental Stabilized=%v, full=%v", r, got, want)
-					}
-					if got, want := inc.StableCount(), full.StableCount(); got != want {
-						t.Fatalf("round %d: incremental StableCount=%d, full=%d", r, got, want)
-					}
-					gotMIS, wantMIS := inc.MISMask(), full.MISMask()
-					for v := range wantMIS {
-						if gotMIS[v] != wantMIS[v] {
-							t.Fatalf("round %d: MIS mask diverged at vertex %d", r, v)
+					net.Step()
+					tag := fmt.Sprintf("round %d", net.Round())
+					switch {
+					case r < 200:
+						// Both every round, in alternating order.
+						first, second := &a, &b
+						if r%2 == 1 {
+							first, second = &b, &a
 						}
+						checkAgainstOracle(t, "first "+tag, first, net, nil)
+						checkAgainstOracle(t, "second "+tag, second, net, nil)
+					case r%7 == 0:
+						checkAgainstOracle(t, "b "+tag, &b, net, nil)
+					default:
+						checkAgainstOracle(t, "a "+tag, &a, net, nil)
 					}
-					if inc.Stabilized() {
-						quiet++
-						if quiet == 10 {
-							// Inject a mid-run fault so the detector
-							// must handle a burst of dirty vertices.
-							if err := net.Corrupt(faultSrc.Perm(net.N())[:net.N()/3]); err != nil {
-								t.Fatal(err)
-							}
-						}
-					}
-				}
-				if quiet < 25 {
-					t.Fatalf("execution never reached the quiet-round quota (got %d)", quiet)
 				}
 			})
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/beep"
 	"repro/internal/bitset"
@@ -12,16 +13,19 @@ import (
 // LevelExporter is the bulk level accessor implemented by the machine
 // slabs of the core protocols (Alg1, Alg2, AdaptiveAlg1). A network
 // built from a beep.BatchProtocol exposes it through Network.BulkState,
-// and State.Refresh uses it to capture all (ℓ, ℓmax) pairs in one
-// linear pass over contiguous storage — replacing one interface
-// assertion plus two virtual calls per vertex per round in the
-// stabilization stop check.
+// and State.Refresh uses it to capture the (ℓ, ℓmax) pairs of the slab
+// words the network reports changed, in linear passes over contiguous
+// storage — no interface assertion or virtual call per vertex, and no
+// engine mark (reads through Network.Machine would mark every vertex).
 type LevelExporter interface {
-	// ExportLevels writes ℓ(v) and ℓmax(v) of every vertex v into the
-	// destination slices, which must have length n. When MutableCaps
-	// reports false, callers that have already captured the caps may
-	// pass a nil caps slice to export levels only.
-	ExportLevels(levels, caps []int32)
+	// ExportLevels writes ℓ(v) and ℓmax(v) of every vertex v of the
+	// slab words marked in words (bit wi covers vertices
+	// [64·wi, 64·wi+64), the layout of beep.Network.ChangedWords; nil
+	// means every word) into the destination slices, which must have
+	// length n; entries outside the marked words are left alone. When
+	// MutableCaps reports false, callers that have already captured the
+	// caps may pass a nil caps slice to export levels only.
+	ExportLevels(levels, caps []int32, words []uint64)
 	// TwoChannel reports Algorithm 2 (two-channel) semantics, under
 	// which MIS membership is ℓ = 0 rather than ℓ = -ℓmax.
 	TwoChannel() bool
@@ -39,12 +43,17 @@ type LevelExporter interface {
 // and the lemma-level experiments.
 //
 // A State that is Refreshed every round doubles as an *incremental*
-// stabilization detector: Stabilized diffs the flat level array against
-// the previous snapshot and re-derives I_t/S_t only around the vertices
-// that changed, so the common "nothing changed" round costs O(n) cheap
-// integer compares instead of a full O(n+m) mask recompute. The
-// detector is purely observational — its answers are bit-identical to
-// the full recompute for every snapshot.
+// stabilization detector. Refresh reads the network's change feed
+// (beep.Network.ChangedWords: the slab words whose machines moved since
+// this State's previous Refresh) and re-exports only those words;
+// Stabilized diffs just those words against the previous snapshot and
+// re-derives I_t/S_t only around the vertices that changed. A round
+// costs O(changed words · 64) plus the neighborhoods of what changed,
+// so a quiet round costs O(n/4096) mask words, not O(n). The feed has
+// one reader at a time: a State refreshed after another reader of the
+// same network (or a different network, or a fresh State) re-reads
+// every word once. The detector is purely observational — its answers
+// are bit-identical to the full recompute for every snapshot.
 type State struct {
 	g graph.Topology
 	// csr is the materialized fast path (non-nil iff g is a
@@ -64,10 +73,19 @@ type State struct {
 	// with no ℓ = 0 neighbor, rather than ℓ = -ℓmax with all-cap
 	// neighbors.
 	twoChannel bool
-	// capsValid remembers the exporter whose (immutable) caps are
-	// already in s.caps, so steady-state Refreshes export levels only —
-	// half the memory traffic of the per-round snapshot.
-	capsValid LevelExporter
+	// exp is the exporter levels and caps were last read from; when it
+	// changes, Refresh re-reads every word, caps included. With
+	// immutable caps the steady-state Refresh exports levels only.
+	exp LevelExporter
+	// tok is the change-feed token of the last Refresh (see
+	// beep.Network.ChangedWords); 0 until the first bulk Refresh.
+	tok uint64
+	// changed marks the slab words re-exported since the detector last
+	// synced, one bit per 64 vertices: the only words whose levels or
+	// caps can differ from the snapshot the detector masks were derived
+	// from. A Refresh exports all of them again (callers sync between
+	// Refreshes, so that is the words the feed just named).
+	changed []uint64
 	// capsMutable records whether the caps of the current source can
 	// change between Refreshes; when false the detector skips the caps
 	// half of its per-round diff as well.
@@ -135,8 +153,10 @@ func Snapshot(net *beep.Network) (*State, error) {
 // reusing its buffers. It is the allocation-free path for callers that
 // snapshot every round (the stabilization detector); a zero State is a
 // valid receiver. Networks built from a BatchProtocol (all core
-// protocols) take the bulk-export fast path: one linear pass over the
-// machine slab, no per-vertex interface dispatch.
+// protocols) take the bulk-export path: the slab words the network's
+// change feed names — every word on a first Refresh, after another
+// reader, or when the exporter changed — are copied out of the machine
+// slab with no per-vertex interface dispatch and no engine mark.
 func (s *State) Refresh(net *beep.Network) error {
 	n := net.N()
 	if g := net.Graph(); g != s.g {
@@ -145,27 +165,34 @@ func (s *State) Refresh(net *beep.Network) error {
 	if cap(s.levels) < n {
 		s.levels = make([]int32, n)
 		s.caps = make([]int32, n)
-		s.capsValid = nil
 	}
 	s.levels = s.levels[:n]
 	s.caps = s.caps[:n]
+	words := (n + 63) >> 6
+	if mw := (words + 63) >> 6; len(s.changed) != mw {
+		s.changed = make([]uint64, mw)
+	}
 	if le, ok := net.BulkState().(LevelExporter); ok {
-		mut := le.MutableCaps()
-		if !mut && s.capsValid == le {
-			le.ExportLevels(s.levels, nil)
-		} else {
-			le.ExportLevels(s.levels, s.caps)
-			if mut {
-				s.capsValid = nil
-			} else {
-				s.capsValid = le
-			}
+		tok, all := net.ChangedWords(s.tok, s.changed)
+		// A slab has a fixed size, so the same exporter means the levels
+		// and caps already held are this network's.
+		reread := le != s.exp
+		if all || reread {
+			setWords(s.changed, words)
 		}
+		mut := le.MutableCaps()
+		if mut || reread {
+			le.ExportLevels(s.levels, s.caps, s.changed)
+		} else {
+			le.ExportLevels(s.levels, nil, s.changed)
+		}
+		s.tok, s.exp = tok, le
 		s.capsMutable = mut
 		s.twoChannel = le.TwoChannel()
 		return nil
 	}
-	s.capsValid = nil
+	s.tok, s.exp = 0, nil
+	setWords(s.changed, words)
 	s.capsMutable = true
 	s.twoChannel = false
 	for v := 0; v < n; v++ {
@@ -328,9 +355,10 @@ func (s *State) FillStableMask(dst []bool) {
 // Stabilized reports whether every vertex is stable (S_t = V), the
 // paper's stabilization condition. In that case MISMask is a maximal
 // independent set. After the first call on a given State it is
-// incremental: the cost is proportional to the number of vertices whose
-// level changed since the last call (plus one cheap linear diff), not
-// to n+m, and it performs no allocations in the steady state.
+// incremental: the cost is proportional to the slab words Refresh
+// re-exported since the last call (64 level compares each) plus the
+// neighborhoods of the vertices whose level changed, not to n+m, and it
+// performs no allocations in the steady state.
 func (s *State) Stabilized() bool {
 	s.sync()
 	return s.det.unstable == 0
@@ -344,7 +372,8 @@ func (s *State) StableCount() int {
 
 // sync brings the detector masks in line with the current levels: a
 // full O(n+m) rebuild the first time (or when the snapshot switched
-// graph or semantics), an O(dirty · deg²) incremental update afterward.
+// graph or semantics), an O(changed words · 64 + dirty · deg²)
+// incremental update afterward.
 func (s *State) sync() {
 	d := &s.det
 	if d.g != s.g || d.n != len(s.levels) || d.two != s.twoChannel || d.capsMut != s.capsMutable || d.exGen != s.exGen {
@@ -388,6 +417,7 @@ func (s *State) rebuildDetector() {
 	}
 	d.prevLevels = append(d.prevLevels[:0], s.levels...)
 	d.prevCaps = append(d.prevCaps[:0], s.caps...)
+	clear(s.changed)
 	if cap(d.mark) < n {
 		d.mark = make([]uint32, n)
 	} else {
@@ -424,34 +454,38 @@ func (d *detector) push(v int32) {
 // on two locality facts: InMIS(v) reads only the levels of N⁺(v), so it
 // can change only for v in N⁺(dirty); and Stable(v) reads only the
 // I_t bits of N⁺(v), so it can change only for v in N⁺(flipped). The
-// amortized cost is O(Σ_{v dirty} deg(v) + Σ_{v flipped} Σ_{u∈N⁺(v)}
-// deg(u)); a round in which no level changed costs one linear int32
-// compare over the level array and nothing else.
+// amortized cost is O(64 · changed words + Σ_{v dirty} deg(v) +
+// Σ_{v flipped} Σ_{u∈N⁺(v)} deg(u)); a round in which no word was
+// re-exported costs one pass over the O(n/4096) changed-word mask.
 func (s *State) updateDetector() {
 	d := &s.det
-	// Phase 0: diff against the snapshot the masks were derived from.
-	// With immutable caps (Alg1/Alg2) the scan touches levels only; the
-	// adaptive protocol mutates caps too, so those are diffed as well.
+	// Phase 0: diff the re-exported words against the snapshot the
+	// masks were derived from; every other word is unchanged by
+	// construction. With immutable caps (Alg1/Alg2) the scan touches
+	// levels only; the adaptive protocol mutates caps too, so those are
+	// diffed as well.
 	d.dirty = d.dirty[:0]
-	if d.capsMut {
-		cur, prev := s.levels[:d.n], d.prevLevels[:d.n]
-		curC, prevC := s.caps[:d.n], d.prevCaps[:d.n]
-		for v := range cur {
-			if cur[v] != prev[v] || curC[v] != prevC[v] {
-				d.dirty = append(d.dirty, int32(v))
-				prev[v] = cur[v]
-				prevC[v] = curC[v]
+	forWordRuns(s.changed, d.n, func(lo, hi int) {
+		cur, prev := s.levels[lo:hi], d.prevLevels[lo:hi]
+		if !d.capsMut {
+			for i := range cur {
+				if cur[i] != prev[i] {
+					d.dirty = append(d.dirty, int32(lo+i))
+					prev[i] = cur[i]
+				}
+			}
+			return
+		}
+		curC, prevC := s.caps[lo:hi], d.prevCaps[lo:hi]
+		for i := range cur {
+			if cur[i] != prev[i] || curC[i] != prevC[i] {
+				d.dirty = append(d.dirty, int32(lo+i))
+				prev[i] = cur[i]
+				prevC[i] = curC[i]
 			}
 		}
-	} else {
-		cur, prev := s.levels[:d.n], d.prevLevels[:d.n]
-		for v := range cur {
-			if cur[v] != prev[v] {
-				d.dirty = append(d.dirty, int32(v))
-				prev[v] = cur[v]
-			}
-		}
-	}
+	})
+	clear(s.changed)
 	if len(d.dirty) == 0 {
 		return
 	}
@@ -595,4 +629,51 @@ func (s *State) VerifyMIS() error {
 		active[v] = !s.Excluded(v)
 	}
 	return graph.VerifyMISOnOf(s.g, active, s.MISMask())
+}
+
+// forWordRuns calls fn(lo, hi) for the vertex span [lo, hi) ∩ [0, n) of
+// every maximal run of consecutive slab words marked in mask (bit wi
+// covers vertices [64·wi, 64·wi+64)), in ascending order. A nil mask
+// marks every word, so a full mask and nil both make one call over
+// [0, n).
+func forWordRuns(mask []uint64, n int, fn func(lo, hi int)) {
+	if mask == nil {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	start, end := 0, 0 // pending run of slab words [start, end)
+	for mi, m := range mask {
+		for m != 0 {
+			b := bits.TrailingZeros64(m)
+			run := bits.TrailingZeros64(^(m >> uint(b)))
+			m &^= (uint64(1)<<uint(run) - 1) << uint(b)
+			w := mi<<6 + b
+			if w != end {
+				if start < end && start<<6 < n {
+					fn(start<<6, min(end<<6, n))
+				}
+				start = w
+			}
+			end = w + run
+		}
+	}
+	if start < end && start<<6 < n {
+		fn(start<<6, min(end<<6, n))
+	}
+}
+
+// setWords marks the first words slab words of m and clears the rest.
+func setWords(m []uint64, words int) {
+	for i := range m {
+		switch r := words - i<<6; {
+		case r >= 64:
+			m[i] = ^uint64(0)
+		case r > 0:
+			m[i] = uint64(1)<<uint(r) - 1
+		default:
+			m[i] = 0
+		}
+	}
 }

@@ -224,3 +224,75 @@ func TestLevelColorEndpoints(t *testing.T) {
 	// Degenerate cap does not divide by zero.
 	_ = levelColor(0, 0)
 }
+
+// TestRecorderAndStopProbeShareNetwork runs a Recorder (whose probe
+// refreshes inside the round observer) next to a stop probe refreshed
+// after every Step — the two readers beepmis -csv puts on one network —
+// and requires both to agree on every round with an oracle built
+// straight from the slab, through corruption bursts: a reader that
+// lost the change feed to the other must re-read, never miss a change.
+func TestRecorderAndStopProbeShareNetwork(t *testing.T) {
+	g := graph.GNPAvgDegree(320, 6, rng.New(3))
+	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
+	for _, e := range []struct {
+		name string
+		opts []beep.Option
+	}{
+		{"sequential", nil},
+		{"forced-delta", []beep.Option{beep.WithForcedDelta()}},
+		{"flatparallel-w3", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithWorkers(3)}},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			var rec *Recorder
+			net, err := beep.NewNetwork(g, proto, 17, append(e.opts, beep.WithObserver(func(round int, sent, heard []beep.Signal) {
+				rec.Observer()(round, sent, heard)
+			}))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Close()
+			rec = NewRecorder(net)
+			rec.KeepLevels = true
+			net.RandomizeAll()
+			le := net.BulkState().(core.LevelExporter)
+			levels, caps := make([]int32, net.N()), make([]int32, net.N())
+			lv, cp := make([]int, net.N()), make([]int, net.N())
+			faultSrc := rng.New(4)
+			var stop core.State
+			for r := 0; r < 300; r++ {
+				if r%60 == 30 {
+					if err := net.Corrupt(faultSrc.Perm(net.N())[:5]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				net.Step()
+				if err := stop.Refresh(net); err != nil {
+					t.Fatal(err)
+				}
+				le.ExportLevels(levels, caps, nil)
+				for v := range levels {
+					lv[v], cp[v] = int(levels[v]), int(caps[v])
+				}
+				oracle := core.NewState(g, lv, cp)
+				wantMIS := oracle.MISMask()
+				row := rec.Stats()[len(rec.Stats())-1]
+				if row.Stable != oracle.StableCount() || row.InMIS != graph.CountTrue(wantMIS) {
+					t.Fatalf("round %d: recorder has |S|=%d |I|=%d, oracle %d and %d",
+						net.Round(), row.Stable, row.InMIS, oracle.StableCount(), graph.CountTrue(wantMIS))
+				}
+				if stop.Stabilized() != oracle.Stabilized() || stop.StableCount() != oracle.StableCount() {
+					t.Fatalf("round %d: stop probe has stabilized=%v |S|=%d, oracle %v and %d",
+						net.Round(), stop.Stabilized(), stop.StableCount(), oracle.Stabilized(), oracle.StableCount())
+				}
+				recLevels := rec.Levels()[len(rec.Levels())-1]
+				gotMIS := stop.MISMask()
+				for v := range lv {
+					if recLevels[v] != lv[v] || stop.Level(v) != lv[v] || gotMIS[v] != wantMIS[v] {
+						t.Fatalf("round %d vertex %d: recorder ℓ=%d, stop probe ℓ=%d in MIS %v; slab ℓ=%d in MIS %v",
+							net.Round(), v, recLevels[v], stop.Level(v), gotMIS[v], lv[v], wantMIS[v])
+					}
+				}
+			}
+		})
+	}
+}
