@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,32 +38,6 @@ import (
 	"repro/internal/stab"
 	"repro/internal/trace"
 )
-
-// applyInitCLI mirrors core's initial-configuration handling for the
-// directly built network used by the -csv path.
-func applyInitCLI(net *beep.Network, mode core.InitMode) error {
-	switch mode {
-	case core.InitRandom:
-		net.RandomizeAll()
-	case core.InitAdversarial:
-		for v := 0; v < net.N(); v++ {
-			m, ok := net.Machine(v).(core.Leveled)
-			if !ok {
-				return fmt.Errorf("machine %T has no levels", net.Machine(v))
-			}
-			m.SetLevel(-m.Cap())
-		}
-	case core.InitZero:
-		for v := 0; v < net.N(); v++ {
-			m, ok := net.Machine(v).(core.Leveled)
-			if !ok {
-				return fmt.Errorf("machine %T has no levels", net.Machine(v))
-			}
-			m.SetLevel(0)
-		}
-	}
-	return nil
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -246,69 +221,67 @@ func run(args []string) (retErr error) {
 		}
 		return runAdversarial(g, proto, *seed, engineOpts(), advPol, advVerts, *maxRounds, initMode, *printMIS)
 	}
-	runCfg := core.RunConfig{
-		Graph:     g,
-		Protocol:  proto,
-		Seed:      *seed,
-		Init:      initMode,
-		MaxRounds: *maxRounds,
-		Engine:    engine,
-		Noise:     beep.Noise{PLoss: *noise, PFalse: *noise},
+	opts := engineOpts(beep.WithNoise(beep.Noise{PLoss: *noise, PFalse: *noise}))
+	if *csvPath != "" || *faults > 0 {
+		return runDirect(g, proto, *seed, initMode, *maxRounds, opts, *csvPath, *faults, *printMIS)
 	}
+	return runSupervised(g, proto, *seed, initMode, *maxRounds, sup, opts, *printMIS)
+}
+
+// runDirect drives the -csv and -faults paths on one network: it
+// stabilizes the network with core.Stabilize, then — when faults > 0 —
+// corrupts that same network and re-stabilizes it, and reports both.
+// With csvPath set, the recorder reads the run's own probe and the CSV
+// covers every round of the run.
+func runDirect(g *graph.Graph, proto beep.Protocol, seed uint64, initMode core.InitMode,
+	maxRounds int, opts []beep.Option, csvPath string, faults int, printMIS bool) error {
+	var probe core.State
 	var rec *trace.Recorder
-	if *csvPath != "" {
-		// The recorder needs the network; route through an observer set
-		// after construction via a small indirection.
-		obs := func(round int, sent, heard []beep.Signal) {
-			if rec != nil {
-				rec.Observer()(round, sent, heard)
-			}
-		}
-		net, err := beep.NewNetwork(g, proto, *seed, engineOpts(beep.WithObserver(obs), beep.WithNoise(runCfg.Noise))...)
-		if err != nil {
-			return err
-		}
-		defer net.Close()
-		rec = trace.NewRecorder(net)
-		if err := applyInitCLI(net, initMode); err != nil {
-			return err
-		}
-		var probe core.State
-		stop := func() bool {
-			return probe.Refresh(net) == nil && probe.Stabilized()
-		}
-		budget := *maxRounds
-		if budget <= 0 {
-			budget = 1000000
-		}
-		rounds, ok := net.Run(budget, stop)
-		if !ok {
-			return fmt.Errorf("did not stabilize within %d rounds", budget)
-		}
-		st, err := core.Snapshot(net)
-		if err != nil {
-			return err
-		}
-		if err := st.VerifyMIS(); err != nil {
-			return err
-		}
-		if err := atomicio.WriteFile(*csvPath, rec.WriteCSV); err != nil {
-			return err
-		}
-		mis := st.MISMask()
-		fmt.Printf("stabilized: rounds=%d |MIS|=%d (verified); trace written to %s\n", rounds, graph.CountTrue(mis), *csvPath)
-		if *printMIS {
-			printMask(mis)
-		}
-		return nil
+	if csvPath != "" {
+		opts = append(opts, beep.WithObserver(func(round int, sent, heard []beep.Signal) {
+			rec.Observer()(round, sent, heard)
+		}))
 	}
-	if err := runSupervised(g, proto, *seed, initMode, *maxRounds, sup,
-		engineOpts(beep.WithNoise(runCfg.Noise)), *printMIS); err != nil {
+	net, err := beep.NewNetwork(g, proto, seed, opts...)
+	if err != nil {
 		return err
 	}
-	if *faults > 0 {
-		return recoverFromFaults(g, proto, *seed, engineOpts(), *faults, *maxRounds)
+	defer net.Close()
+	if csvPath != "" {
+		rec = trace.NewRecorder(net, &probe)
 	}
+	if err := core.ApplyInit(net, initMode); err != nil {
+		return err
+	}
+	rounds, err := core.Stabilize(net, &probe, maxRounds)
+	if err != nil {
+		return err
+	}
+	mis := probe.MISMask()
+	recovery := ""
+	if faults > 0 {
+		k := min(faults, g.N())
+		if err := net.Corrupt(rng.New(seed ^ 0xfa17).Perm(g.N())[:k]); err != nil {
+			return err
+		}
+		r, err := core.Stabilize(net, &probe, maxRounds)
+		if err != nil {
+			return fmt.Errorf("after corrupting %d states: %w", k, err)
+		}
+		recovery = fmt.Sprintf("fault recovery: corrupted=%d recovery-rounds=%d (verified)\n", k, r)
+	}
+	written := ""
+	if csvPath != "" {
+		if err := atomicio.WriteFile(csvPath, rec.WriteCSV); err != nil {
+			return err
+		}
+		written = "; trace written to " + csvPath
+	}
+	fmt.Printf("stabilized: rounds=%d |MIS|=%d (verified)%s\n", rounds, graph.CountTrue(mis), written)
+	if printMIS {
+		printMask(mis)
+	}
+	fmt.Print(recovery)
 	return nil
 }
 
@@ -524,46 +497,6 @@ func runBaseline(g *graph.Graph, alg string, seed uint64, maxRounds int, init st
 	return nil
 }
 
-func recoverFromFaults(g *graph.Graph, proto beep.Protocol, seed uint64, opts []beep.Option, k, maxRounds int) error {
-	net, err := beep.NewNetwork(g, proto, seed, opts...)
-	if err != nil {
-		return err
-	}
-	defer net.Close()
-	net.RandomizeAll()
-	if maxRounds <= 0 {
-		maxRounds = 1000000
-	}
-	var probe core.State
-	stop := func() bool {
-		return probe.Refresh(net) == nil && probe.Stabilized()
-	}
-	if _, ok := net.Run(maxRounds, stop); !ok {
-		return fmt.Errorf("no stabilization before fault injection")
-	}
-	src := rng.New(seed ^ 0xfa17)
-	perm := src.Perm(g.N())
-	if k > g.N() {
-		k = g.N()
-	}
-	if err := net.Corrupt(perm[:k]); err != nil {
-		return err
-	}
-	before := net.Round()
-	if _, ok := net.Run(maxRounds, stop); !ok {
-		return fmt.Errorf("no recovery after corrupting %d states", k)
-	}
-	st, err := core.Snapshot(net)
-	if err != nil {
-		return err
-	}
-	if err := st.VerifyMIS(); err != nil {
-		return err
-	}
-	fmt.Printf("fault recovery: corrupted=%d recovery-rounds=%d (verified)\n", k, net.Round()-before)
-	return nil
-}
-
 // parseAdversarySpec validates the -adversaries / -adversary-policy
 // pair against the loaded graph. An empty list means no adversaries.
 func parseAdversarySpec(list, policy string, n int) ([]int, beep.AdversaryPolicy, error) {
@@ -698,43 +631,34 @@ func runAdversarial(g *graph.Graph, proto beep.Protocol, seed uint64, opts []bee
 		return err
 	}
 	defer net.Close()
-	if err := applyInitCLI(net, init); err != nil {
+	if err := core.ApplyInit(net, init); err != nil {
 		return err
 	}
-	mask := make([]bool, net.N())
-	net.FillAdversaryMask(mask)
-	var probe core.State
-	probe.SetExcluded(mask)
-
 	budget := maxRounds
 	if budget <= 0 {
 		budget = 400 * (log2ceil(g.N()) + 2)
 	}
-	for r := 0; r < budget; r++ {
-		net.Step()
-		if err := probe.Refresh(net); err != nil {
-			return err
+	var probe core.State // Refresh masks the adversaries out of legality
+	rounds, err := core.Stabilize(net, &probe, budget)
+	if errors.Is(err, core.ErrNotStabilized) {
+		correct := net.N() - net.AdversaryCount()
+		frac := 0.0
+		if correct > 0 {
+			frac = float64(probe.StableCount()-net.AdversaryCount()) / float64(correct)
 		}
-		if probe.Stabilized() {
-			if err := probe.VerifyMIS(); err != nil {
-				return err
-			}
-			mis := probe.MISMask()
-			fmt.Printf("stabilized (correct subgraph): rounds=%d |MIS|=%d adversaries=%d policy=%s (verified)\n",
-				net.Round(), graph.CountTrue(mis), net.AdversaryCount(), policy)
-			if printMIS {
-				printMask(mis)
-			}
-			return nil
-		}
+		fmt.Printf("no stabilization within %d rounds (expected around jammers): stable correct fraction=%.3f adversaries=%d policy=%s\n",
+			budget, frac, net.AdversaryCount(), policy)
+		return nil
 	}
-	correct := net.N() - net.AdversaryCount()
-	frac := 0.0
-	if correct > 0 {
-		frac = float64(probe.StableCount()-net.AdversaryCount()) / float64(correct)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("no stabilization within %d rounds (expected around jammers): stable correct fraction=%.3f adversaries=%d policy=%s\n",
-		budget, frac, net.AdversaryCount(), policy)
+	mis := probe.MISMask()
+	fmt.Printf("stabilized (correct subgraph): rounds=%d |MIS|=%d adversaries=%d policy=%s (verified)\n",
+		rounds, graph.CountTrue(mis), net.AdversaryCount(), policy)
+	if printMIS {
+		printMask(mis)
+	}
 	return nil
 }
 

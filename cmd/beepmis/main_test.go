@@ -3,12 +3,18 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/beep"
+	"repro/internal/core"
+	"repro/internal/famspec"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 func TestRunFamilyAllAlgorithms(t *testing.T) {
@@ -94,6 +100,75 @@ func TestRunFaultsAndNoise(t *testing.T) {
 	}
 	if err := run([]string{"-family", "cycle:20", "-noise", "0.01"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// runOutput runs the CLI and returns what it printed to stdout.
+func runOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	err = run(args)
+	os.Stdout = stdout
+	w.Close()
+	printed := string(<-out)
+	r.Close()
+	if err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	return printed
+}
+
+// TestRunFaultsRecoverTheReportedRun pins -faults to one execution: the
+// stabilization it prints and the recovery it prints must both be those
+// of the run built here through the library — the same graph, protocol,
+// seed and -init, stabilized, then the same vertices corrupted.
+func TestRunFaultsRecoverTheReportedRun(t *testing.T) {
+	const seed, k = 3, 8
+	out := runOutput(t, "-family", "gnp:256:0.03", "-seed", "3", "-init", "fresh", "-faults", "8")
+
+	g, err := famspec.Parse("gnp:256:0.03", rng.New(seed^0x9e37))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := core.ProtocolByName("alg1-known-delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := beep.NewNetwork(g, proto, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	if err := core.ApplyInit(net, core.InitFresh); err != nil {
+		t.Fatal(err)
+	}
+	var probe core.State
+	rounds, err := core.Stabilize(net, &probe, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mis := graph.CountTrue(probe.MISMask())
+	if err := net.Corrupt(rng.New(seed ^ 0xfa17).Perm(g.N())[:k]); err != nil {
+		t.Fatal(err)
+	}
+	recovery, err := core.Stabilize(net, &probe, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("stabilized: rounds=%d |MIS|=%d (verified)\nfault recovery: corrupted=%d recovery-rounds=%d (verified)\n",
+		rounds, mis, k, recovery)
+	if !strings.HasSuffix(out, want) {
+		t.Fatalf("beepmis printed\n%s\nthe library run gives\n%s", out, want)
 	}
 }
 

@@ -33,7 +33,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("tracebeep", flag.ContinueOnError)
 	family := fs.String("family", "cycle:12", "graph family spec (keep it small; one line per round)")
-	alg := fs.String("alg", "alg1-known-delta", "alg1-known-delta | alg1-own-degree | alg2-two-channel")
+	alg := fs.String("alg", "alg1-known-delta", "alg1-known-delta | alg1-own-degree | alg2-two-channel | alg1-adaptive")
 	init := fs.String("init", "random", "fresh | random | adversarial | zero")
 	seed := fs.Uint64("seed", 1, "random seed")
 	rounds := fs.Int("rounds", 60, "maximum rounds to trace")
@@ -50,32 +50,16 @@ func run(args []string) error {
 		return fmt.Errorf("trace output is per-vertex; use a graph with at most 64 vertices (got %d)", g.N())
 	}
 
-	var proto beep.Protocol
-	switch *alg {
-	case "alg1-known-delta":
-		proto = core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	case "alg1-own-degree":
-		proto = core.NewAlg1(core.OwnDegree(core.DefaultC1OwnDegree))
-	case "alg2-two-channel":
-		proto = core.NewAlg2(core.NeighborhoodMaxDegree(core.DefaultC1TwoHop))
-	default:
-		return fmt.Errorf("unknown algorithm %q", *alg)
+	proto, err := core.ProtocolByName(*alg)
+	if err != nil {
+		return err
+	}
+	initMode, err := core.InitByName(*init)
+	if err != nil {
+		return err
 	}
 
-	var initMode core.InitMode
-	switch *init {
-	case "fresh":
-		initMode = core.InitFresh
-	case "random":
-		initMode = core.InitRandom
-	case "adversarial":
-		initMode = core.InitAdversarial
-	case "zero":
-		initMode = core.InitZero
-	default:
-		return fmt.Errorf("unknown init %q", *init)
-	}
-
+	var st core.State
 	var lastSent []beep.Signal
 	var rec *trace.Recorder
 	net, err := beep.NewNetwork(g, proto, *seed, beep.WithObserver(func(round int, sent, heard []beep.Signal) {
@@ -89,31 +73,16 @@ func run(args []string) error {
 	}
 	defer net.Close()
 	if *svgPath != "" {
-		rec = trace.NewRecorder(net)
+		rec = trace.NewRecorder(net, &st)
 		rec.KeepLevels = true
 	}
-
-	switch initMode {
-	case core.InitRandom:
-		net.RandomizeAll()
-	case core.InitAdversarial:
-		for v := 0; v < net.N(); v++ {
-			if m, ok := net.Machine(v).(core.Leveled); ok {
-				m.SetLevel(-m.Cap())
-			}
-		}
-	case core.InitZero:
-		for v := 0; v < net.N(); v++ {
-			if m, ok := net.Machine(v).(core.Leveled); ok {
-				m.SetLevel(0)
-			}
-		}
+	if err := core.ApplyInit(net, initMode); err != nil {
+		return err
 	}
 
 	fmt.Printf("graph %s  n=%d m=%d  alg=%s init=%s seed=%d\n", g.Name(), g.N(), g.M(), *alg, *init, *seed)
 	fmt.Println("per round: level[beep-marker]; * = in MIS, . = stable non-MIS")
 
-	var st core.State
 	stable := make([]bool, g.N())
 	for r := 0; r <= *rounds; r++ {
 		if err := st.Refresh(net); err != nil {
@@ -139,26 +108,23 @@ func run(args []string) error {
 		fmt.Println(sb.String())
 		if st.Stabilized() {
 			fmt.Printf("stabilized after %d rounds; MIS verified: %v\n", net.Round(), st.VerifyMIS() == nil)
-			return writeSVG(rec, net, *svgPath)
+			return writeSVG(rec, &st, g.N(), *svgPath)
 		}
 		net.Step()
 	}
 	fmt.Printf("not stabilized within %d rounds (increase -rounds)\n", *rounds)
-	return writeSVG(rec, net, *svgPath)
+	return writeSVG(rec, &st, g.N(), *svgPath)
 }
 
-// writeSVG emits the level heatmap when requested.
-func writeSVG(rec *trace.Recorder, net *beep.Network, path string) error {
+// writeSVG emits the level heatmap when requested, coloring each vertex
+// against its ℓmax as the run's probe holds it.
+func writeSVG(rec *trace.Recorder, st *core.State, n int, path string) error {
 	if rec == nil || path == "" {
 		return nil
 	}
-	caps := make([]int, net.N())
+	caps := make([]int, n)
 	for v := range caps {
-		m, ok := net.Machine(v).(core.Leveled)
-		if !ok {
-			return fmt.Errorf("machine %T has no levels", net.Machine(v))
-		}
-		caps[v] = m.Cap()
+		caps[v] = st.Cap(v)
 	}
 	if err := atomicio.WriteFile(path, func(w io.Writer) error {
 		return rec.WriteLevelHeatmapSVG(w, caps, 6)

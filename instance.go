@@ -49,18 +49,11 @@ func NewInstance(g *Graph, opts ...Option) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{net: net, faultSrc: rng.New(o.seed ^ 0xfa17)}
-	switch init {
-	case core.InitRandom:
-		net.RandomizeAll()
-	case core.InitAdversarial:
-		for v := 0; v < net.N(); v++ {
-			if m, ok := net.Machine(v).(core.Leveled); ok {
-				m.SetLevel(-m.Cap())
-			}
-		}
+	if err := core.ApplyInit(net, init); err != nil {
+		net.Close()
+		return nil, err
 	}
-	return inst, nil
+	return &Instance{net: net, faultSrc: rng.New(o.seed ^ 0xfa17)}, nil
 }
 
 // Step executes one synchronous beeping round.
@@ -134,18 +127,11 @@ func (i *Instance) InjectFault(k int) error {
 }
 
 // RunUntilStabilized steps until the network is legal or maxRounds
-// rounds pass, returning the rounds consumed by this call.
+// rounds pass (maxRounds ≤ 0 selects the default budget), verifies the
+// MIS, and returns the rounds consumed by this call. An exhausted budget
+// returns an error wrapping ErrNotStabilized.
 func (i *Instance) RunUntilStabilized(maxRounds int) (int, error) {
-	start := i.net.Round()
-	stop := func() bool {
-		ok, err := i.Stabilized()
-		return err == nil && ok
-	}
-	_, ok := i.net.Run(maxRounds, stop)
-	if !ok {
-		return i.net.Round() - start, fmt.Errorf("%w: after %d rounds", ErrNotStabilized, maxRounds)
-	}
-	return i.net.Round() - start, nil
+	return core.Stabilize(i.net, &i.probe, maxRounds)
 }
 
 // Save writes a resumable checkpoint of the execution as a binary

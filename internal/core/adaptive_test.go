@@ -108,7 +108,7 @@ func TestAdaptiveClosure(t *testing.T) {
 		st, serr := Snapshot(net)
 		return serr == nil && st.Stabilized()
 	}
-	if _, ok := net.Run(defaultMaxRounds(g.N()), stop); !ok {
+	if _, ok := net.Run(DefaultMaxRounds(g.N()), stop); !ok {
 		t.Fatal("did not stabilize")
 	}
 	st0, err := Snapshot(net)

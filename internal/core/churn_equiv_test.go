@@ -103,8 +103,9 @@ func TestVerifyMISOn(t *testing.T) {
 // churn schedule via live Rewire, and on every single round the
 // incremental probe is cross-validated against the from-scratch oracle
 // (oracleState, which reads the slab without taking the probe's change
-// feed). The exclusion mask is re-captured whenever the network's
-// adversary epoch moves.
+// feed). The probe gets no exclusion mask: Refresh must re-capture it
+// whenever a Rewire moves the network's adversary epoch, while the
+// oracle reads the mask from the network afresh every time.
 func TestDetectorAcrossChurnAndAdversaries(t *testing.T) {
 	g := graph.GNPAvgDegree(36, 5, rng.New(21))
 	sched, err := graph.FlapSchedule(g, 4, 8, rng.New(22))
@@ -121,28 +122,16 @@ func TestDetectorAcrossChurnAndAdversaries(t *testing.T) {
 	net.RandomizeAll()
 
 	var inc State
-	var mask []bool
-	epoch := ^uint64(0)
-	capture := func() {
-		if e := net.AdversaryEpoch(); e != epoch {
-			mask = make([]bool, net.N())
-			net.FillAdversaryMask(mask)
-			inc.SetExcluded(mask)
-			epoch = e
-		}
-	}
 	check := func(tag string, r int) {
 		t.Helper()
-		checkAgainstOracle(t, fmt.Sprintf("%s round %d", tag, r), &inc, net, mask)
+		checkAgainstOracle(t, fmt.Sprintf("%s round %d", tag, r), &inc, net, adversaryMask(net))
 	}
 
-	capture()
 	cur := g
 	for ei, ev := range sched {
 		tag := fmt.Sprintf("pre-%s", ev.Label)
 		for r := 0; r < 30; r++ {
 			net.Step()
-			capture() // no-op between rewires, re-captures after them
 			check(tag, r)
 		}
 		g2, mapping, err := graph.ApplyEdits(cur, ev.Edits)
@@ -153,13 +142,84 @@ func TestDetectorAcrossChurnAndAdversaries(t *testing.T) {
 			t.Fatalf("event %d (%s): rewire: %v", ei, ev.Label, err)
 		}
 		cur = g2
-		capture()
 		check(fmt.Sprintf("post-%s", ev.Label), 0)
 	}
 	for r := 0; r < 60; r++ {
 		net.Step()
 		check("tail", r)
 	}
+}
+
+// adversaryMask reads the network's current adversary set.
+func adversaryMask(net *beep.Network) []bool {
+	mask := make([]bool, net.N())
+	net.FillAdversaryMask(mask)
+	return mask
+}
+
+// TestRefreshExcludesAdversaries pins that a State refreshed from a
+// network judges legality on the correct induced subgraph by itself:
+// with mute radios installed and no SetExcluded call, Stabilized,
+// StableCount and VerifyMIS must answer as a snapshot masked with the
+// network's adversary set does, on every round, up to a legal
+// configuration the unmasked predicate rejects — and again after a
+// Rewire that deletes one adversary and renumbers the other.
+func TestRefreshExcludesAdversaries(t *testing.T) {
+	g := graph.GNPAvgDegree(40, 5, rng.New(23))
+	net, err := beep.NewNetwork(g, NewAlg1(KnownMaxDegreeExact(DefaultC1KnownDelta)), 21,
+		beep.WithAdversaries(beep.AdvMute, []int{2, 11}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	net.RandomizeAll()
+
+	var st State
+	// stabilize steps until st reports legality, requiring its answers
+	// to match a masked oracle every round.
+	stabilize := func(tag string) {
+		t.Helper()
+		for r := 0; r < DefaultMaxRounds(net.N()); r++ {
+			if err := st.Refresh(net); err != nil {
+				t.Fatal(err)
+			}
+			mask := adversaryMask(net)
+			o := oracleState(t, net, mask)
+			if st.Stabilized() != o.Stabilized() || st.StableCount() != o.StableCount() {
+				t.Fatalf("%s round %d: stabilized=%v |S|=%d, masked oracle %v and %d",
+					tag, net.Round(), st.Stabilized(), st.StableCount(), o.Stabilized(), o.StableCount())
+			}
+			if st.Stabilized() {
+				if err := st.VerifyMIS(); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				for v, ex := range mask {
+					if st.Excluded(v) != ex {
+						t.Fatalf("%s: vertex %d excluded=%v, network says %v", tag, v, st.Excluded(v), ex)
+					}
+				}
+				if oracleState(t, net, nil).Stabilized() {
+					t.Fatalf("%s: the unmasked predicate accepts the configuration too; the check shows nothing", tag)
+				}
+				return
+			}
+			net.Step()
+		}
+		t.Fatalf("%s: no legal configuration of the correct subgraph", tag)
+	}
+	stabilize("initial")
+
+	g2, mapping, err := graph.ApplyEdits(g, []graph.Edit{{Kind: graph.EditDelVertex, U: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Rewire(g2, mapping[:g.N()]); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Adversaries(); len(got) != 1 || got[0] != mapping[11] {
+		t.Fatalf("adversaries after rewire %v, want [%d]", got, mapping[11])
+	}
+	stabilize("after rewire")
 }
 
 // TestEngineEquivalenceThroughChurn extends the engine contract to the

@@ -567,7 +567,7 @@ func TestClosureAfterStabilization(t *testing.T) {
 		st, err := Snapshot(net)
 		return err == nil && st.Stabilized()
 	}
-	if _, ok := net.Run(defaultMaxRounds(g.N()), stab); !ok {
+	if _, ok := net.Run(DefaultMaxRounds(g.N()), stab); !ok {
 		t.Fatal("did not stabilize")
 	}
 	st0, err := Snapshot(net)
@@ -606,10 +606,10 @@ func TestInitModeString(t *testing.T) {
 }
 
 func TestDefaultMaxRounds(t *testing.T) {
-	if defaultMaxRounds(1) < 1000 {
+	if DefaultMaxRounds(1) < 1000 {
 		t.Fatal("budget too small for n=1")
 	}
-	if defaultMaxRounds(1<<16) <= defaultMaxRounds(4) {
+	if DefaultMaxRounds(1<<16) <= DefaultMaxRounds(4) {
 		t.Fatal("budget must grow with n")
 	}
 }

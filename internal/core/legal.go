@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/beep"
 	"repro/internal/bitset"
@@ -95,11 +96,17 @@ type State struct {
 	// as vacuously stable, and is invisible to its neighbors' membership
 	// and stability scans — so Stabilized() and VerifyMIS() speak about
 	// the correct induced subgraph, the only set the self-stabilization
-	// guarantee covers. nil means every vertex cooperates.
+	// guarantee covers. nil means every vertex cooperates. Refresh
+	// captures it from the network (see captureExcluded); SetExcluded
+	// installs it on snapshots no network feeds.
 	excluded []bool
-	// exGen counts SetExcluded calls so the detector knows to rebuild
-	// when the mask changes (mirroring beep.Network.AdversaryEpoch).
+	// exGen counts exclusion-mask changes so the detector knows to
+	// rebuild when the mask changes.
 	exGen uint64
+	// advEpoch is the network's AdversaryEpoch at the last capture;
+	// advBuf is the capture's scratch mask.
+	advEpoch uint64
+	advBuf   []bool
 
 	det detector
 }
@@ -157,6 +164,13 @@ func Snapshot(net *beep.Network) (*State, error) {
 // change feed names — every word on a first Refresh, after another
 // reader, or when the exporter changed — are copied out of the machine
 // slab with no per-vertex interface dispatch and no engine mark.
+//
+// Refresh also keeps the exclusion mask equal to the network's
+// adversary set, so legality is always judged on the correct induced
+// subgraph: it re-captures the mask whenever it re-reads every word (a
+// first Refresh, another network, another reader) and whenever the
+// network's AdversaryEpoch moved (WithAdversaries, Rewire, Reseed,
+// Restore).
 func (s *State) Refresh(net *beep.Network) error {
 	n := net.N()
 	if g := net.Graph(); g != s.g {
@@ -180,6 +194,9 @@ func (s *State) Refresh(net *beep.Network) error {
 		if all || reread {
 			setWords(s.changed, words)
 		}
+		if all || reread || net.AdversaryEpoch() != s.advEpoch {
+			s.captureExcluded(net)
+		}
 		mut := le.MutableCaps()
 		if mut || reread {
 			le.ExportLevels(s.levels, s.caps, s.changed)
@@ -193,6 +210,7 @@ func (s *State) Refresh(net *beep.Network) error {
 	}
 	s.tok, s.exp = 0, nil
 	setWords(s.changed, words)
+	s.captureExcluded(net)
 	s.capsMutable = true
 	s.twoChannel = false
 	for v := 0; v < n; v++ {
@@ -207,6 +225,26 @@ func (s *State) Refresh(net *beep.Network) error {
 		}
 	}
 	return nil
+}
+
+// captureExcluded installs net's adversary mask as the exclusion mask,
+// counting a change only when the set differs from the installed one
+// (an unchanged mask keeps the detector incremental).
+func (s *State) captureExcluded(net *beep.Network) {
+	s.advEpoch = net.AdversaryEpoch()
+	if net.AdversaryCount() == 0 {
+		s.SetExcluded(nil)
+		return
+	}
+	n := net.N()
+	if cap(s.advBuf) < n {
+		s.advBuf = make([]bool, n)
+	}
+	mask := s.advBuf[:n]
+	net.FillAdversaryMask(mask)
+	if !slices.Equal(mask, s.excluded) {
+		s.SetExcluded(mask)
+	}
 }
 
 // setGraph installs the snapshot's topology, deriving the materialized
@@ -259,11 +297,11 @@ func NewState(g graph.Topology, levels, caps []int) *State {
 }
 
 // SetExcluded installs the mask of non-cooperating vertices (length n,
-// true = excluded from the legality machinery), typically captured from
-// beep.Network.FillAdversaryMask. The mask is copied; nil clears it.
-// Callers that track a live network should re-capture whenever
-// Network.AdversaryEpoch changes — Rewire both renumbers the adversary
-// set and resizes the vertex space.
+// true = excluded from the legality machinery) on a snapshot that no
+// network feeds, such as one built by NewState. The mask is copied; nil
+// clears it. A State refreshed from a network needs no call: Refresh
+// captures the network's adversary set itself and replaces whatever
+// mask was installed.
 func (s *State) SetExcluded(mask []bool) {
 	if mask == nil {
 		if s.excluded != nil {

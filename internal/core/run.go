@@ -56,13 +56,11 @@ type RunConfig struct {
 	Protocol beep.Protocol
 	Seed     uint64
 	Init     InitMode
-	// MaxRounds bounds the execution; 0 selects a generous default of
-	// 1000·(log2 n + 1) + 1000 rounds, far above the w.h.p. bounds.
+	// MaxRounds bounds the execution; 0 selects DefaultMaxRounds.
+	// Stabilization is tested before the first round and after every
+	// round (see Stabilize), so Rounds is exact.
 	MaxRounds int
 	Engine    beep.Engine
-	// CheckEvery sets how often (in rounds) stabilization is tested;
-	// 0 means every round, giving exact stabilization times.
-	CheckEvery int
 	// Observer, when non-nil, receives each round's signals.
 	Observer func(round int, sent, heard []beep.Signal)
 	// Noise, when non-zero, makes listening unreliable (see beep.Noise).
@@ -75,8 +73,7 @@ type RunConfig struct {
 
 // RunResult reports a stabilized execution.
 type RunResult struct {
-	// Rounds is the number of rounds until S_t = V was first observed
-	// (at CheckEvery granularity).
+	// Rounds is the number of rounds until S_t = V was first observed.
 	Rounds int
 	// MIS is the stabilized maximal independent set.
 	MIS []bool
@@ -84,8 +81,10 @@ type RunResult struct {
 	MISSize int
 }
 
-// defaultMaxRounds returns the default round budget for n vertices.
-func defaultMaxRounds(n int) int {
+// DefaultMaxRounds is the round budget every run-to-legal driver uses
+// when given none: 1000·(log2 n + 1) + 1000 rounds, far above the
+// w.h.p. O(log n) bounds.
+func DefaultMaxRounds(n int) int {
 	log := 0
 	for x := n; x > 1; x >>= 1 {
 		log++
@@ -120,13 +119,20 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if err := ApplyInit(net, cfg.Init); err != nil {
 		return nil, err
 	}
-	return runToStabilization(net, cfg.MaxRounds, cfg.CheckEvery)
+	var probe State
+	rounds, err := Stabilize(net, &probe, cfg.MaxRounds)
+	if err != nil {
+		return nil, err
+	}
+	mis := probe.MISMask()
+	return &RunResult{Rounds: rounds, MIS: mis, MISSize: graph.CountTrue(mis)}, nil
 }
 
 // ApplyInit installs the initial configuration on a freshly built
-// network whose machines implement Leveled. It is exported for the
-// drivers (stab.Supervisor, cmd/beepmis) that build networks directly
-// but must match core.Run's initial-configuration semantics exactly.
+// network whose machines implement Leveled. It is the one
+// implementation of InitMode: every driver that builds its network
+// directly (stab.Supervisor, exp.RunReplicated, repro.NewInstance, the
+// CLIs) calls it, so all of them match core.Run exactly.
 func ApplyInit(net *beep.Network, mode InitMode) error {
 	switch mode {
 	case InitFresh, 0:
@@ -160,42 +166,37 @@ func ApplyInit(net *beep.Network, mode InitMode) error {
 	}
 }
 
-// runToStabilization steps net until Stabilized, the budget runs out, or
-// a safety violation is detected, and verifies the final MIS.
-func runToStabilization(net *beep.Network, maxRounds, checkEvery int) (*RunResult, error) {
+// Stabilize is the run-to-legal driver: it steps net until probe
+// reports S_t = V (the paper's stabilization condition, on the correct
+// induced subgraph when adversaries are installed), then verifies the
+// MIS on that same probe. Like Network.Run it tests legality before the
+// first round and after every round, so it returns the exact number of
+// rounds this call executed. maxRounds ≤ 0 selects DefaultMaxRounds;
+// when the budget runs out it returns ErrNotStabilized, wrapped with the
+// stable count. A nil probe uses a fresh one; callers pass their own to
+// read the stabilized set (MISMask) afterwards, or to keep one detector
+// warm across calls on the same network.
+func Stabilize(net *beep.Network, probe *State, maxRounds int) (int, error) {
+	if probe == nil {
+		probe = new(State)
+	}
 	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds(net.N())
+		maxRounds = DefaultMaxRounds(net.N())
 	}
-	if checkEvery <= 0 {
-		checkEvery = 1
-	}
-	var probe State
-	stabilized := func() bool {
-		if net.Round()%checkEvery != 0 {
-			return false
-		}
-		if err := probe.Refresh(net); err != nil {
-			// Surfaced below via the final snapshot; cannot stabilize.
-			return false
-		}
-		return probe.Stabilized()
-	}
-	rounds, ok := net.Run(maxRounds, stabilized)
-	st, err := Snapshot(net)
+	var err error
+	rounds, ok := net.Run(maxRounds, func() bool {
+		err = probe.Refresh(net)
+		return err != nil || probe.Stabilized()
+	})
 	if err != nil {
-		return nil, err
+		return rounds, err
 	}
-	if !ok || !st.Stabilized() {
-		return nil, fmt.Errorf("%w: %d rounds on %s (n=%d, stable %d/%d)",
-			ErrNotStabilized, rounds, net.Graph().Name(), net.N(), st.StableCount(), net.N())
+	if !ok {
+		return rounds, fmt.Errorf("%w: %d rounds on %s (n=%d, stable %d/%d)",
+			ErrNotStabilized, rounds, net.Graph().Name(), net.N(), probe.StableCount(), net.N())
 	}
-	if err := st.VerifyMIS(); err != nil {
-		return nil, fmt.Errorf("core: stabilized to an illegal state: %w", err)
+	if err := probe.VerifyMIS(); err != nil {
+		return rounds, fmt.Errorf("core: stabilized to an illegal state: %w", err)
 	}
-	mis := st.MISMask()
-	return &RunResult{
-		Rounds:  rounds,
-		MIS:     mis,
-		MISSize: graph.CountTrue(mis),
-	}, nil
+	return rounds, nil
 }

@@ -58,7 +58,7 @@ type Config struct {
 	// FixedRounds > 0 runs to exactly that round instead of to
 	// stabilization.
 	FixedRounds int
-	// MaxRounds bounds a stabilization run (0 = default budget).
+	// MaxRounds bounds a stabilization run (0 = core.DefaultMaxRounds).
 	MaxRounds int
 	// CheckpointEvery is the synchronized-checkpoint cadence in rounds
 	// (0 = every 8: recovery needs a checkpoint to rewind to).

@@ -11,16 +11,6 @@ import (
 	"repro/internal/core"
 )
 
-// defaultBudget mirrors the stab supervisor's round budget: generous
-// multiples of the O(log n) expected stabilization time.
-func defaultBudget(n int) int {
-	log := 0
-	for x := n; x > 1; x >>= 1 {
-		log++
-	}
-	return 1000*(log+1) + 1000
-}
-
 // loop drives the per-round exchange until stabilization (or the fixed
 // round target), recovering from worker deaths by rewinding everyone to
 // the shadow's round.
@@ -30,7 +20,7 @@ func (co *coordinator) loop(ctx context.Context) error {
 	r := startRound
 	budget := cfg.MaxRounds
 	if budget == 0 {
-		budget = defaultBudget(co.g.N())
+		budget = core.DefaultMaxRounds(co.g.N())
 	}
 	digests := make([]uint64, len(co.clients))
 	var probe core.State

@@ -58,8 +58,14 @@ func RunE21(cfg Config) error {
 				// Pass 1: run to stabilization, tracing the per-round
 				// active counts.
 				var active []int
-				r, err := runToStabilization(g, seed,
+				net, err := beep.NewNetwork(g, core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta)), seed,
 					beep.WithStatsObserver(func(_, act, _ int) { active = append(active, act) }))
+				if err != nil {
+					return err
+				}
+				net.RandomizeAll()
+				r, err := core.Stabilize(net, nil, 1_000_000)
+				net.Close()
 				if err != nil {
 					return fmt.Errorf("E21 %s n=%d: %w", fam.name, n, err)
 				}
@@ -89,26 +95,6 @@ func RunE21(cfg Config) error {
 		}
 	}
 	return cfg.Render(tab)
-}
-
-// runToStabilization runs a network from a randomized start until the
-// legality probe stabilizes and returns the round count.
-func runToStabilization(g *graph.Graph, seed uint64, opts ...beep.Option) (int, error) {
-	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(g, proto, seed, opts...)
-	if err != nil {
-		return 0, err
-	}
-	defer net.Close()
-	net.RandomizeAll()
-	var probe core.State
-	r, ok := net.Run(1_000_000, func() bool {
-		return probe.Refresh(net) == nil && probe.Stabilized()
-	})
-	if !ok {
-		return 0, fmt.Errorf("no stabilization within 10^6 rounds")
-	}
-	return r, nil
 }
 
 // timeFixedRun times `rounds` rounds from a randomized start and returns

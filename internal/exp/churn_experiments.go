@@ -221,11 +221,7 @@ func adversaryQualityRun(g *graph.Graph, policy beep.AdversaryPolicy, verts []in
 	defer net.Close()
 	net.RandomizeAll()
 
-	mask := make([]bool, net.N())
-	net.FillAdversaryMask(mask)
-	var probe core.State
-	probe.SetExcluded(mask)
-
+	var probe core.State // Refresh masks the adversaries out of legality
 	correct := net.N() - net.AdversaryCount()
 	stabilized, stabRound := false, 0
 	for r := 0; r < horizon; r++ {

@@ -147,12 +147,9 @@ func stableCkptBaseline(g *graph.Graph, seed uint64) (*beep.Network, *beep.Check
 		return nil, nil, err
 	}
 	net.RandomizeAll()
-	var probe core.State
-	if _, ok := net.Run(1_000_000, func() bool {
-		return probe.Refresh(net) == nil && probe.Stabilized()
-	}); !ok {
+	if _, err := core.Stabilize(net, nil, 1_000_000); err != nil {
 		net.Close()
-		return nil, nil, fmt.Errorf("no stabilization within 10^6 rounds")
+		return nil, nil, err
 	}
 	base, err := net.Checkpoint()
 	if err != nil {

@@ -48,6 +48,7 @@ func RunE11(cfg Config) error {
 	for _, init := range []core.InitMode{core.InitFresh, core.InitRandom, core.InitAdversarial, core.InitZero} {
 		g := graph.GNPAvgDegree(n, 8, rng.New(cellSeed(cfg.Seed, 11, 2)))
 		proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
+		var probe core.State
 		var rec *trace.Recorder
 		net, err := beep.NewNetwork(g, proto, cellSeed(cfg.Seed, 11, uint64(init), 3),
 			beep.WithObserver(func(round int, sent, heard []beep.Signal) {
@@ -56,18 +57,14 @@ func RunE11(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		rec = trace.NewRecorder(net)
-		if err := applyInitExp(net, init); err != nil {
+		rec = trace.NewRecorder(net, &probe)
+		if err := core.ApplyInit(net, init); err != nil {
 			net.Close()
 			return err
 		}
-		var probe core.State
-		stop := func() bool {
-			return probe.Refresh(net) == nil && probe.Stabilized()
-		}
-		if _, ok := net.Run(100000, stop); !ok {
+		if _, err := core.Stabilize(net, &probe, 100000); err != nil {
 			net.Close()
-			return fmt.Errorf("E11 init=%v: no stabilization", init)
+			return fmt.Errorf("E11 init=%v: %w", init, err)
 		}
 		stats := rec.Stats()
 		net.Close()
@@ -83,31 +80,4 @@ func RunE11(cfg Config) error {
 		series.Add("beeping/"+init.String(), float64(len(stats)), float64(last.Beeping))
 	}
 	return cfg.Render(series)
-}
-
-// applyInitExp mirrors the core initial-configuration handling for
-// directly built networks in the experiment suite.
-func applyInitExp(net *beep.Network, mode core.InitMode) error {
-	switch mode {
-	case core.InitFresh:
-		return nil
-	case core.InitRandom:
-		net.RandomizeAll()
-		return nil
-	case core.InitAdversarial, core.InitZero:
-		for v := 0; v < net.N(); v++ {
-			m, ok := net.Machine(v).(core.Leveled)
-			if !ok {
-				return fmt.Errorf("exp: machine %T has no levels", net.Machine(v))
-			}
-			if mode == core.InitAdversarial {
-				m.SetLevel(-m.Cap())
-			} else {
-				m.SetLevel(0)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("exp: unknown init mode %v", mode)
-	}
 }

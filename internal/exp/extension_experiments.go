@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/beep"
@@ -153,32 +154,26 @@ func RunE10(cfg Config) error {
 				}
 				oracleRounds = append(oracleRounds, float64(ores.Rounds))
 
-				// The adaptive run needs machine access for final caps.
+				// The adaptive run keeps its probe to read the final caps.
 				net, err := beep.NewNetwork(g, core.NewAdaptiveAlg1(), seed^0xad)
 				if err != nil {
 					return err
 				}
 				net.RandomizeAll()
 				var probe core.State
-				stop := func() bool {
-					return probe.Refresh(net) == nil && probe.Stabilized()
-				}
-				r, ok := net.Run(200000, stop)
-				if ok {
+				r, err := core.Stabilize(net, &probe, 200000)
+				switch {
+				case errors.Is(err, core.ErrNotStabilized):
+					// Not ok: no guarantee backs the heuristic's budget.
+				case err != nil:
+					net.Close()
+					return fmt.Errorf("E10 adaptive %s n=%d: %w", fam.name, size, err)
+				default:
 					okCount++
 					adaptiveRounds = append(adaptiveRounds, float64(r))
-					st, err := core.Snapshot(net)
-					if err != nil {
-						net.Close()
-						return err
-					}
-					if err := st.VerifyMIS(); err != nil {
-						net.Close()
-						return fmt.Errorf("E10 adaptive %s n=%d: %w", fam.name, size, err)
-					}
 					capSum := 0
 					for v := 0; v < net.N(); v++ {
-						capSum += st.Cap(v)
+						capSum += probe.Cap(v)
 					}
 					if net.N() > 0 {
 						finalCaps = append(finalCaps, float64(capSum)/float64(net.N()))

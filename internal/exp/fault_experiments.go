@@ -74,12 +74,8 @@ func RunE6(cfg Config) error {
 	}
 	defer net.Close()
 	net.RandomizeAll()
-	var probe core.State
-	stop := func() bool {
-		return probe.Refresh(net) == nil && probe.Stabilized()
-	}
-	if _, ok := net.Run(1000000, stop); !ok {
-		return fmt.Errorf("E6 closure: instance did not stabilize")
+	if _, err := core.Stabilize(net, nil, 1000000); err != nil {
+		return fmt.Errorf("E6 closure: %w", err)
 	}
 	closureRounds := 10 * Log2(float64(n))
 	if err := stab.CheckClosure(net, int(closureRounds)); err != nil {

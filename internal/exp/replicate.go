@@ -36,11 +36,10 @@ type ReplicatedConfig struct {
 	Trials int
 	// Init is applied after every reseed (default InitFresh).
 	Init core.InitMode
-	// MaxRounds bounds each trial; 0 selects the same generous default
-	// as core.Run.
+	// MaxRounds bounds each trial; 0 selects core.DefaultMaxRounds.
+	// Every trial runs through core.Stabilize, so its round count is
+	// exactly the one core.Run reports for the same seed.
 	MaxRounds int
-	// CheckEvery sets stabilization-probe granularity (0 = every round).
-	CheckEvery int
 	// Engine defaults to Sequential, which runs the flat kernels when
 	// the protocol provides them. Parallelism across the replication
 	// pool beats parallelism inside one round, so the single-threaded
@@ -196,30 +195,9 @@ func runReplica(cfg *ReplicatedConfig, net *beep.Network, rl *graph.Relabeling, 
 	if err := core.ApplyInit(net, cfg.Init); err != nil {
 		return err
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultReplicaBudget(net.N())
-	}
-	checkEvery := cfg.CheckEvery
-	if checkEvery <= 0 {
-		checkEvery = 1
-	}
-	stop := func() bool {
-		if net.Round()%checkEvery != 0 {
-			return false
-		}
-		return probe.Refresh(net) == nil && probe.Stabilized()
-	}
-	rounds, ok := net.Run(maxRounds, stop)
-	if err := probe.Refresh(net); err != nil {
+	rounds, err := core.Stabilize(net, probe, cfg.MaxRounds)
+	if err != nil {
 		return err
-	}
-	if !ok || !probe.Stabilized() {
-		return fmt.Errorf("%w: %d rounds on %s (n=%d, stable %d/%d)",
-			core.ErrNotStabilized, rounds, net.Graph().Name(), net.N(), probe.StableCount(), net.N())
-	}
-	if err := probe.VerifyMIS(); err != nil {
-		return fmt.Errorf("stabilized to an illegal state: %w", err)
 	}
 	if rl != nil {
 		// Pull the MIS back through the inverse permutation and verify
@@ -249,15 +227,6 @@ func runReplica(cfg *ReplicatedConfig, net *beep.Network, rl *graph.Relabeling, 
 	res.Rounds[trial] = rounds
 	res.MISSize[trial] = mis
 	return nil
-}
-
-// defaultReplicaBudget mirrors core.Run's default round budget.
-func defaultReplicaBudget(n int) int {
-	log := 0
-	for x := n; x > 1; x >>= 1 {
-		log++
-	}
-	return 1000*(log+1) + 1000
 }
 
 // RunE18 measures the stabilization-time TAIL at high replication: with

@@ -22,7 +22,8 @@ type AvailabilityConfig struct {
 	Period int
 	// Window is the number of observed rounds (default 20·Period).
 	Window int
-	// WarmupBudget bounds the initial stabilization.
+	// WarmupBudget bounds the initial stabilization; 0 selects
+	// core.DefaultMaxRounds.
 	WarmupBudget int
 	// Noise and Sleep harshen the channel for the whole run (zero
 	// values are no-ops): the storm then combines transient state
@@ -61,10 +62,6 @@ func MeasureAvailability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 	if window <= 0 {
 		window = 20 * cfg.Period
 	}
-	warmup := cfg.WarmupBudget
-	if warmup <= 0 {
-		warmup = defaultBudget(cfg.Graph.N())
-	}
 
 	net, err := beep.NewNetwork(cfg.Graph, cfg.Protocol, cfg.Seed,
 		beep.WithNoise(cfg.Noise), beep.WithSleep(cfg.Sleep))
@@ -73,7 +70,8 @@ func MeasureAvailability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 	}
 	defer net.Close()
 	net.RandomizeAll()
-	if _, err := stabilizeWithin(net, warmup); err != nil {
+	var probe core.State // reused across rounds: incremental stop check
+	if _, err := core.Stabilize(net, &probe, cfg.WarmupBudget); err != nil {
 		return nil, err
 	}
 
@@ -84,7 +82,6 @@ func MeasureAvailability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 	pendingSince := -1 // round index of the oldest unrecovered injection
 	recoverySum, recoveries := 0, 0
 
-	var probe core.State // reused across rounds: incremental stop check
 	for r := 0; r < window; r++ {
 		if r%cfg.Period == 0 && cfg.Fault != nil {
 			if err := cfg.Fault.Apply(net, faultSrc); err != nil {

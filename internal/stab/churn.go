@@ -87,7 +87,7 @@ func MeasureChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	}
 	budget := cfg.RecoveryBudget
 	if budget <= 0 {
-		budget = defaultBudget(cfg.Graph.N())
+		budget = core.DefaultMaxRounds(cfg.Graph.N())
 	}
 
 	net, err := beep.NewNetwork(cfg.Graph, cfg.Protocol, cfg.Seed, cfg.Options...)
@@ -97,21 +97,10 @@ func MeasureChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	defer net.Close()
 	net.RandomizeAll()
 
+	// Refresh re-captures the adversary mask whenever a Rewire moves the
+	// network's adversary epoch, so every verdict is on the correct
+	// induced subgraph of the current topology.
 	var probe core.State
-	epoch := ^uint64(0)
-	recapture := func() {
-		if e := net.AdversaryEpoch(); e != epoch {
-			if net.AdversaryCount() > 0 {
-				mask := make([]bool, net.N())
-				net.FillAdversaryMask(mask)
-				probe.SetExcluded(mask)
-			} else {
-				probe.SetExcluded(nil)
-			}
-			epoch = e
-		}
-	}
-
 	res := &ChurnResult{}
 	legal := 0
 	// stabilize steps until legality (counting legal rounds), verifying
@@ -134,7 +123,6 @@ func MeasureChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		return budget, false, nil
 	}
 
-	recapture()
 	warm, ok, err := stabilize()
 	if err != nil {
 		return nil, err
@@ -159,7 +147,6 @@ func MeasureChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		if err := net.Rewire(g2, mapping[:cur.N()]); err != nil {
 			return nil, fmt.Errorf("stab: event %d (%s): %w", ei, ev.Label, err)
 		}
-		recapture()
 
 		er := ChurnEventResult{Label: ev.Label}
 		affNew := make([]bool, g2.N())

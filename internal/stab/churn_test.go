@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/beep"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -185,7 +186,7 @@ func TestClosureNoiselessAfterChurn(t *testing.T) {
 	}
 	defer net.Close()
 	net.RandomizeAll()
-	if _, err := stabilizeWithin(net, defaultBudget(g.N())); err != nil {
+	if _, err := core.Stabilize(net, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	cur := g
@@ -197,7 +198,7 @@ func TestClosureNoiselessAfterChurn(t *testing.T) {
 		if err := net.Rewire(g2, mapping[:cur.N()]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stabilizeWithin(net, defaultBudget(g2.N())); err != nil {
+		if _, err := core.Stabilize(net, nil, 0); err != nil {
 			t.Fatalf("no recovery after %s: %v", ev.Label, err)
 		}
 		cur = g2

@@ -11,7 +11,6 @@
 package stab
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -22,8 +21,9 @@ import (
 )
 
 // ErrNoRecovery reports that the network failed to re-stabilize after a
-// fault within the round budget.
-var ErrNoRecovery = errors.New("stab: no recovery within the round budget")
+// fault within the round budget. It is core.ErrNotStabilized, the
+// sentinel of the run-to-legal driver every recovery runs through.
+var ErrNoRecovery = core.ErrNotStabilized
 
 // Fault mutates the states of some vertices between rounds.
 type Fault interface {
@@ -145,8 +145,8 @@ type RecoveryConfig struct {
 	Fault Fault
 	// Repeats is the number of inject-and-recover cycles (default 1).
 	Repeats int
-	// MaxRounds bounds each stabilization phase; 0 uses the core
-	// default budget.
+	// MaxRounds bounds each stabilization phase; 0 selects
+	// core.DefaultMaxRounds.
 	MaxRounds int
 }
 
@@ -175,10 +175,6 @@ func MeasureRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	if repeats <= 0 {
 		repeats = 1
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultBudget(cfg.Graph.N())
-	}
 	net, err := beep.NewNetwork(cfg.Graph, cfg.Protocol, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("stab: %w", err)
@@ -189,32 +185,25 @@ func MeasureRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	faultSrc := rng.New(cfg.Seed ^ 0x57ab0f4a17)
 	res := &RecoveryResult{}
 
-	rounds, err := stabilizeWithin(net, maxRounds)
+	var probe core.State
+	rounds, err := core.Stabilize(net, &probe, cfg.MaxRounds)
 	if err != nil {
 		return nil, err
 	}
 	res.InitialRounds = rounds
 
 	for cycle := 0; cycle < repeats; cycle++ {
-		before, err := core.Snapshot(net)
-		if err != nil {
-			return nil, err
-		}
-		beforeMIS := before.MISMask()
+		beforeMIS := probe.MISMask()
 		if cfg.Fault != nil {
 			if err := cfg.Fault.Apply(net, faultSrc); err != nil {
 				return nil, err
 			}
 		}
-		rounds, err := stabilizeWithin(net, maxRounds)
+		rounds, err := core.Stabilize(net, &probe, cfg.MaxRounds)
 		if err != nil {
 			return nil, fmt.Errorf("cycle %d: %w", cycle, err)
 		}
-		after, err := core.Snapshot(net)
-		if err != nil {
-			return nil, err
-		}
-		afterMIS := after.MISMask()
+		afterMIS := probe.MISMask()
 		changed := 0
 		for v := range afterMIS {
 			if afterMIS[v] != beforeMIS[v] {
@@ -225,42 +214,6 @@ func MeasureRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 		res.Changed = append(res.Changed, changed)
 	}
 	return res, nil
-}
-
-// excludeAdversaries primes a State probe with the network's adversary
-// mask, so legality is asserted on the correct induced subgraph (the
-// only set the self-stabilization guarantee covers). It is a no-op for
-// fully cooperating networks.
-func excludeAdversaries(probe *core.State, net *beep.Network) {
-	if net.AdversaryCount() == 0 {
-		return
-	}
-	mask := make([]bool, net.N())
-	net.FillAdversaryMask(mask)
-	probe.SetExcluded(mask)
-}
-
-// stabilizeWithin steps net to a legal configuration, verifying the MIS.
-// The stop check reuses one State probe across rounds, so the per-round
-// cost is the incremental detector's, not a fresh snapshot's. Installed
-// adversaries are masked out of the legality predicate.
-func stabilizeWithin(net *beep.Network, maxRounds int) (int, error) {
-	var probe core.State
-	excludeAdversaries(&probe, net)
-	stop := func() bool {
-		return probe.Refresh(net) == nil && probe.Stabilized()
-	}
-	rounds, ok := net.Run(maxRounds, stop)
-	if !ok {
-		return rounds, fmt.Errorf("%w: %d rounds on %s", ErrNoRecovery, rounds, net.Graph().Name())
-	}
-	if err := probe.Refresh(net); err != nil {
-		return rounds, err
-	}
-	if err := probe.VerifyMIS(); err != nil {
-		return rounds, fmt.Errorf("stab: stabilized illegally: %w", err)
-	}
-	return rounds, nil
 }
 
 // CheckClosure steps a stabilized network for extra rounds and returns
@@ -274,7 +227,6 @@ func CheckClosure(net *beep.Network, extraRounds int) error {
 	if err != nil {
 		return err
 	}
-	excludeAdversaries(st, net)
 	if !st.Stabilized() {
 		return fmt.Errorf("stab: closure check requires a stabilized network")
 	}
@@ -296,13 +248,4 @@ func CheckClosure(net *beep.Network, extraRounds int) error {
 		}
 	}
 	return nil
-}
-
-// defaultBudget mirrors the core default round budget.
-func defaultBudget(n int) int {
-	log := 0
-	for x := n; x > 1; x >>= 1 {
-		log++
-	}
-	return 1000*(log+1) + 1000
 }

@@ -152,7 +152,7 @@ func TestCheckClosure(t *testing.T) {
 	}
 	defer net.Close()
 	net.RandomizeAll()
-	if _, err := stabilizeWithin(net, defaultBudget(g.N())); err != nil {
+	if _, err := core.Stabilize(net, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckClosure(net, 100); err != nil {
@@ -186,7 +186,7 @@ func TestCheckClosureUnderNoise(t *testing.T) {
 	}
 	defer net.Close()
 	net.RandomizeAll()
-	if _, err := stabilizeWithin(net, defaultBudget(g.N())); err != nil {
+	if _, err := core.Stabilize(net, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckClosure(net, 2000); err == nil {
@@ -210,7 +210,7 @@ func TestCheckClosureWithMuteAdversaries(t *testing.T) {
 	}
 	defer net.Close()
 	net.RandomizeAll()
-	if _, err := stabilizeWithin(net, defaultBudget(g.N())); err != nil {
+	if _, err := core.Stabilize(net, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckClosure(net, 500); err != nil {

@@ -28,10 +28,13 @@ var (
 )
 
 // SupervisorConfig describes a supervised run: one execution of a core
-// protocol to stabilization, wrapped with the crash-safety machinery a
-// long robustness campaign needs — wall-clock deadlines, round-budget
-// watchdogs, contained machine panics, bounded retries with budget
-// escalation, and integrity-checked auto-checkpointing.
+// protocol to stabilization (or to a fixed round), wrapped with the
+// crash-safety machinery a long robustness campaign needs — wall-clock
+// deadlines, round-budget watchdogs, contained machine panics, bounded
+// budget escalation, and integrity-checked auto-checkpointing.
+// Legality is judged as core.Stabilize judges it: by a State refreshed
+// after every round, on the correct induced subgraph when the Options
+// install adversaries.
 type SupervisorConfig struct {
 	Graph    *graph.Graph
 	Protocol beep.Protocol
@@ -61,25 +64,18 @@ type SupervisorConfig struct {
 	// target completes immediately.
 	FixedRounds int
 
-	// MaxRounds is the round budget of the FIRST attempt; 0 selects the
-	// default budget for the graph. Attempts that exhaust it are
-	// extended (not restarted) with an escalated budget — re-running
-	// the same seed from the same configuration would deterministically
-	// fail again, whereas more rounds can succeed.
+	// MaxRounds is the round budget of the FIRST attempt; 0 selects
+	// core.DefaultMaxRounds. Attempts that exhaust it are extended (not
+	// restarted) with a doubled budget — re-running the same seed from
+	// the same configuration would deterministically fail again,
+	// whereas more rounds can succeed, and since the escalation extends
+	// the same execution in-process there is nothing to wait for
+	// between attempts.
 	MaxRounds int
 	// MaxRetries bounds the number of budget escalations after the
-	// first attempt (default 0: one attempt).
+	// first attempt (default 0: one attempt). Each doubles the round
+	// budget and the deadline.
 	MaxRetries int
-	// EscalateFactor multiplies the round budget (and the deadline) on
-	// each retry; values < 1 (including 0) default to 2.
-	EscalateFactor float64
-	// RetryBackoff, when > 0, sleeps before each escalated attempt,
-	// doubling per retry: backoff, 2·backoff, 4·backoff, … capped at
-	// MaxRetryBackoff. On shared machines a failed attempt often means
-	// contention, and hammering retries back-to-back makes it worse.
-	RetryBackoff time.Duration
-	// MaxRetryBackoff caps the doubling (0 defaults to 16·RetryBackoff).
-	MaxRetryBackoff time.Duration
 	// Deadline bounds each attempt's wall-clock time; 0 disables the
 	// watchdog. The deadline is checked between rounds: rounds are
 	// short, and interrupting a round would tear the engine state.
@@ -108,10 +104,8 @@ type SupervisorConfig struct {
 	// applying Init: the execution continues exactly where it stopped.
 	Resume *beep.Checkpoint
 
-	// now overrides the clock in tests; sleep overrides the retry
-	// backoff sleep.
-	now   func() time.Time
-	sleep func(time.Duration)
+	// now overrides the clock in tests.
+	now func() time.Time
 }
 
 // SupervisorResult reports a supervised run.
@@ -165,16 +159,6 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.Deadline < 0 {
 		return nil, fmt.Errorf("stab: negative deadline %v", cfg.Deadline)
 	}
-	if cfg.RetryBackoff < 0 || cfg.MaxRetryBackoff < 0 {
-		return nil, fmt.Errorf("stab: negative retry backoff (retryBackoff=%v maxRetryBackoff=%v)",
-			cfg.RetryBackoff, cfg.MaxRetryBackoff)
-	}
-	if cfg.MaxRetryBackoff == 0 {
-		cfg.MaxRetryBackoff = 16 * cfg.RetryBackoff
-	}
-	if cfg.EscalateFactor < 1 {
-		cfg.EscalateFactor = 2
-	}
 	if cfg.Init == 0 {
 		cfg.Init = core.InitRandom
 	}
@@ -211,7 +195,8 @@ func WriteCheckpointFile(path string, c *beep.Checkpoint) error {
 // Run executes the supervised run. The outcome is one of:
 //
 //   - success: the network stabilized (legality verified on the correct
-//     induced subgraph) within some attempt's budget and deadline;
+//     induced subgraph) within some attempt's budget and deadline, or a
+//     fixed-length run reached round FixedRounds;
 //   - *beep.RunError (wrapped): a machine panicked; the panic was
 //     contained by the engine, the barrier survived, and the error
 //     names the vertex, round and phase. Retries do not apply — the
@@ -238,21 +223,6 @@ func (s *Supervisor) Run() (*SupervisorResult, error) {
 	} else if err := core.ApplyInit(net, cfg.Init); err != nil {
 		return nil, fmt.Errorf("stab: %w", err)
 	}
-
-	var probe core.State
-	excludeAdversaries(&probe, net)
-	stabilized := func() (bool, error) {
-		if err := probe.Refresh(net); err != nil {
-			return false, err
-		}
-		return probe.Stabilized(), nil
-	}
-
-	budget := cfg.MaxRounds
-	if budget <= 0 {
-		budget = defaultBudget(cfg.Graph.N())
-	}
-	deadline := cfg.Deadline
 
 	// The file-backed path persists a base + delta chain through the
 	// chain writer's tick (a base when the compaction policy asks for
@@ -284,12 +254,6 @@ func (s *Supervisor) Run() (*SupervisorResult, error) {
 		}
 		return nil
 	}
-	// sealLast reports the chain tip, sealed, as the last checkpoint.
-	sealLast := func() {
-		if chain != nil {
-			res.LastCheckpoint = chain.Tip()
-		}
-	}
 
 	// canceled implements the cooperative stop path: between rounds, a
 	// canceled context checkpoints the execution (when a path is
@@ -309,22 +273,37 @@ func (s *Supervisor) Run() (*SupervisorResult, error) {
 		return fmt.Errorf("%w at round %d on %s: %v", ErrCanceled, net.Round(), net.Graph().Name(), cause)
 	}
 
-	finish := func() (*SupervisorResult, error) {
-		sealLast()
-		if err := probe.Refresh(net); err != nil {
-			return nil, err
+	// The one round loop serves both modes: a stabilization run stops
+	// at the first legal round (legality is tested before the first
+	// round and after every round, like core.Stabilize); a fixed-length
+	// run stops at round FixedRounds and only then reads legality.
+	var probe core.State
+	done := func() (bool, error) {
+		if cfg.FixedRounds > 0 {
+			return net.Round() >= cfg.FixedRounds, nil
 		}
-		if err := probe.VerifyMIS(); err != nil {
-			return nil, fmt.Errorf("stab: stabilized illegally: %w", err)
+		if err := probe.Refresh(net); err != nil {
+			return false, fmt.Errorf("stab: %w", err)
+		}
+		return probe.Stabilized(), nil
+	}
+	// finish reports the final configuration; MIS is populated only
+	// when it is legal, which a stabilization run always is.
+	finish := func() (*SupervisorResult, error) {
+		if chain != nil {
+			res.LastCheckpoint = chain.Tip() // the sealed chain tip
+		}
+		if err := probe.Refresh(net); err != nil {
+			return nil, fmt.Errorf("stab: %w", err)
 		}
 		res.Rounds = net.Round()
-		res.Stabilized = true
-		res.MIS = probe.MISMask()
-		res.MISSize = 0
-		for _, in := range res.MIS {
-			if in {
-				res.MISSize++
+		if probe.Stabilized() {
+			if err := probe.VerifyMIS(); err != nil {
+				return nil, fmt.Errorf("stab: stabilized illegally: %w", err)
 			}
+			res.Stabilized = true
+			res.MIS = probe.MISMask()
+			res.MISSize = graph.CountTrue(res.MIS)
 		}
 		return res, nil
 	}
@@ -335,21 +314,24 @@ func (s *Supervisor) Run() (*SupervisorResult, error) {
 	if err := canceled(); err != nil {
 		return nil, err
 	}
-
-	if cfg.FixedRounds > 0 {
-		return s.runFixed(net, res, &probe, checkpoint, canceled, sealLast)
-	}
-
-	// A resumed or already-legal configuration costs zero rounds.
-	if ok, err := stabilized(); err == nil && ok {
-		res.Attempts = 1
+	// A resumed or already-legal configuration (or a resumed run at or
+	// past its fixed target) costs zero rounds.
+	res.Attempts = 1
+	if ok, err := done(); err != nil {
+		return nil, err
+	} else if ok {
 		return finish()
 	}
 
+	budget := cfg.MaxRounds
+	if budget <= 0 {
+		budget = core.DefaultMaxRounds(cfg.Graph.N())
+	}
+	deadline := cfg.Deadline
 	for attempt := 0; ; attempt++ {
 		res.Attempts = attempt + 1
 		start := cfg.now()
-		for r := 0; r < budget; r++ {
+		for r := 0; cfg.FixedRounds > 0 || r < budget; r++ {
 			if err := canceled(); err != nil {
 				return nil, err
 			}
@@ -365,9 +347,9 @@ func (s *Supervisor) Run() (*SupervisorResult, error) {
 					return nil, err
 				}
 			}
-			ok, err := stabilized()
+			ok, err := done()
 			if err != nil {
-				return nil, fmt.Errorf("stab: %w", err)
+				return nil, err
 			}
 			if ok {
 				return finish()
@@ -384,111 +366,12 @@ func (s *Supervisor) Run() (*SupervisorResult, error) {
 			return nil, fmt.Errorf("%w: %d attempt(s), final budget %d rounds, round %d on %s",
 				ErrBudget, attempt+1, budget, net.Round(), net.Graph().Name())
 		}
-		// Back off before the escalated attempt (capped exponential),
-		// then re-check cancellation: a cancel that landed during the
-		// sleep must not start another attempt.
-		if cfg.RetryBackoff > 0 {
-			s.retrySleep(retryBackoffDelay(cfg.RetryBackoff, cfg.MaxRetryBackoff, attempt))
-			if err := canceled(); err != nil {
-				return nil, err
-			}
-		}
-		// Escalate: extend the SAME execution with a larger budget (and
-		// proportionally more wall-clock) — deterministic replay of a
-		// failed attempt cannot succeed, continuation can.
-		budget = int(float64(budget) * cfg.EscalateFactor)
-		if budget < 1 {
-			budget = 1
-		}
-		deadline = time.Duration(float64(deadline) * cfg.EscalateFactor)
+		// Escalate: extend the SAME execution with twice the budget (and
+		// twice the wall-clock) — deterministic replay of a failed
+		// attempt cannot succeed, continuation can.
+		budget *= 2
+		deadline *= 2
 	}
-}
-
-// runFixed executes a fixed-length run: exactly to round
-// cfg.FixedRounds, with cancellation, deadline and auto-checkpointing
-// but no stabilization stop and no budget escalation. The result
-// reports whether the final configuration happens to be legal; MIS is
-// populated only then.
-func (s *Supervisor) runFixed(net *beep.Network, res *SupervisorResult, probe *core.State,
-	checkpoint func() error, canceled func() error, sealLast func()) (*SupervisorResult, error) {
-	cfg := s.cfg
-	res.Attempts = 1
-	start := cfg.now()
-	for net.Round() < cfg.FixedRounds {
-		if err := canceled(); err != nil {
-			return nil, err
-		}
-		if err := net.TryStep(); err != nil {
-			var rerr *beep.RunError
-			if errors.As(err, &rerr) {
-				return nil, fmt.Errorf("stab: contained machine panic (fixed run): %w", rerr)
-			}
-			return nil, fmt.Errorf("stab: %w", err)
-		}
-		if cfg.CheckpointEvery > 0 && net.Round()%cfg.CheckpointEvery == 0 {
-			if err := checkpoint(); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.Deadline > 0 && cfg.now().Sub(start) > cfg.Deadline {
-			return nil, fmt.Errorf("%w: fixed run at round %d of %d on %s",
-				ErrDeadline, net.Round(), cfg.FixedRounds, net.Graph().Name())
-		}
-	}
-	sealLast()
-	if err := probe.Refresh(net); err != nil {
-		return nil, fmt.Errorf("stab: %w", err)
-	}
-	res.Rounds = net.Round()
-	if probe.Stabilized() {
-		if err := probe.VerifyMIS(); err != nil {
-			return nil, fmt.Errorf("stab: stabilized illegally: %w", err)
-		}
-		res.Stabilized = true
-		res.MIS = probe.MISMask()
-		for _, in := range res.MIS {
-			if in {
-				res.MISSize++
-			}
-		}
-	}
-	return res, nil
-}
-
-// retryBackoffDelay is the capped-exponential schedule: base << attempt
-// bounded by max (attempt counts completed attempts, so the first retry
-// waits base).
-func retryBackoffDelay(base, max time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 0; i < attempt; i++ {
-		d *= 2
-		if d >= max {
-			return max
-		}
-	}
-	if d > max {
-		return max
-	}
-	return d
-}
-
-// retrySleep waits out a backoff delay, honoring the injected test hook
-// and waking early on context cancellation.
-func (s *Supervisor) retrySleep(d time.Duration) {
-	if s.cfg.sleep != nil {
-		s.cfg.sleep(d)
-		return
-	}
-	if s.cfg.Ctx != nil {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-s.cfg.Ctx.Done():
-		}
-		return
-	}
-	time.Sleep(d)
 }
 
 // engineOrDefault maps the zero Engine to Sequential.

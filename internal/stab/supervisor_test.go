@@ -24,34 +24,6 @@ func testProto() beep.Protocol {
 	return core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
 }
 
-func TestSupervisorPlainRunMatchesCoreRun(t *testing.T) {
-	g := testGraph(t)
-	ref, err := core.Run(core.RunConfig{Graph: g, Protocol: testProto(), Seed: 9, Init: core.InitRandom})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup, err := NewSupervisor(SupervisorConfig{Graph: g, Protocol: testProto(), Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sup.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != ref.Rounds || res.MISSize != ref.MISSize {
-		t.Fatalf("supervised run (rounds=%d mis=%d) differs from core.Run (rounds=%d mis=%d)",
-			res.Rounds, res.MISSize, ref.Rounds, ref.MISSize)
-	}
-	for v := range res.MIS {
-		if res.MIS[v] != ref.MIS[v] {
-			t.Fatalf("MIS differs at vertex %d", v)
-		}
-	}
-	if res.Attempts != 1 || res.Resumed {
-		t.Fatalf("attempts=%d resumed=%v, want 1/false", res.Attempts, res.Resumed)
-	}
-}
-
 func TestSupervisorBudgetEscalation(t *testing.T) {
 	g := testGraph(t)
 	// A 2-round budget cannot stabilize; with enough doublings it must.
@@ -473,76 +445,6 @@ func mustNetwork(t *testing.T, g *graph.Graph, seed uint64) *beep.Network {
 		t.Fatal(err)
 	}
 	return net
-}
-
-// TestRetryBackoffSchedule pins the capped-exponential delay sequence:
-// base, 2·base, 4·base, … clamped at the cap, one sleep before every
-// escalated attempt, none before the first.
-func TestRetryBackoffSchedule(t *testing.T) {
-	base, cap := 100*time.Millisecond, 250*time.Millisecond
-	want := []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond,
-		250 * time.Millisecond, 250 * time.Millisecond, 250 * time.Millisecond,
-	}
-	for i, w := range want {
-		if got := retryBackoffDelay(base, cap, i); got != w {
-			t.Fatalf("attempt %d: delay %v, want %v", i, got, w)
-		}
-	}
-
-	// End to end: a 1-round budget forces escalations; the injected
-	// sleep hook must record exactly the pinned schedule until the run
-	// stabilizes, and the execution must still match the uninterrupted
-	// reference (backoff delays retries, it must not perturb them).
-	g := testGraph(t)
-	var slept []time.Duration
-	sup, err := NewSupervisor(SupervisorConfig{
-		Graph: g, Protocol: testProto(), Seed: 9,
-		MaxRounds: 1, MaxRetries: 20,
-		RetryBackoff: base, MaxRetryBackoff: cap,
-		sleep: func(d time.Duration) { slept = append(slept, d) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sup.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slept) != res.Attempts-1 {
-		t.Fatalf("%d sleeps for %d attempts, want one per escalation", len(slept), res.Attempts)
-	}
-	if len(slept) < 3 {
-		t.Fatalf("only %d escalations; the 1-round budget should force several", len(slept))
-	}
-	for i, d := range slept {
-		if w := retryBackoffDelay(base, cap, i); d != w {
-			t.Fatalf("escalation %d slept %v, want %v", i, d, w)
-		}
-	}
-	ref, err := core.Run(core.RunConfig{Graph: g, Protocol: testProto(), Seed: 9, Init: core.InitRandom})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != ref.Rounds || res.MISSize != ref.MISSize {
-		t.Fatalf("backoff perturbed the execution: rounds=%d mis=%d, want %d/%d",
-			res.Rounds, res.MISSize, ref.Rounds, ref.MISSize)
-	}
-}
-
-// TestRetryBackoffValidation pins the config rejections.
-func TestRetryBackoffValidation(t *testing.T) {
-	g := testGraph(t)
-	if _, err := NewSupervisor(SupervisorConfig{
-		Graph: g, Protocol: testProto(), RetryBackoff: -time.Second,
-	}); err == nil {
-		t.Fatal("negative RetryBackoff accepted")
-	}
-	if _, err := NewSupervisor(SupervisorConfig{
-		Graph: g, Protocol: testProto(), MaxRetryBackoff: -time.Second,
-	}); err == nil {
-		t.Fatal("negative MaxRetryBackoff accepted")
-	}
 }
 
 // TestSupervisorChainCheckpoints drives the file-backed base + delta

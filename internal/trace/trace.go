@@ -36,10 +36,16 @@ type RoundStats struct {
 }
 
 // Recorder observes a network and accumulates per-round statistics.
-// Attach with Observer() at network construction and call Capture after
-// each round (or use Observe's automatic capture).
+// Attach its Observer() at network construction; it captures one row
+// per round.
 type Recorder struct {
-	net   *beep.Network
+	net *beep.Network
+	// probe is the run's legality probe, refreshed inside the round
+	// observer: sharing it with the run's stop check keeps one reader
+	// on the network's change feed, so a quiet round re-exports no
+	// word and the stop check's own Refresh right after finds nothing
+	// new.
+	probe *core.State
 	stats []RoundStats
 	// KeepLevels enables full per-vertex level histories (memory grows
 	// as rounds × n).
@@ -47,17 +53,15 @@ type Recorder struct {
 	levels     [][]int
 
 	lastSent []beep.Signal
-	// probe is the reused snapshot buffer: Refresh per round instead of
-	// a fresh Snapshot allocation, and its incremental detector makes
-	// StableCount cheap on quiet rounds.
-	probe core.State
 }
 
-// NewRecorder creates a recorder for net. The recorder snapshots levels
-// through the core.Leveled interface, so it works with Algorithm 1 and
-// Algorithm 2 machines.
-func NewRecorder(net *beep.Network) *Recorder {
-	return &Recorder{net: net}
+// NewRecorder creates a recorder for net that reads levels and
+// legality through probe, which should be the State the run's stop
+// check refreshes (the one passed to core.Stabilize, say): two States
+// on one network would take the change feed from each other and re-read
+// all n levels every round. It works with every core protocol.
+func NewRecorder(net *beep.Network, probe *core.State) *Recorder {
+	return &Recorder{net: net, probe: probe}
 }
 
 // Observer returns the beep.WithObserver callback that feeds the
@@ -71,7 +75,7 @@ func (r *Recorder) Observer() func(round int, sent, heard []beep.Signal) {
 
 // capture computes this round's statistics from the network state.
 func (r *Recorder) capture() {
-	st := &r.probe
+	st := r.probe
 	if err := st.Refresh(r.net); err != nil {
 		// Non-core protocols have no levels; record signal stats only.
 		s := RoundStats{Round: r.net.Round()}

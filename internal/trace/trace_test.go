@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func buildRecorded(t *testing.T, keepLevels bool) (*beep.Network, *Recorder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec = NewRecorder(net)
+	rec = NewRecorder(net, new(core.State))
 	rec.KeepLevels = keepLevels
 	net.RandomizeAll()
 	return net, rec
@@ -159,7 +160,7 @@ func TestRecorderWithoutLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	rec = NewRecorder(net)
+	rec = NewRecorder(net, new(core.State))
 	net.Step()
 	stats := rec.Stats()
 	if len(stats) != 1 || stats[0].Beeping != 4 {
@@ -225,15 +226,19 @@ func TestLevelColorEndpoints(t *testing.T) {
 	_ = levelColor(0, 0)
 }
 
-// TestRecorderAndStopProbeShareNetwork runs a Recorder (whose probe
-// refreshes inside the round observer) next to a stop probe refreshed
-// after every Step — the two readers beepmis -csv puts on one network —
-// and requires both to agree on every round with an oracle built
-// straight from the slab, through corruption bursts: a reader that
-// lost the change feed to the other must re-read, never miss a change.
+// TestRecorderAndStopProbeShareNetwork runs a Recorder (which refreshes
+// its probe inside the round observer) on the stop probe refreshed after
+// every Step — the pairing beepmis -csv and E11 put on one network — and
+// requires the recorder's rows and the stop probe to agree on every
+// round with an oracle built straight from the slab, through corruption
+// bursts: the stop check's Refresh, which finds the feed already read
+// by the observer's, must still answer for the current round. With one
+// State reading the network's change feed, a quiet round (an empty
+// frontier: no vertex drew or changed) exports no slab word at all; a
+// recorder with a probe of its own would alternate the feed with the
+// stop probe and make both re-export all n levels every round.
 func TestRecorderAndStopProbeShareNetwork(t *testing.T) {
 	g := graph.GNPAvgDegree(320, 6, rng.New(3))
-	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
 	for _, e := range []struct {
 		name string
 		opts []beep.Option
@@ -243,31 +248,43 @@ func TestRecorderAndStopProbeShareNetwork(t *testing.T) {
 		{"flatparallel-w3", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithWorkers(3)}},
 	} {
 		t.Run(e.name, func(t *testing.T) {
+			proto := &countingProto{BatchProtocol: core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))}
 			var rec *Recorder
-			net, err := beep.NewNetwork(g, proto, 17, append(e.opts, beep.WithObserver(func(round int, sent, heard []beep.Signal) {
-				rec.Observer()(round, sent, heard)
-			}))...)
+			active := -1
+			net, err := beep.NewNetwork(g, proto, 17, append(e.opts,
+				beep.WithStatsObserver(func(_, act, _ int) { active = act }),
+				beep.WithObserver(func(round int, sent, heard []beep.Signal) {
+					rec.Observer()(round, sent, heard)
+				}))...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer net.Close()
-			rec = NewRecorder(net)
+			var stop core.State
+			rec = NewRecorder(net, &stop)
 			rec.KeepLevels = true
 			net.RandomizeAll()
-			le := net.BulkState().(core.LevelExporter)
+			le := proto.slab.flatSlab // the oracle's reads are not counted
 			levels, caps := make([]int32, net.N()), make([]int32, net.N())
 			lv, cp := make([]int, net.N()), make([]int, net.N())
 			faultSrc := rng.New(4)
-			var stop core.State
+			quiet := 0
 			for r := 0; r < 300; r++ {
 				if r%60 == 30 {
 					if err := net.Corrupt(faultSrc.Perm(net.N())[:5]); err != nil {
 						t.Fatal(err)
 					}
 				}
+				exported := proto.slab.words
 				net.Step()
 				if err := stop.Refresh(net); err != nil {
 					t.Fatal(err)
+				}
+				if exported = proto.slab.words - exported; active == 0 {
+					quiet++
+					if exported != 0 {
+						t.Fatalf("quiet round %d exported %d slab words, want 0", net.Round(), exported)
+					}
 				}
 				le.ExportLevels(levels, caps, nil)
 				for v := range levels {
@@ -293,6 +310,44 @@ func TestRecorderAndStopProbeShareNetwork(t *testing.T) {
 					}
 				}
 			}
+			if quiet == 0 {
+				t.Fatal("no quiet round in 300: the export check never ran")
+			}
 		})
 	}
+}
+
+// countingSlab wraps a core slab and counts the slab words State.Refresh
+// exports from it.
+type countingSlab struct {
+	flatSlab
+	words int
+}
+
+type flatSlab interface {
+	beep.FlatProtocol
+	core.LevelExporter
+}
+
+func (c *countingSlab) ExportLevels(levels, caps []int32, words []uint64) {
+	if words == nil {
+		c.words += (len(levels) + 63) / 64
+	}
+	for _, w := range words {
+		c.words += bits.OnesCount64(w)
+	}
+	c.flatSlab.ExportLevels(levels, caps, words)
+}
+
+// countingProto builds its protocol's machines and hands the network a
+// countingSlab in place of the slab.
+type countingProto struct {
+	beep.BatchProtocol
+	slab *countingSlab
+}
+
+func (p *countingProto) NewMachines(g graph.Topology) ([]beep.Machine, any) {
+	ms, bulk := p.BatchProtocol.NewMachines(g)
+	p.slab = &countingSlab{flatSlab: bulk.(flatSlab)}
+	return ms, p.slab
 }
