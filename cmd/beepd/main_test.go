@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/stab"
+	"repro/internal/ckpt"
 )
 
 // The chaos tests need a real process to SIGKILL. Instead of building
@@ -378,7 +378,7 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 		if j.State != "interrupted" {
 			t.Fatalf("drained job %s is %q, want interrupted", id, j.State)
 		}
-		cp, err := stab.ReadCheckpointFile(filepath.Join(dir, "jobs", id, "checkpoint.ck"))
+		cp, _, err := ckpt.Load(filepath.Join(dir, "jobs", id, "checkpoint.ck"))
 		if err != nil {
 			t.Fatalf("drained job %s checkpoint invalid: %v", id, err)
 		}

@@ -309,7 +309,7 @@ func runDistributed(g *graph.Graph, alg string, seed uint64, initMode core.InitM
 		cfg.Spawner = dist.InProcessSpawner(nil)
 	}
 	if sup.resumePath != "" {
-		cp, err := stab.ReadCheckpointFile(sup.resumePath)
+		cp, _, err := ckpt.Load(sup.resumePath)
 		if err != nil {
 			return err
 		}
@@ -374,7 +374,7 @@ func runSupervised(g *graph.Graph, proto beep.Protocol, seed uint64, initMode co
 		Options: opts,
 	}
 	if sup.resumePath != "" {
-		cp, err := stab.ReadCheckpointFile(sup.resumePath)
+		cp, _, err := ckpt.Load(sup.resumePath)
 		if err != nil {
 			return err
 		}

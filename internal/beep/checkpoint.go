@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"math"
@@ -11,15 +12,18 @@ import (
 	"repro/internal/graph"
 )
 
-// StateCodec is implemented by machines that support checkpointing:
-// EncodeState serializes the complete mutable state, DecodeState
-// restores it. Together with the per-vertex random-stream states this
-// makes executions exactly resumable.
+// StateCodec is implemented by machines that support checkpointing: a
+// vertex's mutable state (its RAM) as integers. Together with the
+// per-vertex random-stream states this makes executions exactly
+// resumable. Machine state moves through these two calls only: in the
+// network's one capture and one install (rows.go) and in Rewire.
 type StateCodec interface {
-	// EncodeState returns the machine's mutable state as integers.
-	EncodeState() []int64
-	// DecodeState restores a state produced by EncodeState; it returns
-	// an error for malformed input.
+	// AppendState appends the machine's mutable state to dst and
+	// returns the extended slice.
+	AppendState(dst []int64) []int64
+	// DecodeState restores a state produced by AppendState; it returns
+	// an error for malformed input. It must not retain state: callers
+	// reuse the slice.
 	DecodeState(state []int64) error
 }
 
@@ -78,6 +82,24 @@ type Checkpoint struct {
 	// private random-stream state.
 	Machines [][]int64   `json:"machines"`
 	Streams  [][4]uint64 `json:"streams"`
+	// Globals are the fault-model and allocator streams and the epoch.
+	Globals
+	// Adversaries is the per-vertex policy array (one byte per vertex,
+	// 0 = cooperating; see AdversaryPolicy), nil when no adversaries
+	// are installed.
+	Adversaries []uint8 `json:"adversaries,omitempty"`
+
+	// Hash is the FNV-1a digest of every field above, in canonical
+	// order. EncodeSnapshot refuses to persist a checkpoint whose hash
+	// does not match its payload, and the decoders and Restore reject
+	// one whose payload does not match its hash.
+	Hash uint64 `json:"hash"`
+}
+
+// Globals are the network-wide fields a Checkpoint and a Delta both
+// carry whole. Embedding keeps their JSON names at the top level of a
+// v2 checkpoint.
+type Globals struct {
 	// NoiseRNG, SleepRNG and AdvRNG are the dedicated fault-model
 	// stream states.
 	NoiseRNG [4]uint64 `json:"noiseRng"`
@@ -90,18 +112,21 @@ type Checkpoint struct {
 	// uninterrupted run.
 	RootRNG    [4]uint64 `json:"rootRng"`
 	NextStream uint64    `json:"nextStream"`
-	// Adversaries is the per-vertex policy array (one byte per vertex,
-	// 0 = cooperating; see AdversaryPolicy), nil when no adversaries
-	// are installed. AdvEpoch is the epoch counter legality observers
-	// key their masks on.
-	Adversaries []uint8 `json:"adversaries,omitempty"`
-	AdvEpoch    uint64  `json:"advEpoch"`
+	// AdvEpoch is the epoch counter legality observers key their
+	// adversary masks on.
+	AdvEpoch uint64 `json:"advEpoch"`
+}
 
-	// Hash is the FNV-1a digest of every field above, in canonical
-	// order. EncodeSnapshot refuses to persist a checkpoint whose hash
-	// does not match its payload, and the decoders and Restore reject
-	// one whose payload does not match its hash.
-	Hash uint64 `json:"hash"`
+// globals captures the network's Globals.
+func (n *Network) globals() Globals {
+	return Globals{
+		NoiseRNG:   n.noiseSrc.State(),
+		SleepRNG:   n.sleepSrc.State(),
+		AdvRNG:     n.advSrc.State(),
+		RootRNG:    n.root.State(),
+		NextStream: n.nextStream,
+		AdvEpoch:   n.advEpoch,
+	}
 }
 
 // protocolID derives the protocol identity recorded in checkpoints.
@@ -109,56 +134,63 @@ func protocolID(p Protocol) string {
 	return fmt.Sprintf("%T/%dch", p, p.Channels())
 }
 
+// payloadHasher computes the canonical FNV-1a digest of checkpoint and
+// delta payloads, fed little-endian u64 words and raw bytes.
+type payloadHasher struct {
+	h   hash.Hash64
+	buf [8]byte
+}
+
+func (p *payloadHasher) put(x uint64) {
+	binary.LittleEndian.PutUint64(p.buf[:], x)
+	p.h.Write(p.buf[:])
+}
+
+// sumState hashes the section every payload ends with — the machine and
+// stream rows, the Globals and the adversary table — and returns the
+// digest. A checkpoint and a delta hash these fields identically.
+func (p *payloadHasher) sumState(machines [][]int64, streams [][4]uint64, g *Globals, adversaries []uint8) uint64 {
+	p.put(uint64(len(machines)))
+	for _, m := range machines {
+		p.put(uint64(len(m)))
+		for _, s := range m {
+			p.put(uint64(s))
+		}
+	}
+	p.put(uint64(len(streams)))
+	for _, s := range streams {
+		for _, w := range s {
+			p.put(w)
+		}
+	}
+	for _, rng := range [4][4]uint64{g.NoiseRNG, g.SleepRNG, g.AdvRNG, g.RootRNG} {
+		for _, w := range rng {
+			p.put(w)
+		}
+	}
+	p.put(g.NextStream)
+	p.put(uint64(len(adversaries)))
+	p.h.Write(adversaries)
+	p.put(g.AdvEpoch)
+	return p.h.Sum64()
+}
+
 // payloadHash computes the canonical FNV-1a digest of the checkpoint's
 // payload (everything except Hash itself).
 func (c *Checkpoint) payloadHash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
-	}
-	put(uint64(c.FormatVersion))
-	put(c.GraphFingerprint)
-	put(uint64(c.GraphN))
-	put(uint64(c.GraphM))
-	put(uint64(len(c.Protocol)))
-	io.WriteString(h, c.Protocol)
-	put(c.Seed)
-	put(math.Float64bits(c.NoiseLoss))
-	put(math.Float64bits(c.NoiseFalse))
-	put(math.Float64bits(c.SleepP))
-	put(uint64(c.Round))
-	put(uint64(len(c.Machines)))
-	for _, m := range c.Machines {
-		put(uint64(len(m)))
-		for _, s := range m {
-			put(uint64(s))
-		}
-	}
-	put(uint64(len(c.Streams)))
-	for _, s := range c.Streams {
-		for _, w := range s {
-			put(w)
-		}
-	}
-	for _, w := range c.NoiseRNG {
-		put(w)
-	}
-	for _, w := range c.SleepRNG {
-		put(w)
-	}
-	for _, w := range c.AdvRNG {
-		put(w)
-	}
-	for _, w := range c.RootRNG {
-		put(w)
-	}
-	put(c.NextStream)
-	put(uint64(len(c.Adversaries)))
-	h.Write(c.Adversaries)
-	put(c.AdvEpoch)
-	return h.Sum64()
+	p := &payloadHasher{h: fnv.New64a()}
+	p.put(uint64(c.FormatVersion))
+	p.put(c.GraphFingerprint)
+	p.put(uint64(c.GraphN))
+	p.put(uint64(c.GraphM))
+	p.put(uint64(len(c.Protocol)))
+	io.WriteString(p.h, c.Protocol)
+	p.put(c.Seed)
+	p.put(math.Float64bits(c.NoiseLoss))
+	p.put(math.Float64bits(c.NoiseFalse))
+	p.put(math.Float64bits(c.SleepP))
+	p.put(uint64(c.Round))
+	return p.sumState(c.Machines, c.Streams, &c.Globals, c.Adversaries)
 }
 
 // Seal (re)computes the integrity hash over the current payload. It is
@@ -216,9 +248,16 @@ func (n *Network) graphFingerprint() uint64 {
 // integrity hash. It returns an error if any machine does not implement
 // StateCodec, or if the network is poisoned by a contained machine
 // panic (the state would be a mid-phase torso, not a round boundary).
+// The capture is a complete baseline: dirty tracking restarts from it,
+// so a later CheckpointDelta captures exactly the words that moved
+// since this call (see delta.go).
 func (n *Network) Checkpoint() (*Checkpoint, error) {
 	if n.failed != nil {
 		return nil, fmt.Errorf("beep: checkpoint of failed network: %w", n.failed)
+	}
+	rows, err := n.capture(nil, 0, n.N(), false)
+	if err != nil {
+		return nil, err
 	}
 	c := &Checkpoint{
 		FormatVersion:    CheckpointFormatVersion,
@@ -231,32 +270,12 @@ func (n *Network) Checkpoint() (*Checkpoint, error) {
 		NoiseFalse:       n.noise.PFalse,
 		SleepP:           n.sleep.P,
 		Round:            n.round,
-		Machines:         make([][]int64, n.N()),
-		Streams:          make([][4]uint64, n.N()),
-		NoiseRNG:         n.noiseSrc.State(),
-		SleepRNG:         n.sleepSrc.State(),
-		AdvRNG:           n.advSrc.State(),
-		RootRNG:          n.root.State(),
-		NextStream:       n.nextStream,
-		AdvEpoch:         n.advEpoch,
-	}
-	if n.adv != nil {
-		c.Adversaries = append([]uint8(nil), n.adv...)
-	}
-	for v, m := range n.machines {
-		codec, ok := m.(StateCodec)
-		if !ok {
-			return nil, fmt.Errorf("beep: machine %T of vertex %d does not support checkpointing", m, v)
-		}
-		c.Machines[v] = codec.EncodeState()
-		c.Streams[v] = n.srcs[v].State()
+		Machines:         rows.Machines,
+		Streams:          rows.Streams,
+		Globals:          n.globals(),
+		Adversaries:      append([]uint8(nil), n.adv...),
 	}
 	c.Seal()
-	// This checkpoint is a complete baseline: dirty tracking restarts
-	// from it, so a later CheckpointDelta captures exactly the words
-	// that moved since this call (see delta.go).
-	n.dirty.ck.rebaseline(n.N())
-	n.dirty.adv = false
 	return c, nil
 }
 
@@ -286,32 +305,12 @@ func (n *Network) Restore(c *Checkpoint) error {
 		return fmt.Errorf("beep: checkpoint fault model (loss=%v false=%v sleep=%v) does not match target network (loss=%v false=%v sleep=%v)",
 			c.NoiseLoss, c.NoiseFalse, c.SleepP, n.noise.PLoss, n.noise.PFalse, n.sleep.P)
 	}
-	for v, m := range n.machines {
-		if _, ok := m.(StateCodec); !ok {
-			return fmt.Errorf("beep: machine %T of vertex %d does not support checkpointing", m, v)
-		}
+	all := make([]int32, n.N())
+	for v := range all {
+		all[v] = int32(v)
 	}
-
-	// Decode machine states with rollback: a failure at vertex v undoes
-	// the decodes of vertices [0, v) so a rejected checkpoint leaves
-	// the live network untouched.
-	saved := make([][]int64, n.N())
-	for v, m := range n.machines {
-		codec := m.(StateCodec)
-		saved[v] = codec.EncodeState()
-		if err := codec.DecodeState(c.Machines[v]); err != nil {
-			for u := 0; u <= v; u++ {
-				// Re-decoding a state just produced by EncodeState
-				// cannot fail for a law-abiding codec; ignore errors to
-				// keep the original failure primary.
-				_ = n.machines[u].(StateCodec).DecodeState(saved[u])
-			}
-			return fmt.Errorf("beep: vertex %d: %w", v, err)
-		}
-	}
-
-	for v := range n.machines {
-		n.srcs[v].SetState(c.Streams[v])
+	if err := n.install(all, c.Streams, c.Machines); err != nil {
+		return err
 	}
 	n.noiseSrc.SetState(c.NoiseRNG)
 	n.sleepSrc.SetState(c.SleepRNG)

@@ -40,7 +40,9 @@ func (m *codecMachine) Randomize(src *rng.Source) {
 	m.rounds = int64(src.Intn(10))
 }
 
-func (m *codecMachine) EncodeState() []int64 { return []int64{m.rounds, m.beeped} }
+func (m *codecMachine) AppendState(dst []int64) []int64 {
+	return append(dst, m.rounds, m.beeped)
+}
 
 func (m *codecMachine) DecodeState(state []int64) error {
 	m.rounds, m.beeped = state[0], state[1]

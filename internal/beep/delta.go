@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/bits"
 	"sync/atomic"
 )
@@ -54,84 +55,45 @@ import (
 type Delta struct {
 	// GraphFingerprint and Protocol pin the identity like a full
 	// checkpoint; ApplyDelta rejects mismatches.
-	GraphFingerprint uint64 `json:"graphFingerprint"`
-	Protocol         string `json:"protocol"`
+	GraphFingerprint uint64
+	Protocol         string
 	// Round is the completed-round counter at capture.
-	Round int `json:"round"`
+	Round int
 	// ParentHash is the integrity hash of the chain tip this delta was
 	// captured against: the base checkpoint's Hash for the first link,
 	// the previous delta's Hash for later links. Chain loaders refuse a
 	// link whose ParentHash does not match the tip they assembled.
-	ParentHash uint64 `json:"parentHash"`
+	ParentHash uint64
 	// Words lists the dirty slab words in ascending order; word wi
 	// covers vertices [wi*64, min(n, (wi+1)*64)). Machines and Streams
 	// hold the state of exactly those vertices, in word order.
-	Words    []int32     `json:"words"`
-	Machines [][]int64   `json:"machines"`
-	Streams  [][4]uint64 `json:"streams"`
-	// The global fields below are tiny and always carried.
-	NoiseRNG   [4]uint64 `json:"noiseRng"`
-	SleepRNG   [4]uint64 `json:"sleepRng"`
-	AdvRNG     [4]uint64 `json:"advRng"`
-	RootRNG    [4]uint64 `json:"rootRng"`
-	NextStream uint64    `json:"nextStream"`
-	AdvEpoch   uint64    `json:"advEpoch"`
+	Words    []int32
+	Machines [][]int64
+	Streams  [][4]uint64
+	// Globals are tiny and always carried whole.
+	Globals
 	// Adversaries is the full policy table when the adversary set
 	// changed since the parent, nil when unchanged. The empty non-nil
 	// table means "all cooperating now".
-	Adversaries []uint8 `json:"adversaries,omitempty"`
+	Adversaries []uint8
 	// Hash seals the delta's own payload (everything above).
-	Hash uint64 `json:"hash"`
+	Hash uint64
 }
 
 // payloadHash computes the canonical FNV-1a digest of the delta's
 // payload (everything except Hash itself).
 func (d *Delta) payloadHash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
-	}
-	put(d.GraphFingerprint)
-	put(uint64(len(d.Protocol)))
-	h.Write([]byte(d.Protocol))
-	put(uint64(d.Round))
-	put(d.ParentHash)
-	put(uint64(len(d.Words)))
+	p := &payloadHasher{h: fnv.New64a()}
+	p.put(d.GraphFingerprint)
+	p.put(uint64(len(d.Protocol)))
+	io.WriteString(p.h, d.Protocol)
+	p.put(uint64(d.Round))
+	p.put(d.ParentHash)
+	p.put(uint64(len(d.Words)))
 	for _, w := range d.Words {
-		put(uint64(uint32(w)))
+		p.put(uint64(uint32(w)))
 	}
-	put(uint64(len(d.Machines)))
-	for _, m := range d.Machines {
-		put(uint64(len(m)))
-		for _, s := range m {
-			put(uint64(s))
-		}
-	}
-	put(uint64(len(d.Streams)))
-	for _, s := range d.Streams {
-		for _, w := range s {
-			put(w)
-		}
-	}
-	for _, w := range d.NoiseRNG {
-		put(w)
-	}
-	for _, w := range d.SleepRNG {
-		put(w)
-	}
-	for _, w := range d.AdvRNG {
-		put(w)
-	}
-	for _, w := range d.RootRNG {
-		put(w)
-	}
-	put(d.NextStream)
-	put(uint64(len(d.Adversaries)))
-	h.Write(d.Adversaries)
-	put(d.AdvEpoch)
-	return h.Sum64()
+	return p.sumState(d.Machines, d.Streams, &d.Globals, d.Adversaries)
 }
 
 // Seal (re)computes the delta's integrity hash.
@@ -217,23 +179,12 @@ func ApplyDelta(c *Checkpoint, d *Delta) error {
 	i = 0
 	for _, w := range d.Words {
 		lo := int(w) * 64
-		hi := lo + 64
-		if hi > n {
-			hi = n
-		}
-		for v := lo; v < hi; v++ {
-			c.Machines[v] = d.Machines[i]
-			c.Streams[v] = d.Streams[i]
-			i++
-		}
+		hi := min(lo+64, n)
+		copy(c.Machines[lo:hi], d.Machines[i:])
+		i += copy(c.Streams[lo:hi], d.Streams[i:])
 	}
 	c.Round = d.Round
-	c.NoiseRNG = d.NoiseRNG
-	c.SleepRNG = d.SleepRNG
-	c.AdvRNG = d.AdvRNG
-	c.RootRNG = d.RootRNG
-	c.NextStream = d.NextStream
-	c.AdvEpoch = d.AdvEpoch
+	c.Globals = d.Globals
 	if d.Adversaries != nil {
 		if len(d.Adversaries) == 0 {
 			c.Adversaries = nil
@@ -399,55 +350,17 @@ func (n *Network) CheckpointDelta(parentHash uint64) (*Delta, error) {
 		Protocol:         protocolID(n.proto),
 		Round:            n.round,
 		ParentHash:       parentHash,
-		NoiseRNG:         n.noiseSrc.State(),
-		SleepRNG:         n.sleepSrc.State(),
-		AdvRNG:           n.advSrc.State(),
-		RootRNG:          n.root.State(),
-		NextStream:       n.nextStream,
-		AdvEpoch:         n.advEpoch,
+		Globals:          n.globals(),
 	}
 	if n.dirty.adv {
-		if n.adv != nil {
-			d.Adversaries = append([]uint8(nil), n.adv...)
-		} else {
-			d.Adversaries = []uint8{}
-		}
+		d.Adversaries = append([]uint8{}, n.adv...)
 	}
-	N := n.N()
-	verts := 0
-	for _, m := range n.dirty.ck.mask {
-		verts += bits.OnesCount64(m) * 64
+	rows, err := n.capture(n.dirty.ck.mask, 0, n.N(), false)
+	if err != nil {
+		return nil, err
 	}
-	d.Words = make([]int32, 0, (verts+63)/64)
-	d.Machines = make([][]int64, 0, verts)
-	d.Streams = make([][4]uint64, 0, verts)
-	for mi, m := range n.dirty.ck.mask {
-		for m != 0 {
-			b := bits.TrailingZeros64(m)
-			m &= m - 1
-			wi := mi<<6 + b
-			lo := wi << 6
-			hi := lo + 64
-			if hi > N {
-				hi = N
-			}
-			if lo >= N {
-				continue
-			}
-			d.Words = append(d.Words, int32(wi))
-			for v := lo; v < hi; v++ {
-				codec, ok := n.machines[v].(StateCodec)
-				if !ok {
-					return nil, fmt.Errorf("beep: machine %T of vertex %d does not support checkpointing", n.machines[v], v)
-				}
-				d.Machines = append(d.Machines, codec.EncodeState())
-				d.Streams = append(d.Streams, n.srcs[v].State())
-			}
-		}
-	}
+	d.Words, d.Streams, d.Machines = rows.Index, rows.Streams, rows.Machines
 	d.Seal()
-	n.dirty.ck.rebaseline(N)
-	n.dirty.adv = false
 	return d, nil
 }
 
@@ -563,6 +476,9 @@ func decodeDeltaPayload(p []byte) (*Delta, error) {
 	d.Protocol = string(p[off : off+protoLen])
 	off += protoLen
 	hasAdv := p[off]
+	if hasAdv > 1 {
+		return nil, fmt.Errorf("beep: delta adversary flag %d is neither 0 nor 1", hasAdv)
+	}
 	rows, rest, err := DecodeStateRows(p[off+1:])
 	if err != nil {
 		return nil, fmt.Errorf("beep: delta: %w", err)

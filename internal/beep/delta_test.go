@@ -285,6 +285,86 @@ func TestDeltaFrameErrors(t *testing.T) {
 	if _, _, err := DecodeDeltaFrame(tam); err == nil || errorsIsTorn(err) {
 		t.Fatalf("tampered payload not a hard error: %v", err)
 	}
+	// The adversary flag is 0 or 1. The hash does not cover the byte, so
+	// another value would decode to a delta that re-encodes differently.
+	flag := append([]byte(nil), frame...)
+	flag[advFlagOffset(d)] = 2
+	if _, _, err := DecodeDeltaFrame(flag); err == nil || errorsIsTorn(err) {
+		t.Fatalf("adversary flag 2 not a hard error: %v", err)
+	}
+}
+
+// advFlagOffset is the frame offset of d's adversary flag byte: magic,
+// payload length, six u64 fields, four RNG states, the protocol.
+func advFlagOffset(d *Delta) int { return 8 + 6*8 + 4*32 + 4 + len(d.Protocol) }
+
+// FuzzDeltaFrame is the untrusted-input contract of the BCD3 frame
+// decoder, which every chain sidecar ckpt.Load opens goes through:
+// arbitrary bytes decode to an error, never a panic, and an accepted
+// frame passes Validate and re-encodes through EncodeDelta to exactly
+// the bytes it was decoded from. The seeds are a two-frame chain (the
+// second frame carries an adversary table) and torn and tampered
+// frames, kept to a few hundred bytes by a 6-vertex network: the fuzzer
+// minimizes every new input, at a cost that grows with its size.
+func FuzzDeltaFrame(f *testing.F) {
+	g := graph.GNP(6, 0.5, rng.New(5))
+	net, err := NewNetwork(g, codecProtocol{}, 11, WithAdversaries(AdvJammer, []int{2}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer net.Close()
+	base, err := net.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := net.Corrupt([]int{1, 5}); err != nil {
+		f.Fatal(err)
+	}
+	d1, err := net.CheckpointDelta(base.Hash)
+	if err != nil {
+		f.Fatal(err)
+	}
+	adv := make([]uint8, net.N())
+	adv[4] = uint8(AdvMute)
+	net.setAdversaries(adv)
+	d2, err := net.CheckpointDelta(d1.Hash)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var frames [2][]byte
+	for i, d := range []*Delta{d1, d2} {
+		if frames[i], err = EncodeDelta(d); err != nil {
+			f.Fatal(err)
+		}
+	}
+	chain := append(append([]byte(nil), frames[0]...), frames[1]...)
+	f.Add(chain)
+	f.Add(frames[1])
+	f.Add(chain[:len(frames[0])+len(frames[1])/2]) // torn second frame
+	tampered := append([]byte(nil), frames[0]...)
+	tampered[len(tampered)-3] ^= 0x10
+	f.Add(tampered)
+	flag := append([]byte(nil), frames[0]...)
+	flag[advFlagOffset(d1)] = 2
+	f.Add(flag)
+	f.Add([]byte("BCD3"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, rest, err := DecodeDeltaFrame(data)
+		if err != nil {
+			return
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("accepted frame fails Validate: %v", err)
+		}
+		re, err := EncodeDelta(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if consumed := data[:len(data)-len(rest)]; !bytes.Equal(re, consumed) {
+			t.Fatalf("accepted %d-byte frame re-encodes to %d other bytes", len(consumed), len(re))
+		}
+	})
 }
 
 func errorsIsTorn(err error) bool {

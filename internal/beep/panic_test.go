@@ -48,7 +48,7 @@ func (m *panicMachine) Update(sent, _ Signal) {
 
 func (m *panicMachine) Randomize(src *rng.Source) { m.rounds = int64(src.Intn(3)) }
 
-func (m *panicMachine) EncodeState() []int64 { return []int64{m.rounds} }
+func (m *panicMachine) AppendState(dst []int64) []int64 { return append(dst, m.rounds) }
 func (m *panicMachine) DecodeState(s []int64) error {
 	if len(s) != 1 {
 		return errors.New("bad state")

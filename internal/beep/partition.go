@@ -49,7 +49,7 @@ import (
 // UpdateLocalSparse ORs each round's drew|changed union into the
 // network's own dirty-word tracker, and AppendDirtyRows exports the
 // rows of the marked words of [lo, hi) and rebaselines it — the same
-// tracker and the same row layout a single-process CheckpointDelta
+// tracker, capture and row layout a single-process CheckpointDelta
 // uses.
 //
 // Partitioned execution excludes the fault models that consume shared
@@ -305,38 +305,13 @@ func (p *Partition) AppendDirtyRows(dst []byte) ([]byte, error) {
 	if n.failed != nil {
 		return nil, fmt.Errorf("beep: state export of failed network: %w", n.failed)
 	}
-	var rows StateRows
-	add := func(wi int) error {
-		lo, hi := max(wi<<6, p.lo), min(wi<<6+64, p.hi)
-		for v := lo; v < hi; v++ {
-			codec, ok := n.machines[v].(StateCodec)
-			if !ok {
-				return fmt.Errorf("beep: machine %T of vertex %d does not support checkpointing", n.machines[v], v)
-			}
-			rows.Index = append(rows.Index, int32(v))
-			rows.Machines = append(rows.Machines, codec.EncodeState())
-			rows.Streams = append(rows.Streams, n.srcs[v].State())
-		}
-		return nil
-	}
+	mask := n.dirty.ck.mask
 	if n.DirtyAll() {
-		for wi := p.lo >> 6; wi < p.lo>>6+p.ownWords; wi++ {
-			if err := add(wi); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for mi, m := range n.dirty.ck.mask {
-			for m != 0 {
-				b := bits.TrailingZeros64(m)
-				m &= m - 1
-				if err := add(mi<<6 + b); err != nil {
-					return nil, err
-				}
-			}
-		}
+		mask = nil
 	}
-	n.dirty.ck.rebaseline(n.N())
-	n.dirty.adv = false
+	rows, err := n.capture(mask, p.lo, p.hi, true)
+	if err != nil {
+		return nil, err
+	}
 	return AppendStateRows(dst, &rows), nil
 }

@@ -22,10 +22,11 @@ import (
 //   - Surviving vertices keep their complete machine state — including
 //     whatever topology knowledge (ℓmax) they were constructed with; a
 //     deployed radio does not magically re-learn Δ when a link flaps —
-//     via the StateCodec round-trip when available, or by carrying the
-//     machine value itself otherwise. They also keep their private
-//     random streams, so the randomness they consume is independent of
-//     the renumbering.
+//     through the StateCodec calls of the one capture and install
+//     (AppendState from the old machine, DecodeState into the new
+//     cohort's), so machines must implement StateCodec. They also keep
+//     their private random streams, so the randomness they consume is
+//     independent of the renumbering.
 //   - Joiners get machines built by the protocol for g2 (fresh
 //     knowledge), then a uniformly random state drawn from a fresh
 //     child stream — the "arbitrary initial configuration" a newly
@@ -90,6 +91,7 @@ func (n *Network) Rewire(g2 *graph.Graph, mapping []int) error {
 	if n.adv != nil {
 		adv2 = make([]uint8, newN)
 	}
+	var state []int64
 	for old, w := range mapping {
 		if w < 0 {
 			continue
@@ -98,20 +100,13 @@ func (n *Network) Rewire(g2 *graph.Graph, mapping []int) error {
 		if adv2 != nil {
 			adv2[w] = n.adv[old]
 		}
-		oldM := n.machines[old]
-		enc, okEnc := oldM.(StateCodec)
-		dec, okDec := machines[w].(StateCodec)
-		if okEnc && okDec {
-			if err := dec.DecodeState(enc.EncodeState()); err != nil {
-				return fmt.Errorf("beep: Rewire state transfer of vertex %d→%d: %w", old, w, err)
-			}
-			continue
+		var err error
+		if state, err = appendState(state[:0], n.machines[old]); err == nil {
+			err = decodeState(machines[w], state)
 		}
-		// Machines without checkpoint support: carry the machine value
-		// itself. The bulk handle would no longer describe the cohort,
-		// so it is dropped and analysts fall back to per-machine reads.
-		machines[w] = oldM
-		bulk = nil
+		if err != nil {
+			return fmt.Errorf("beep: Rewire state transfer of vertex %d→%d: %w", old, w, err)
+		}
 	}
 
 	// Joiners: fresh streams, randomized state (drawn sequentially here,
@@ -144,11 +139,11 @@ func (n *Network) Rewire(g2 *graph.Graph, mapping []int) error {
 	} else {
 		n.advEpoch++ // topology changed: observers re-key their masks
 	}
-	// The slab was rebuilt (or dropped): re-derive the kernels and
-	// rebuild the stripes and the pool for the new vertex count. Stripe
-	// boundaries are a function of N, so stale stripes from the
-	// pre-churn topology must never survive a Rewire
-	// (regression-tested by TestFlatParallelRewireReseedBitExact).
+	// The slab was rebuilt: re-derive the kernels and rebuild the
+	// stripes and the pool for the new vertex count. Stripe boundaries
+	// are a function of N, so stale stripes from the pre-churn topology
+	// must never survive a Rewire (regression-tested by
+	// TestFlatParallelRewireReseedBitExact).
 	n.bindFlatOps()
 	return nil
 }

@@ -38,7 +38,7 @@ func (m *rwMachine) Update(_, heard Signal) {
 
 func (m *rwMachine) Randomize(src *rng.Source) { m.level = int64(src.Intn(1000)) }
 
-func (m *rwMachine) EncodeState() []int64 { return []int64{m.level} }
+func (m *rwMachine) AppendState(dst []int64) []int64 { return append(dst, m.level) }
 func (m *rwMachine) DecodeState(st []int64) error {
 	if len(st) != 1 {
 		return fmt.Errorf("bad state")

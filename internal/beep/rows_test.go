@@ -3,6 +3,7 @@ package beep
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -84,9 +85,9 @@ func FuzzStateRows(f *testing.F) {
 }
 
 // TestInstallRowsValidation pins the install contract: structurally bad
-// rows are rejected before any write, a DecodeState rejection surfaces
-// naming the vertex, and a good install moves the round and marks the
-// installed words dirty.
+// rows are rejected before any write, and a good install moves the
+// round and marks the installed words dirty (TestInstallRowsAtomic
+// covers a row DecodeState rejects).
 func TestInstallRowsValidation(t *testing.T) {
 	net, err := NewNetwork(graph.Cycle(130), rwKernelProtocol{}, 1)
 	if err != nil {
@@ -122,11 +123,6 @@ func TestInstallRowsValidation(t *testing.T) {
 	if cp, _ := net.Checkpoint(); cp.Hash != base.Hash || net.Round() != 0 {
 		t.Fatal("rejected rows mutated the network")
 	}
-	bad := row(2)
-	bad.Machines[0] = []int64{1, 2}
-	if err := net.InstallRows(3, bad); err == nil {
-		t.Fatal("row rejected by DecodeState accepted")
-	}
 	if err := net.InstallRows(5, row(0, 129)); err != nil {
 		t.Fatal(err)
 	}
@@ -136,5 +132,40 @@ func TestInstallRowsValidation(t *testing.T) {
 	}
 	if net.Machine(129).(*rwMachine).level != 7 {
 		t.Fatal("row not installed")
+	}
+}
+
+// TestInstallRowsAtomic: a row that the machine's DecodeState rejects
+// fails the whole install, and the rows before it are rolled back — the
+// network's state, round and dirty tracker stay as they were.
+func TestInstallRowsAtomic(t *testing.T) {
+	net, err := NewNetwork(graph.Cycle(130), rwKernelProtocol{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	net.RandomizeAll()
+	base, err := net.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := &StateRows{
+		Index:    []int32{0, 70},
+		Streams:  [][4]uint64{{9, 9, 9, 9}, {9, 9, 9, 9}},
+		Machines: [][]int64{{7}, {1, 2}},
+	}
+	if err := net.InstallRows(3, rows); err == nil || !strings.Contains(err.Error(), "vertex 70") {
+		t.Fatalf("row rejected by DecodeState: err %v, want one naming vertex 70", err)
+	}
+	if net.Round() != 0 || net.DirtyAll() || net.DirtyWords() != 0 {
+		t.Fatalf("after rejected install: round %d dirtyAll %v dirty words %d, want 0 false 0",
+			net.Round(), net.DirtyAll(), net.DirtyWords())
+	}
+	cp, err := net.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Hash != base.Hash {
+		t.Fatalf("rejected install changed the state: hash %#x, want %#x", cp.Hash, base.Hash)
 	}
 }

@@ -40,7 +40,7 @@ const (
 	// do). Otherwise values are int64.
 	snapFlagVals32 = 1 << 1
 	// snapFlagRagged marks per-vertex varint machine sections: the
-	// fallback for protocols whose EncodeState length varies by vertex.
+	// fallback for protocols whose AppendState length varies by vertex.
 	// Ragged bodies encode and decode sequentially.
 	snapFlagRagged = 1 << 2
 )
@@ -276,6 +276,9 @@ func DecodeSnapshot(data []byte) (*Checkpoint, error) {
 		_ = i
 	}
 	off += 4 * 32
+	if flags&^(snapFlagAdv|snapFlagVals32|snapFlagRagged) != 0 {
+		return nil, fmt.Errorf("beep: snapshot flags %#x carry unknown bits", flags)
+	}
 	if protoLen < 0 || protoLen > snapMaxProto || off+protoLen > len(data) {
 		return nil, fmt.Errorf("beep: snapshot protocol length %d out of range", protoLen)
 	}
@@ -342,6 +345,12 @@ func DecodeSnapshot(data []byte) (*Checkpoint, error) {
 		rest = rest[need:]
 	}
 
+	// Only the encoder's layout is canonical: it derives stride, value
+	// width and raggedness from the rows (a ragged section has stride 0).
+	if st, v32, rg := machineLayout(c.Machines); st != stride || v32 != vals32 || rg != ragged {
+		return nil, fmt.Errorf("beep: snapshot layout (stride %d, int32 %v, ragged %v) is not the encoder's (%d, %v, %v)",
+			stride, vals32, ragged, st, v32, rg)
+	}
 	if hasAdv {
 		if n > len(rest) {
 			return nil, fmt.Errorf("beep: snapshot adversary table truncated: need %d bytes, have %d", n, len(rest))

@@ -32,11 +32,11 @@ func (m *raggedMachine) Emit(src *rng.Source) Signal {
 }
 func (m *raggedMachine) Update(_, _ Signal)        { m.rounds++ }
 func (m *raggedMachine) Randomize(src *rng.Source) { m.rounds = int64(src.Intn(5)) }
-func (m *raggedMachine) EncodeState() []int64 {
+func (m *raggedMachine) AppendState(dst []int64) []int64 {
 	if m.wide {
-		return []int64{m.rounds, -m.rounds, int64(1) << 40}
+		return append(dst, m.rounds, -m.rounds, int64(1)<<40)
 	}
-	return []int64{m.rounds}
+	return append(dst, m.rounds)
 }
 func (m *raggedMachine) DecodeState(state []int64) error {
 	m.rounds = state[0]
@@ -211,6 +211,7 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 		{"flipped hash", func(b []byte) []byte { b[84] ^= 0x01; return b }},
 		{"wrong magic", func(b []byte) []byte { b[3] = '9'; return b }},
 		{"empty", func([]byte) []byte { return nil }},
+		{"unknown flag bit", func(b []byte) []byte { b[92] |= 0x80; return b }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,6 +220,23 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 				t.Fatal("corrupted snapshot accepted")
 			}
 		})
+	}
+	// A ragged section has stride 0, and its int32 flag follows its
+	// values. The hash covers neither field, so another header would
+	// decode to the same rows but is not one the encoder writes.
+	ragged, err := EncodeSnapshot(snapshotTestCheckpoint(t, raggedProtocol{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func([]byte){
+		"ragged stride":     func(b []byte) { b[93] = 2 },
+		"ragged int32 flag": func(b []byte) { b[92] ^= snapFlagVals32 },
+	} {
+		mut := append([]byte(nil), ragged...)
+		mutate(mut)
+		if _, err := DecodeSnapshot(mut); err == nil {
+			t.Errorf("%s: non-canonical snapshot accepted", name)
+		}
 	}
 }
 

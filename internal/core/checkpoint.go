@@ -15,9 +15,9 @@ var (
 	_ beep.StateCodec = (*adaptiveMachine)(nil)
 )
 
-// EncodeState serializes (level, ℓmax).
-func (m *alg1Machine) EncodeState() []int64 {
-	return []int64{int64(m.level), int64(m.lmax)}
+// AppendState appends (level, ℓmax).
+func (m *alg1Machine) AppendState(dst []int64) []int64 {
+	return append(dst, int64(m.level), int64(m.lmax))
 }
 
 // DecodeState restores (level, ℓmax), validating the range invariant.
@@ -33,9 +33,9 @@ func (m *alg1Machine) DecodeState(state []int64) error {
 	return nil
 }
 
-// EncodeState serializes (level, ℓmax).
-func (m *alg2Machine) EncodeState() []int64 {
-	return []int64{int64(m.level), int64(m.lmax)}
+// AppendState appends (level, ℓmax).
+func (m *alg2Machine) AppendState(dst []int64) []int64 {
+	return append(dst, int64(m.level), int64(m.lmax))
 }
 
 // DecodeState restores (level, ℓmax), validating the range invariant.
@@ -51,9 +51,9 @@ func (m *alg2Machine) DecodeState(state []int64) error {
 	return nil
 }
 
-// EncodeState serializes (level, ℓmax, collisions, maxCap, threshold).
-func (m *adaptiveMachine) EncodeState() []int64 {
-	return []int64{int64(m.level), int64(m.lmax), int64(m.collisions), int64(m.maxCap), int64(m.threshold)}
+// AppendState appends (level, ℓmax, collisions, maxCap, threshold).
+func (m *adaptiveMachine) AppendState(dst []int64) []int64 {
+	return append(dst, int64(m.level), int64(m.lmax), int64(m.collisions), int64(m.maxCap), int64(m.threshold))
 }
 
 // DecodeState restores the adaptive machine's full state.

@@ -11,7 +11,7 @@ import (
 
 func TestAlg1StateCodecRoundTrip(t *testing.T) {
 	m := &alg1Machine{level: -7, lmax: 9}
-	state := m.EncodeState()
+	state := m.AppendState(nil)
 	m2 := &alg1Machine{}
 	if err := m2.DecodeState(state); err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestAlg1StateCodecRejects(t *testing.T) {
 func TestAlg2StateCodecRoundTrip(t *testing.T) {
 	m := &alg2Machine{level: 3, lmax: 5}
 	m2 := &alg2Machine{}
-	if err := m2.DecodeState(m.EncodeState()); err != nil {
+	if err := m2.DecodeState(m.AppendState(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if m2.level != 3 || m2.lmax != 5 {
@@ -60,7 +60,7 @@ func TestAdaptiveStateCodecRoundTrip(t *testing.T) {
 		collisions:  3, maxCap: 64, threshold: 8,
 	}
 	m2 := &adaptiveMachine{}
-	if err := m2.DecodeState(m.EncodeState()); err != nil {
+	if err := m2.DecodeState(m.AppendState(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if m2.level != -4 || m2.lmax != 8 || m2.collisions != 3 || m2.maxCap != 64 || m2.threshold != 8 {

@@ -143,15 +143,15 @@ func FuzzFlatEmitDrawEquivalence(f *testing.F) {
 			ops.Update(env, act, changedW, lo, hi)
 			var wantChanged uint64
 			for v := 0; v < n; v++ {
-				before := refMs[v].(beep.StateCodec).EncodeState()
+				before := refMs[v].(beep.StateCodec).AppendState(nil)
 				if visited(v) {
 					refMs[v].Update(env.Sent[v], env.Heard[v])
 				}
-				after := refMs[v].(beep.StateCodec).EncodeState()
+				after := refMs[v].(beep.StateCodec).AppendState(nil)
 				if !slices.Equal(before, after) {
 					wantChanged |= 1 << uint(v>>6)
 				}
-				if got := kernelMs[v].(beep.StateCodec).EncodeState(); !slices.Equal(got, after) {
+				if got := kernelMs[v].(beep.StateCodec).AppendState(nil); !slices.Equal(got, after) {
 					t.Fatalf("proto %d vertex %d: kernel state %v, machine state %v after update (visited %v)",
 						pi, v, got, after, visited(v))
 				}

@@ -373,6 +373,13 @@ func (s *State) FillMISMask(dst []bool) {
 	s.det.mis.FillBools(dst)
 }
 
+// MISCount returns |I_t|, a popcount of the detector's membership set
+// rather than n neighborhood scans.
+func (s *State) MISCount() int {
+	s.sync()
+	return s.det.mis.OnesCount()
+}
+
 // StableMask returns the mask of S_t = I_t ∪ N(I_t), the vertices whose
 // output has stabilized. The returned slice is freshly allocated and
 // safe to retain.

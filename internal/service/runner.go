@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/beep"
+	"repro/internal/ckpt"
 	"repro/internal/stab"
 )
 
@@ -46,7 +47,7 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) {
 	cpPath := d.store.CheckpointPath(j.ID)
 	var resume *beep.Checkpoint
 	if _, statErr := os.Stat(cpPath); statErr == nil {
-		cp, err := stab.ReadCheckpointFile(cpPath)
+		cp, _, err := ckpt.Load(cpPath)
 		if err != nil {
 			d.finishFailed(j, nil, 0, fmt.Sprintf("checkpoint rejected: %v", err))
 			return

@@ -31,7 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/stab"
+	"repro/internal/ckpt"
 )
 
 // Config tunes the daemon. The zero value is usable: Defaults fills
@@ -195,7 +195,7 @@ func (d *Daemon) recover() error {
 				// owns the log from round 0.
 				os.Remove(d.store.TracePath(id))
 				d.cfg.Logf("beepd: recovery: job %s interrupted before first checkpoint; restarting fresh", id)
-			} else if _, cpErr := stab.ReadCheckpointFile(cpPath); cpErr != nil {
+			} else if _, _, cpErr := ckpt.Load(cpPath); cpErr != nil {
 				// Tampered or torn checkpoint: fail with the integrity
 				// diagnostic. The daemon keeps serving; the job does
 				// not resume from unverifiable state.

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/stab"
+	"repro/internal/ckpt"
 )
 
 // testDaemon starts a daemon on an ephemeral port over a fresh data
@@ -396,7 +396,7 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 	if onDisk.State != JobInterrupted {
 		t.Fatalf("drained job state %s, want interrupted", onDisk.State)
 	}
-	cp, err := stab.ReadCheckpointFile(st.CheckpointPath(j.ID))
+	cp, _, err := ckpt.Load(st.CheckpointPath(j.ID))
 	if err != nil {
 		t.Fatalf("drain checkpoint invalid: %v", err)
 	}

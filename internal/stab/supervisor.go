@@ -168,30 +168,6 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	return &Supervisor{cfg: cfg}, nil
 }
 
-// ReadCheckpointFile loads and validates a checkpoint written by a
-// supervised run (or WriteCheckpointFile): the base snapshot — v3
-// binary or v2 JSON, auto-detected — plus any delta chain in the
-// <path>.delta sidecar, every link hash-verified before use.
-func ReadCheckpointFile(path string) (*beep.Checkpoint, error) {
-	cp, _, err := ckpt.Load(path)
-	if err != nil {
-		return nil, fmt.Errorf("stab: read checkpoint: %w", err)
-	}
-	return cp, nil
-}
-
-// WriteCheckpointFile atomically persists a full checkpoint as a fresh
-// chain base (v3 binary snapshot), truncating any delta sidecar so a
-// stale chain can never pair with the new base.
-func WriteCheckpointFile(path string, c *beep.Checkpoint) error {
-	w := ckpt.NewWriter(path)
-	defer w.Close()
-	if _, err := w.WriteBase(c); err != nil {
-		return fmt.Errorf("stab: write checkpoint: %w", err)
-	}
-	return nil
-}
-
 // Run executes the supervised run. The outcome is one of:
 //
 //   - success: the network stabilized (legality verified on the correct

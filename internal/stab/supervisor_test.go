@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/beep"
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -141,7 +142,7 @@ func TestSupervisorCheckpointResume(t *testing.T) {
 	}
 
 	// Resume from the file and finish.
-	cp, err := ReadCheckpointFile(path)
+	cp, _, err := ckpt.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestSupervisorRejectsCorruptedCheckpointFile(t *testing.T) {
 	if err := os.WriteFile(path, corrupted, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCheckpointFile(path); err == nil {
+	if _, _, err := ckpt.Load(path); err == nil {
 		t.Fatal("corrupted checkpoint file accepted")
 	}
 }
@@ -255,7 +256,7 @@ func TestSupervisorCancelBeforeStart(t *testing.T) {
 
 	// Cancel-on-start still checkpoints the round-zero state; resuming
 	// from it reproduces the uninterrupted execution exactly.
-	cp, err := ReadCheckpointFile(path)
+	cp, _, err := ckpt.Load(path)
 	if err != nil {
 		t.Fatalf("no resumable checkpoint after cancel-before-start: %v", err)
 	}
@@ -312,7 +313,7 @@ func TestSupervisorCancelMidRun(t *testing.T) {
 
 	// Checkpoint-on-cancel captured the state at the cancellation
 	// point; resuming completes with the reference outcome.
-	cp, err := ReadCheckpointFile(path)
+	cp, _, err := ckpt.Load(path)
 	if err != nil {
 		t.Fatalf("no checkpoint after mid-run cancel: %v", err)
 	}
@@ -485,7 +486,7 @@ func TestSupervisorChainCheckpoints(t *testing.T) {
 		t.Fatalf("LastCheckpoint not sealed at finish: %v", err)
 	}
 	// The chain on disk must assemble to the exact in-memory tip.
-	cp, err := ReadCheckpointFile(path)
+	cp, _, err := ckpt.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +531,7 @@ func TestSupervisorChainCheckpoints(t *testing.T) {
 	if err := res2.LastCheckpoint.Validate(); err != nil {
 		t.Fatalf("delta-patched tip not resealed: %v", err)
 	}
-	cp2, err := ReadCheckpointFile(path2)
+	cp2, _, err := ckpt.Load(path2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,6 +94,7 @@ func (r *Recorder) capture() {
 	s := RoundStats{
 		Round:    r.net.Round(),
 		Stable:   st.StableCount(),
+		InMIS:    st.MISCount(),
 		MinLevel: 1 << 30,
 		MaxLevel: -(1 << 30),
 	}
@@ -113,9 +114,6 @@ func (r *Recorder) capture() {
 		}
 		if st.Prominent(v) {
 			s.Prominent++
-		}
-		if st.InMIS(v) {
-			s.InMIS++
 		}
 		if levelRow != nil {
 			levelRow[v] = l
