@@ -3,6 +3,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/beep"
 	"repro/internal/core"
@@ -155,9 +156,9 @@ func WithSlack(c1 int) Option {
 	return func(o *options) { o.c1 = c1 }
 }
 
-// WithParallelEngine runs rounds on the sharded flat-kernel engine
-// (beep.FlatParallel, one stripe per CPU) instead of the sequential
-// one. Traces are identical; only wall-clock differs.
+// WithParallelEngine runs rounds on one stripe per CPU
+// (beep.WithWorkers(runtime.GOMAXPROCS(0))) instead of one. Traces are
+// identical; only wall-clock differs.
 func WithParallelEngine() Option {
 	return func(o *options) { o.parallel = true }
 }
@@ -179,7 +180,16 @@ func WithSleepProbability(p float64) Option {
 	return func(o *options) { o.sleep = beep.Sleep{P: p} }
 }
 
-// build resolves options into an internal run configuration.
+// network resolves the options that configure the beep.Network.
+func (o options) network() []beep.Option {
+	opts := []beep.Option{beep.WithNoise(o.noise), beep.WithSleep(o.sleep)}
+	if o.parallel {
+		opts = append(opts, beep.WithWorkers(runtime.GOMAXPROCS(0)))
+	}
+	return opts
+}
+
+// protocol resolves the selected algorithm.
 func (o options) protocol() (beep.Protocol, error) {
 	switch o.algorithm {
 	case Alg1KnownDelta, 0:
@@ -252,19 +262,13 @@ func Solve(g *Graph, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := beep.Sequential
-	if o.parallel {
-		engine = beep.FlatParallel
-	}
 	res, err := core.Run(core.RunConfig{
 		Graph:     g.g,
 		Protocol:  proto,
 		Seed:      o.seed,
 		Init:      init,
 		MaxRounds: o.maxRounds,
-		Engine:    engine,
-		Noise:     o.noise,
-		Sleep:     o.sleep,
+		Options:   o.network(),
 	})
 	if err != nil {
 		return nil, err

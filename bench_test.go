@@ -89,14 +89,14 @@ func BenchmarkStabilizeAlg2TwoChannel1k(b *testing.B) {
 }
 
 // Engine benchmarks: cost of one simulated round on the flat-kernel
-// pipeline of both engines and on the reference loop, isolating
-// simulator overhead from algorithm work.
+// pipeline at several stripe counts and on the reference loop,
+// isolating simulator overhead from algorithm work.
 
-func benchEngine(b *testing.B, engine beep.Engine, n int, opts ...beep.Option) {
+func benchEngine(b *testing.B, n int, opts ...beep.Option) {
 	b.Helper()
 	g := graph.GNPAvgDegree(n, 8, rng.New(2))
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
-	net, err := beep.NewNetwork(g, proto, 3, append([]beep.Option{beep.WithEngine(engine)}, opts...)...)
+	net, err := beep.NewNetwork(g, proto, 3, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,26 +109,18 @@ func benchEngine(b *testing.B, engine beep.Engine, n int, opts ...beep.Option) {
 	}
 }
 
-func BenchmarkRoundSequential4k(b *testing.B) { benchEngine(b, beep.Sequential, 4096) }
+func BenchmarkRoundSequential4k(b *testing.B) { benchEngine(b, 4096) }
 
-// BenchmarkRoundFlatParallel4k runs the sharded pipeline with its
-// default worker count (GOMAXPROCS); the W-suffixed variants pin
-// explicit counts for the scaling table in BENCH_parflat.json. W1 runs
-// the same single inline stripe as Sequential, so (W1 − Wk) is the
+// BenchmarkRoundFlatParallel4k runs the pipeline on three stripes, so
+// the pool barrier runs on any host; the W-suffixed variants pin the
+// stripe counts of the scaling table in BENCH_parflat.json. W1 runs
+// the same single inline stripe as Sequential4k, so (W1 − Wk) is the
 // parallel payoff net of the pool barrier.
-func BenchmarkRoundFlatParallel4k(b *testing.B) { benchEngine(b, beep.FlatParallel, 4096) }
-func BenchmarkRoundFlatParallel4kW1(b *testing.B) {
-	benchEngine(b, beep.FlatParallel, 4096, beep.WithWorkers(1))
-}
-func BenchmarkRoundFlatParallel4kW2(b *testing.B) {
-	benchEngine(b, beep.FlatParallel, 4096, beep.WithWorkers(2))
-}
-func BenchmarkRoundFlatParallel4kW4(b *testing.B) {
-	benchEngine(b, beep.FlatParallel, 4096, beep.WithWorkers(4))
-}
-func BenchmarkRoundFlatParallel4kW8(b *testing.B) {
-	benchEngine(b, beep.FlatParallel, 4096, beep.WithWorkers(8))
-}
+func BenchmarkRoundFlatParallel4k(b *testing.B)   { benchEngine(b, 4096, beep.WithWorkers(3)) }
+func BenchmarkRoundFlatParallel4kW1(b *testing.B) { benchEngine(b, 4096, beep.WithWorkers(1)) }
+func BenchmarkRoundFlatParallel4kW2(b *testing.B) { benchEngine(b, 4096, beep.WithWorkers(2)) }
+func BenchmarkRoundFlatParallel4kW4(b *testing.B) { benchEngine(b, 4096, beep.WithWorkers(4)) }
+func BenchmarkRoundFlatParallel4kW8(b *testing.B) { benchEngine(b, 4096, beep.WithWorkers(8)) }
 
 // BenchmarkRoundFlatRelabeled4k isolates the cache-locality effect of
 // graph.Relabel: the same G(n,p) instance as the other 4k round
@@ -156,7 +148,7 @@ func BenchmarkRoundFlatRelabeled4k(b *testing.B) {
 // (per-vertex interface dispatch) so the flat-kernel speedup stays
 // measurable.
 func BenchmarkRoundSequentialRef4k(b *testing.B) {
-	benchEngine(b, beep.Sequential, 4096, beep.WithFlatKernels(false))
+	benchEngine(b, 4096, beep.WithFlatKernels(false))
 }
 
 // BenchmarkRoundFlat1M measures one flat-kernel round at n = 10⁶ on a
@@ -185,8 +177,8 @@ func BenchmarkRoundFlat1M(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundFlatParallel1M is BenchmarkRoundFlat1M through the
-// sharded engine, with sub-benchmarks per worker count: the scaling
+// BenchmarkRoundFlatParallel1M is BenchmarkRoundFlat1M with
+// sub-benchmarks per stripe count (WithWorkers): the scaling
 // measurement behind BENCH_parflat.json. Skipped under -short for the
 // same reason (UnitDisk generation at n = 10⁶ takes seconds). Combine
 // with -cpu to also scale GOMAXPROCS; with a single allotted CPU the
@@ -201,8 +193,7 @@ func BenchmarkRoundFlatParallel1M(b *testing.B) {
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			net, err := beep.NewNetwork(g, proto, 3,
-				beep.WithEngine(beep.FlatParallel), beep.WithWorkers(w))
+			net, err := beep.NewNetwork(g, proto, 3, beep.WithWorkers(w))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,7 +9,7 @@
 //	beepmis -family gnp:256:0.05 -faults 20        # inject and recover
 //	beepmis -family gnp:128:0.1 -churn flap:3:8    # live-rewiring storm
 //	beepmis -family star:16 -adversaries 0 -adversary-policy jammer
-//	beepmis -family gnp:4096:0.002 -engine flatparallel -cpuprofile cpu.pprof
+//	beepmis -family gnp:4096:0.002 -workers 4 -cpuprofile cpu.pprof
 package main
 
 import (
@@ -67,8 +67,7 @@ func run(args []string) (retErr error) {
 	inspectCkpt := fs.String("inspect-checkpoint", "", "validate a checkpoint file (base snapshot plus any delta chain) and print its summary, then exit; a broken chain exits nonzero")
 	deadline := fs.Duration("deadline", 0, "wall-clock deadline per attempt, e.g. 30s (0 = none)")
 	maxRetries := fs.Int("max-retries", 0, "budget escalations after the first attempt (the run is extended, not restarted)")
-	engineName := fs.String("engine", "sequential", "round engine: sequential | flatparallel")
-	workers := fs.Int("workers", 0, "worker count for the flatparallel engine (0 = GOMAXPROCS; ignored by sequential)")
+	workers := fs.Int("workers", 1, "stripe count of the round pipeline; k > 1 runs k stripes on a worker pool (same trace at every k)")
 	distributed := fs.Bool("distributed", false, "run over partitioned workers (coordinator + N beepworkers)")
 	partitions := fs.Int("partitions", 2, "worker partition count for -distributed")
 	workerBin := fs.String("worker-bin", "", "beepworker binary for -distributed (empty = in-process workers)")
@@ -91,23 +90,14 @@ func run(args []string) (retErr error) {
 	if !*distributed && (explicit["partitions"] || explicit["worker-bin"] || explicit["dist-round-delay"]) {
 		return fmt.Errorf("-partitions, -worker-bin and -dist-round-delay require -distributed")
 	}
-	engine, err := beep.ParseEngine(*engineName)
-	if err != nil {
-		return err
+	if *workers < 1 {
+		return fmt.Errorf("-workers %d: stripe count must be at least 1", *workers)
 	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers %d: worker count must be non-negative (0 = GOMAXPROCS)", *workers)
-	}
-	// engineOpts builds the engine configuration (engine choice plus the
-	// optional explicit worker count) shared by every network this
+	// netOpts prefixes the stripe count shared by every network this
 	// invocation constructs; each call returns a fresh slice, so the
 	// per-path appends never alias.
-	engineOpts := func(extra ...beep.Option) []beep.Option {
-		opts := []beep.Option{beep.WithEngine(engine)}
-		if *workers > 0 {
-			opts = append(opts, beep.WithWorkers(*workers))
-		}
-		return append(opts, extra...)
+	netOpts := func(extra ...beep.Option) []beep.Option {
+		return append([]beep.Option{beep.WithWorkers(*workers)}, extra...)
 	}
 	finishProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -145,10 +135,7 @@ func run(args []string) (retErr error) {
 		if *distributed {
 			return fmt.Errorf("-distributed applies to the self-stabilizing algorithms only, not %q", *alg)
 		}
-		if engine != beep.Sequential {
-			return fmt.Errorf("-engine applies to the self-stabilizing algorithms only, not %q", *alg)
-		}
-		if *workers > 0 {
+		if explicit["workers"] {
 			return fmt.Errorf("-workers applies to the self-stabilizing algorithms only, not %q", *alg)
 		}
 		if supervised {
@@ -166,11 +153,12 @@ func run(args []string) (retErr error) {
 		return err
 	}
 	if *distributed {
-		// The distributed engine proves bit-exactness against the local
-		// engines under deterministic per-vertex streams; the features
-		// below either perturb determinism (noise, adversaries, churn)
-		// or are single-process drivers (-csv recorder, fault drill,
-		// supervisor retries) and stay with the local engines.
+		// The distributed engine proves bit-exactness against the
+		// single-process pipeline under deterministic per-vertex
+		// streams; the features below either perturb determinism
+		// (noise, adversaries, churn) or are single-process drivers
+		// (-csv recorder, fault drill, supervisor retries) and stay
+		// with the single-process paths.
 		switch {
 		case *churnSpec != "" || *advList != "":
 			return fmt.Errorf("-distributed cannot be combined with -churn or -adversaries")
@@ -180,8 +168,8 @@ func run(args []string) (retErr error) {
 			return fmt.Errorf("-distributed cannot be combined with -csv or -faults")
 		case *deadline != 0 || *maxRetries > 0:
 			return fmt.Errorf("-distributed cannot be combined with -deadline or -max-retries")
-		case explicit["engine"] || *workers > 0:
-			return fmt.Errorf("-engine/-workers select a local engine; -distributed always runs flat kernels over -partitions workers")
+		case explicit["workers"]:
+			return fmt.Errorf("-workers sets a local network's stripe count; -distributed always runs flat kernels over -partitions workers")
 		}
 		return runDistributed(g, *alg, *seed, initMode, *maxRounds, *partitions,
 			*workerBin, *distRoundDelay, sup, *printMIS)
@@ -200,7 +188,7 @@ func run(args []string) (retErr error) {
 		if supervised {
 			return fmt.Errorf("-churn cannot be combined with -checkpoint/-resume/-deadline/-max-retries")
 		}
-		opts := engineOpts()
+		opts := netOpts()
 		if len(advVerts) > 0 {
 			opts = append(opts, beep.WithAdversaries(advPol, advVerts))
 		}
@@ -217,11 +205,11 @@ func run(args []string) (retErr error) {
 			// The supervisor masks adversaries out of the legality probe
 			// itself, so the supervised path covers adversarial runs too.
 			return runSupervised(g, proto, *seed, initMode, *maxRounds, sup,
-				engineOpts(beep.WithAdversaries(advPol, advVerts)), *printMIS)
+				netOpts(beep.WithAdversaries(advPol, advVerts)), *printMIS)
 		}
-		return runAdversarial(g, proto, *seed, engineOpts(), advPol, advVerts, *maxRounds, initMode, *printMIS)
+		return runAdversarial(g, proto, *seed, netOpts(), advPol, advVerts, *maxRounds, initMode, *printMIS)
 	}
-	opts := engineOpts(beep.WithNoise(beep.Noise{PLoss: *noise, PFalse: *noise}))
+	opts := netOpts(beep.WithNoise(beep.Noise{PLoss: *noise, PFalse: *noise}))
 	if *csvPath != "" || *faults > 0 {
 		return runDirect(g, proto, *seed, initMode, *maxRounds, opts, *csvPath, *faults, *printMIS)
 	}
@@ -636,7 +624,7 @@ func runAdversarial(g *graph.Graph, proto beep.Protocol, seed uint64, opts []bee
 	}
 	budget := maxRounds
 	if budget <= 0 {
-		budget = 400 * (log2ceil(g.N()) + 2)
+		budget = core.DefaultMaxRounds(g.N())
 	}
 	var probe core.State // Refresh masks the adversaries out of legality
 	rounds, err := core.Stabilize(net, &probe, budget)
@@ -660,15 +648,6 @@ func runAdversarial(g *graph.Graph, proto beep.Protocol, seed uint64, opts []bee
 		printMask(mis)
 	}
 	return nil
-}
-
-// log2ceil returns ⌈log2 n⌉ for n ≥ 1.
-func log2ceil(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }
 
 func printMask(mask []bool) {

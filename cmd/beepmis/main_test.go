@@ -242,6 +242,18 @@ func TestRunAdversaries(t *testing.T) {
 	}
 }
 
+// TestRunAdversaryDefaultBudget pins the adversarial path to the one
+// default round budget: without -max-rounds, the unsupervised jammer
+// run gives up after core.DefaultMaxRounds rounds, as the supervised
+// path (-deadline) does for the same flags.
+func TestRunAdversaryDefaultBudget(t *testing.T) {
+	out := runOutput(t, "-family", "star:16", "-adversaries", "0", "-adversary-policy", "jammer")
+	want := fmt.Sprintf("no stabilization within %d rounds", core.DefaultMaxRounds(16))
+	if !strings.Contains(out, want) {
+		t.Fatalf("output %q does not report %q", out, want)
+	}
+}
+
 func TestRunChurnAndAdversaryErrors(t *testing.T) {
 	cases := [][]string{
 		{"-family", "cycle:8", "-churn", "bogus:1"},                            // unknown kind
@@ -278,54 +290,49 @@ func TestRunGraph6File(t *testing.T) {
 	}
 }
 
-// TestRunEngines exercises the -engine flag on both engines and the
+// TestRunEngines pins the stripe count's invisibility at the CLI: the
+// same run on the default single stripe, on -workers 1 and on -workers
+// 3 (three 64-aligned stripes at n = 300) prints the identical output.
 // error paths for unknown and retired names and baseline combinations.
 func TestRunEngines(t *testing.T) {
-	for _, engine := range []string{"sequential", "flatparallel"} {
-		if err := run([]string{"-family", "cycle:24", "-engine", engine, "-seed", "3"}); err != nil {
-			t.Fatalf("%s: %v", engine, err)
+	args := []string{"-family", "gnp:300:0.02", "-seed", "3"}
+	want := runOutput(t, args...)
+	for _, w := range []string{"1", "3"} {
+		if got := runOutput(t, append(args, "-workers", w)...); got != want {
+			t.Fatalf("-workers %s printed %q, the default printed %q", w, got, want)
 		}
-	}
-	if err := run([]string{"-family", "cycle:24", "-engine", "warp"}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("want unknown-engine error, got %v", err)
-	}
-	// Retired engine names name their replacement.
-	for name, repl := range map[string]string{"parallel": "flatparallel", "pervertex": "flatparallel", "flat": "sequential"} {
-		if err := run([]string{"-family", "cycle:24", "-engine", name}); err == nil || !strings.Contains(err.Error(), "use "+repl) {
-			t.Fatalf("-engine %s: want an error naming %s, got %v", name, repl, err)
-		}
-	}
-	if err := run([]string{"-family", "cycle:16", "-alg", "luby", "-engine", "flatparallel"}); err == nil {
-		t.Fatal("want error for -engine with a baseline algorithm")
 	}
 }
 
-// TestRunWorkersFlag covers -workers: explicit counts on the parallel
-// engines (including counts above the vertex count, which the network
-// clamps), acceptance on the churn and adversary paths, rejection of
-// negative values, and rejection for baseline algorithms.
+// TestRunWorkersFlag covers -workers: explicit stripe counts
+// (including counts above the vertex count, which the network caps),
+// acceptance on the churn and adversary paths, rejection of counts
+// below 1, and rejection for baseline algorithms and -distributed.
 func TestRunWorkersFlag(t *testing.T) {
-	for _, engine := range []string{"flatparallel"} {
-		for _, w := range []string{"1", "2", "999"} {
-			if err := run([]string{"-family", "cycle:24", "-engine", engine, "-workers", w, "-seed", "3"}); err != nil {
-				t.Fatalf("%s/-workers=%s: %v", engine, w, err)
-			}
+	for _, w := range []string{"1", "2", "999"} {
+		if err := run([]string{"-family", "cycle:24", "-workers", w, "-seed", "3"}); err != nil {
+			t.Fatalf("-workers=%s: %v", w, err)
 		}
 	}
-	if err := run([]string{"-family", "cycle:24", "-engine", "flatparallel", "-workers", "2",
+	if err := run([]string{"-family", "cycle:24", "-workers", "2",
 		"-churn", "flap:2:2", "-seed", "3"}); err != nil {
 		t.Fatalf("churn with -workers: %v", err)
 	}
-	if err := run([]string{"-family", "cycle:24", "-engine", "flatparallel", "-workers", "2",
+	if err := run([]string{"-family", "cycle:24", "-workers", "2",
 		"-adversaries", "0", "-adversary-policy", "mute", "-seed", "3"}); err != nil {
 		t.Fatalf("adversaries with -workers: %v", err)
 	}
-	if err := run([]string{"-family", "cycle:24", "-workers", "-1"}); err == nil ||
-		!strings.Contains(err.Error(), "non-negative") {
-		t.Fatalf("want non-negative validation error, got %v", err)
+	for _, w := range []string{"0", "-1"} {
+		if err := run([]string{"-family", "cycle:24", "-workers", w}); err == nil ||
+			!strings.Contains(err.Error(), "at least 1") {
+			t.Fatalf("-workers %s: want a validation error, got %v", w, err)
+		}
 	}
 	if err := run([]string{"-family", "cycle:16", "-alg", "luby", "-init", "fresh", "-workers", "2"}); err == nil {
 		t.Fatal("want error for -workers with a baseline algorithm")
+	}
+	if err := run([]string{"-family", "cycle:16", "-distributed", "-workers", "2"}); err == nil {
+		t.Fatal("want error for -workers with -distributed")
 	}
 }
 
@@ -335,7 +342,7 @@ func TestRunProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	if err := run([]string{"-family", "gnp:128:0.05", "-engine", "flatparallel",
+	if err := run([]string{"-family", "gnp:128:0.05", "-workers", "2",
 		"-cpuprofile", cpu, "-memprofile", mem, "-seed", "5"}); err != nil {
 		t.Fatal(err)
 	}

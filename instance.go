@@ -13,8 +13,8 @@ import (
 // Instance is a live, steppable execution of one of the paper's
 // algorithms: the round-level API for self-stabilization studies. It
 // exposes single-round stepping, legality queries, and transient-fault
-// injection. Close releases engine resources when the parallel engine
-// is used.
+// injection. Close releases the worker pool that WithParallelEngine
+// starts.
 type Instance struct {
 	net      *beep.Network
 	faultSrc *rng.Source
@@ -41,11 +41,7 @@ func NewInstance(g *Graph, opts ...Option) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := beep.Sequential
-	if o.parallel {
-		engine = beep.FlatParallel
-	}
-	net, err := beep.NewNetwork(g.g, proto, o.seed, beep.WithEngine(engine), beep.WithNoise(o.noise), beep.WithSleep(o.sleep))
+	net, err := beep.NewNetwork(g.g, proto, o.seed, o.network()...)
 	if err != nil {
 		return nil, err
 	}
@@ -159,6 +155,6 @@ func (i *Instance) Load(r io.Reader) error {
 	return i.net.Restore(cp)
 }
 
-// Close releases the engine's worker goroutines; safe to call multiple
-// times and required only for the parallel engine.
+// Close releases the network's worker goroutines; safe to call
+// multiple times and required only with WithParallelEngine.
 func (i *Instance) Close() { i.net.Close() }

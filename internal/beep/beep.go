@@ -16,13 +16,13 @@
 //     of the paper respectively.
 //
 // Protocols are per-vertex state machines (Machine) created by a Protocol
-// factory, executed by two engines (sequential and sharded over a worker
-// pool) that are trace-equivalent for a fixed seed.
+// factory. A Network executes them through one round pipeline over one
+// or more vertex stripes (WithWorkers), or through the per-machine
+// reference loop, and every stripe count is trace-equivalent to the
+// reference loop for a fixed seed.
 package beep
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -105,51 +105,4 @@ type BatchProtocol interface {
 	// NewMachines returns one machine per vertex of g (in vertex order)
 	// and an optional bulk-state handle (may be nil).
 	NewMachines(g graph.Topology) (ms []Machine, bulk any)
-}
-
-// Engine selects the execution strategy for rounds.
-type Engine int
-
-const (
-	// Sequential executes rounds in the calling goroutine. With a
-	// protocol whose bulk state provides flat kernels (FlatProtocol) it
-	// runs the round pipeline of pipeline.go over one stripe; otherwise,
-	// or under WithFlatKernels(false), it runs the per-machine reference
-	// loop.
-	Sequential Engine = iota + 1
-	// FlatParallel runs the same round pipeline over WithWorkers
-	// contiguous 64-vertex-aligned stripes on a persistent worker pool.
-	// It requires FlatProtocol kernels and, like Sequential, is
-	// trace-equivalent to the reference loop for a fixed seed.
-	FlatParallel
-)
-
-// String names the engine for tables and errors.
-func (e Engine) String() string {
-	switch e {
-	case Sequential:
-		return "sequential"
-	case FlatParallel:
-		return "flatparallel"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
-
-// ParseEngine maps an engine name (as produced by Engine.String) back to
-// the Engine value, for command-line flags. The names of retired engines
-// are rejected with the engine that replaces them.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "sequential":
-		return Sequential, nil
-	case "flatparallel":
-		return FlatParallel, nil
-	case "parallel", "pervertex":
-		return 0, fmt.Errorf("beep: engine %q was retired; use flatparallel", name)
-	case "flat":
-		return 0, fmt.Errorf("beep: engine %q was retired; use sequential", name)
-	default:
-		return 0, fmt.Errorf("beep: unknown engine %q (want sequential or flatparallel)", name)
-	}
 }

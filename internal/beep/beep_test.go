@@ -1,7 +1,6 @@
 package beep
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -91,26 +90,6 @@ func TestSignalHas(t *testing.T) {
 	}
 	if !(Chan1 | Chan2).Has(Chan2) {
 		t.Fatal("Has on combined signal wrong")
-	}
-}
-
-func TestEngineString(t *testing.T) {
-	if Sequential.String() != "sequential" || FlatParallel.String() != "flatparallel" {
-		t.Fatal("engine names wrong")
-	}
-	if Engine(42).String() != "engine(42)" {
-		t.Fatal("unknown engine name wrong")
-	}
-	for _, e := range []Engine{Sequential, FlatParallel} {
-		if got, err := ParseEngine(e.String()); err != nil || got != e {
-			t.Fatalf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	// Retired engine names fail with the engine that replaces them.
-	for name, repl := range map[string]string{"parallel": "flatparallel", "pervertex": "flatparallel", "flat": "sequential"} {
-		if _, err := ParseEngine(name); err == nil || !strings.Contains(err.Error(), "use "+repl) {
-			t.Fatalf("ParseEngine(%q) = %v, want an error naming %s", name, err, repl)
-		}
 	}
 }
 
@@ -220,9 +199,9 @@ func TestObserverSeesEveryRound(t *testing.T) {
 }
 
 // TestEnginesProduceIdenticalTraces pins the engine contract on a toy
-// protocol: the flat-kernel pipeline — Sequential, forced delta
-// delivery, and FlatParallel at one and three stripes — reproduces the
-// reference loop's (sent, heard) trace round for round.
+// protocol: the flat-kernel pipeline — one stripe, forced delta
+// delivery, and three stripes — reproduces the reference loop's
+// (sent, heard) trace round for round.
 func TestEnginesProduceIdenticalTraces(t *testing.T) {
 	src := rng.New(77)
 	graphs := []*graph.Graph{
@@ -249,7 +228,7 @@ func TestCloseIdempotentAndSequentialNoop(t *testing.T) {
 	net.Close()
 	net.Close()
 
-	netP, err := NewNetwork(graph.Path(130), rwKernelProtocol{}, 1, WithEngine(FlatParallel), WithWorkers(2))
+	netP, err := NewNetwork(graph.Path(130), rwKernelProtocol{}, 1, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,32 +241,32 @@ func TestCloseIdempotentAndSequentialNoop(t *testing.T) {
 // terminal, and Step on a closed network panics instead of silently
 // re-spawning a worker pool (the old behavior leaked goroutine pools
 // whenever a caller stepped a closed network). Regression test for the
-// concurrent and sequential engines alike.
+// single-stripe and multi-stripe networks alike.
 func TestStepAfterCloseIsTerminal(t *testing.T) {
-	for _, engine := range []Engine{Sequential, FlatParallel} {
-		net, err := NewNetwork(graph.Cycle(130), rwKernelProtocol{}, 3, WithEngine(engine), WithWorkers(2))
+	for _, k := range []int{1, 2} {
+		net, err := NewNetwork(graph.Cycle(130), rwKernelProtocol{}, 3, WithWorkers(k))
 		if err != nil {
 			t.Fatal(err)
 		}
 		net.Step()
 		if net.Closed() {
-			t.Fatalf("%v: network reports closed before Close", engine)
+			t.Fatalf("k=%d: network reports closed before Close", k)
 		}
 		net.Close()
 		if !net.Closed() {
-			t.Fatalf("%v: network not closed after Close", engine)
+			t.Fatalf("k=%d: network not closed after Close", k)
 		}
 		net.Close() // idempotent
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%v: Step after Close did not panic", engine)
+					t.Fatalf("k=%d: Step after Close did not panic", k)
 				}
 			}()
 			net.Step()
 		}()
 		if net.Round() != 1 {
-			t.Fatalf("%v: rounds %d, want 1", engine, net.Round())
+			t.Fatalf("k=%d: rounds %d, want 1", k, net.Round())
 		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 // each vertex consumes exactly the draws its Machine.Emit would have
 // consumed from its private stream, so traces are bit-for-bit equal
 // (enforced by TestEngineTraceEquivalence and
-// FuzzFlatEmitDrawEquivalence). Because of that, the Sequential engine
-// runs the kernels whenever the protocol provides them.
+// FuzzFlatEmitDrawEquivalence). Because of that, a Network runs the
+// kernels whenever the protocol provides them.
 
 // FlatEnv is the execution environment the pipeline passes to a
 // FlatProtocol's kernels for one phase. The slices alias network
@@ -61,7 +61,7 @@ type FlatEnv struct {
 // Because each vertex consumes randomness only from its own private
 // stream, stripes can execute in any order or concurrently without
 // perturbing any vertex's draw sequence: that is the whole determinism
-// argument of the FlatParallel engine and of Partition.
+// argument of the multi-stripe pipeline (WithWorkers) and of Partition.
 type FlatProtocol interface {
 	// Emit decides the signals of the marked words' vertices.
 	Emit(env *FlatEnv, act, drewW []uint64, lo, hi int)
@@ -81,11 +81,11 @@ type FlatReiniter interface {
 	ReinitAll(g graph.Topology)
 }
 
-// WithFlatKernels enables or disables the flat-kernel pipeline on the
-// Sequential engine (default: enabled when the protocol provides it).
-// Disabling forces the reference per-machine loop; the equivalence
-// matrices use this to pin the kernels against the reference
-// semantics. The FlatParallel engine rejects it.
+// WithFlatKernels enables or disables the flat-kernel pipeline
+// (default: enabled when the protocol provides it). Disabling forces
+// the reference per-machine loop; the equivalence matrices use this to
+// pin the kernels against the reference semantics. A multi-stripe
+// network (WithWorkers(k), k > 1) rejects it.
 func WithFlatKernels(enabled bool) Option {
 	return func(n *Network) { n.noFlat = !enabled }
 }
@@ -100,22 +100,17 @@ const (
 )
 
 // finishFlatSetup resolves the flat configuration after all options
-// have been applied: binds the kernels (unless disabled), enforces the
-// FlatParallel engine's requirement for them, and lays out the stripes.
+// have been applied: binds the kernels (unless disabled), enforces a
+// multi-stripe network's requirement for them, and lays out the
+// stripes.
 func (n *Network) finishFlatSetup(proto Protocol) error {
-	switch n.engine {
-	case Sequential:
-	case FlatParallel:
-		if n.noFlat {
-			return fmt.Errorf("beep: WithFlatKernels(false) conflicts with the %v engine", n.engine)
-		}
-	default:
-		return fmt.Errorf("beep: unknown engine %v", n.engine)
+	if n.reqWorkers > 1 && n.noFlat {
+		return fmt.Errorf("beep: WithWorkers(%d) conflicts with WithFlatKernels(false): only one stripe runs the reference loop", n.reqWorkers)
 	}
 	n.bindFlatOps()
 	if n.flatOps == nil {
-		if n.engine == FlatParallel {
-			return fmt.Errorf("beep: %v engine requires flat kernels, but %T's bulk state (%T) does not implement FlatProtocol", n.engine, proto, n.bulk)
+		if n.reqWorkers > 1 {
+			return fmt.Errorf("beep: WithWorkers(%d) requires flat kernels, but %T's bulk state (%T) does not implement FlatProtocol", n.reqWorkers, proto, n.bulk)
 		}
 		if n.forceDelta {
 			return fmt.Errorf("beep: WithForcedDelta requires flat kernels, but the reference loop runs %T", proto)
@@ -151,11 +146,7 @@ func (n *Network) bindFlatOps() {
 		return
 	}
 	n.flatOps = fp
-	k := 1
-	if n.engine == FlatParallel {
-		k = n.poolSize()
-	}
-	n.buildStripes(k)
+	n.buildStripes(n.poolSize())
 }
 
 // buildFlatSkip assembles the per-round skip mask (sleeping and

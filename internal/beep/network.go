@@ -2,7 +2,6 @@ package beep
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,8 @@ import (
 // Network is one executable instance of a protocol on a graph: the
 // machines, their private random streams, and double-buffered signal
 // arrays. A Network is not safe for concurrent use by multiple callers;
-// the FlatParallel engine synchronizes internally.
+// a multi-stripe network (WithWorkers) synchronizes its worker pool
+// internally.
 type Network struct {
 	g graph.Topology
 	// csr is the materialized fast path: non-nil iff g is a
@@ -30,7 +30,6 @@ type Network struct {
 	proto    Protocol
 	machines []Machine
 	srcs     []*rng.Source
-	engine   Engine
 
 	// root is the stream the per-vertex streams were split from;
 	// nextStream is the next unused child index. Vertices that join
@@ -73,8 +72,8 @@ type Network struct {
 	// Flat-kernel state (see flat.go and pipeline.go): flatOps is the
 	// bound kernel handle (nil when the protocol has none or
 	// WithFlatKernels(false) was given, in which case the reference loop
-	// runs), stripes the pipeline's vertex stripes (one per pool worker,
-	// a single one on the Sequential engine), flatSkip the per-round
+	// runs), stripes the pipeline's vertex stripes (WithWorkers of them,
+	// capped at n and 64-vertex-aligned), flatSkip the per-round
 	// skip mask of fault rounds, sendBits the per-channel sender bitsets
 	// and sparse the word-activity state.
 	flatOps    FlatProtocol
@@ -117,19 +116,14 @@ type Network struct {
 	// workers runs the stripes of a multi-stripe pipeline (nil for a
 	// single stripe and for the reference loop).
 	workers *workerPool
-	// reqWorkers is the WithWorkers override of the FlatParallel engine
-	// (0 = GOMAXPROCS; validated non-negative at construction).
+	// reqWorkers is the WithWorkers stripe count (default 1; validated
+	// ≥ 1 at construction).
 	reqWorkers int
 	closed     bool
 }
 
 // Option configures a Network.
 type Option func(*Network)
-
-// WithEngine selects the execution engine (default Sequential).
-func WithEngine(e Engine) Option {
-	return func(n *Network) { n.engine = e }
-}
 
 // WithObserver installs a callback invoked after every round with the
 // signals of that round. The slices are reused across rounds and must not
@@ -138,22 +132,26 @@ func WithObserver(fn func(round int, sent, heard []Signal)) Option {
 	return func(n *Network) { n.observer = fn }
 }
 
-// WithWorkers sets the stripe and worker-goroutine count of the
-// FlatParallel engine; 0, the default, means GOMAXPROCS. The count is
-// capped at the vertex count, and stripes are 64-vertex-aligned, so a
-// small network may get fewer. Negative values are a construction
-// error. Sequential runs no pool and ignores the option. Because the
-// engines are trace-equivalent by construction, the worker count never
-// changes results — only wall-clock time (see BENCH_parflat.json for
-// the scaling table).
+// WithWorkers sets the stripe count k of the round pipeline, the one
+// parallelism knob of a Network. The default, k = 1, runs every phase
+// inline in the calling goroutine; k > 1 runs k stripes on a
+// persistent pool of k worker goroutines and needs FlatProtocol
+// kernels, so it refuses a kernel-less protocol and
+// WithFlatKernels(false). The count is capped at the vertex count, and
+// stripes are 64-vertex-aligned, so a small network may get fewer.
+// k < 1 is a construction error; one stripe per CPU is
+// runtime.GOMAXPROCS(0), the caller's choice.
+// Because every stripe count is trace-equivalent by construction, k
+// never changes results — only wall-clock time (see BENCH_parflat.json
+// for the scaling table).
 func WithWorkers(k int) Option {
 	return func(n *Network) { n.reqWorkers = k }
 }
 
 // NewNetwork instantiates proto on every vertex of g. Each vertex gets
 // the child stream Split(v) of the root stream derived from seed, so an
-// execution is a pure function of (g, proto, seed, engine) and engines
-// are trace-equivalent. g may be any graph.Topology backend —
+// execution is a pure function of (g, proto, seed) and every stripe
+// count is trace-equivalent. g may be any graph.Topology backend —
 // materialized CSR, compact varint, or implicit generator — and because
 // every backend presents the same canonical neighbor rows, the executed
 // trace is independent of the backend choice (pinned by
@@ -177,7 +175,7 @@ func NewNetwork(g graph.Topology, proto Protocol, seed uint64, opts ...Option) (
 		proto:      proto,
 		machines:   make([]Machine, n),
 		srcs:       make([]*rng.Source, n),
-		engine:     Sequential,
+		reqWorkers: 1,
 		nextStream: uint64(n),
 		sent:       make([]Signal, n),
 		heard:      make([]Signal, n),
@@ -215,8 +213,8 @@ func NewNetwork(g graph.Topology, proto Protocol, seed uint64, opts ...Option) (
 	for _, opt := range opts {
 		opt(net)
 	}
-	if net.reqWorkers < 0 {
-		return nil, fmt.Errorf("beep: WithWorkers(%d): worker count must be non-negative (0 = GOMAXPROCS)", net.reqWorkers)
+	if net.reqWorkers < 1 {
+		return nil, fmt.Errorf("beep: WithWorkers(%d): stripe count must be at least 1", net.reqWorkers)
 	}
 	if err := net.noise.validate(); err != nil {
 		return nil, err
@@ -233,31 +231,10 @@ func NewNetwork(g graph.Topology, proto Protocol, seed uint64, opts ...Option) (
 	return net, nil
 }
 
-// poolSize returns the stripe count of the FlatParallel engine: the
-// WithWorkers override when given, one per available CPU otherwise.
+// poolSize returns the stripe count to lay out: the WithWorkers count,
+// capped at the vertex count.
 func (n *Network) poolSize() int {
-	if n.reqWorkers > 0 {
-		w := n.reqWorkers
-		if w > n.N() {
-			w = n.N()
-		}
-		if w < 1 {
-			w = 1
-		}
-		return w
-	}
-	return workerCount(n.N())
-}
-
-func workerCount(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(n.reqWorkers, n.N()))
 }
 
 // Graph returns the topology the network runs on.
@@ -316,14 +293,14 @@ func (n *Network) Corrupt(vertices []int) error {
 	return nil
 }
 
-// Step executes one synchronous round on the configured engine. It
-// panics if the network has been closed: Close is terminal (it tears
-// down the worker goroutines of the FlatParallel engine), and silently
-// resurrecting a pool after Close hid lifecycle bugs in callers. If a
-// machine panics inside the round, Step re-panics with the typed
-// *RunError that TryStep would have returned — the barrier and the
-// worker goroutines are already safely parked at that point, so callers
-// that recover the panic keep a functioning process.
+// Step executes one synchronous round. It panics if the network has
+// been closed: Close is terminal (it tears down the worker goroutines
+// of a multi-stripe network), and silently resurrecting a pool after
+// Close hid lifecycle bugs in callers. If a machine panics inside the
+// round, Step re-panics with the typed *RunError that TryStep would
+// have returned — the barrier and the worker goroutines are already
+// safely parked at that point, so callers that recover the panic keep a
+// functioning process.
 func (n *Network) Step() {
 	if n.closed {
 		panic("beep: Step on closed Network (Close is terminal)")
@@ -393,7 +370,7 @@ func (n *Network) emitRange(lo, hi int) (rerr *RunError) {
 		if r := recover(); r != nil {
 			rerr = &RunError{
 				Vertex: v, Round: n.round + 1, Phase: "emit",
-				Engine: n.engine, Recovered: r, Stack: debug.Stack(),
+				Recovered: r, Stack: debug.Stack(),
 			}
 		}
 	}()
@@ -419,7 +396,7 @@ func (n *Network) updateRange(lo, hi int) (rerr *RunError) {
 		if r := recover(); r != nil {
 			rerr = &RunError{
 				Vertex: v, Round: n.round + 1, Phase: "update",
-				Engine: n.engine, Recovered: r, Stack: debug.Stack(),
+				Recovered: r, Stack: debug.Stack(),
 			}
 		}
 	}()
@@ -502,7 +479,7 @@ func (n *Network) deliverRange(lo, hi int, buf []int32) {
 	}
 }
 
-// Close releases the worker goroutines of the FlatParallel engine and
+// Close releases the worker goroutines of a multi-stripe network and
 // makes the network terminal: any subsequent Step panics. It is safe to
 // call multiple times (later calls are no-ops); without a pool it only
 // marks the network closed.

@@ -107,7 +107,7 @@ func TestNoiseLossRate(t *testing.T) {
 
 // TestNoiseDeterministicAcrossEngines pins the noise pass of the round
 // pipeline: under listening noise every flat-kernel configuration —
-// Sequential and FlatParallel, with and without forced delta delivery —
+// one and three stripes, with and without forced delta delivery —
 // must reproduce the reference loop's (sent, heard) trace, because the
 // noise stream is consumed in vertex order whatever the stripe count.
 func TestNoiseDeterministicAcrossEngines(t *testing.T) {

@@ -58,79 +58,76 @@ func (m *panicMachine) DecodeState(s []int64) error {
 }
 
 // TestEnginePanicContainment injects a machine whose Step panics at a
-// known (vertex, round, phase) on each engine and asserts: TryStep
+// known (vertex, round, phase) on the reference loop and asserts: TryStep
 // returns a typed *RunError naming the failure, the error is sticky,
 // Close neither deadlocks nor panics (the sense-reversing barrier was
 // not orphaned), and a subsequent network on the same protocol value
 // runs unaffected.
 func TestEnginePanicContainment(t *testing.T) {
 	g := graph.GNP(25, 0.2, rng.New(6))
-	for _, engine := range []Engine{Sequential} {
-		for _, phase := range []string{"emit", "update"} {
-			t.Run(engine.String()+"/"+phase, func(t *testing.T) {
-				proto := panicProtocol{vertex: 13, round: 4, phase: phase}
-				net, err := NewNetwork(g, proto, 1, WithEngine(engine))
-				if err != nil {
-					t.Fatal(err)
-				}
+	for _, phase := range []string{"emit", "update"} {
+		t.Run(phase, func(t *testing.T) {
+			proto := panicProtocol{vertex: 13, round: 4, phase: phase}
+			net, err := NewNetwork(g, proto, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				var stepErr error
-				for r := 1; r <= 10; r++ {
-					if stepErr = net.TryStep(); stepErr != nil {
-						break
-					}
+			var stepErr error
+			for r := 1; r <= 10; r++ {
+				if stepErr = net.TryStep(); stepErr != nil {
+					break
 				}
-				var rerr *RunError
-				if !errors.As(stepErr, &rerr) {
-					t.Fatalf("%v: got %v, want *RunError", engine, stepErr)
-				}
-				if rerr.Vertex != 13 || rerr.Round != 4 || rerr.Phase != phase || rerr.Engine != engine {
-					t.Fatalf("RunError = vertex %d round %d phase %q engine %v, want 13/4/%q/%v",
-						rerr.Vertex, rerr.Round, rerr.Phase, rerr.Engine, phase, engine)
-				}
-				if rerr.Recovered != "injected "+phase+" fault" {
-					t.Fatalf("recovered value %v", rerr.Recovered)
-				}
-				if len(rerr.Stack) == 0 {
-					t.Fatal("no stack captured")
-				}
+			}
+			var rerr *RunError
+			if !errors.As(stepErr, &rerr) {
+				t.Fatalf("got %v, want *RunError", stepErr)
+			}
+			if rerr.Vertex != 13 || rerr.Round != 4 || rerr.Phase != phase {
+				t.Fatalf("RunError = vertex %d round %d phase %q, want 13/4/%q",
+					rerr.Vertex, rerr.Round, rerr.Phase, phase)
+			}
+			if rerr.Recovered != "injected "+phase+" fault" {
+				t.Fatalf("recovered value %v", rerr.Recovered)
+			}
+			if len(rerr.Stack) == 0 {
+				t.Fatal("no stack captured")
+			}
 
-				// Sticky: the poisoned network refuses further rounds.
-				if err := net.TryStep(); err != rerr {
-					t.Fatalf("second TryStep returned %v, want the original *RunError", err)
-				}
-				if net.Failed() != rerr {
-					t.Fatalf("Failed() = %v, want the original *RunError", net.Failed())
-				}
-				// Checkpointing a mid-phase torso is refused.
-				if _, err := net.Checkpoint(); err == nil {
-					t.Fatal("checkpoint of a failed network accepted")
-				}
+			// Sticky: the poisoned network refuses further rounds.
+			if err := net.TryStep(); err != rerr {
+				t.Fatalf("second TryStep returned %v, want the original *RunError", err)
+			}
+			if net.Failed() != rerr {
+				t.Fatalf("Failed() = %v, want the original *RunError", net.Failed())
+			}
+			// Checkpointing a mid-phase torso is refused.
+			if _, err := net.Checkpoint(); err == nil {
+				t.Fatal("checkpoint of a failed network accepted")
+			}
 
-				// Close must return promptly: the panicking worker joined
-				// the barrier before unwinding, so the pool is intact.
-				closed := make(chan struct{})
-				go func() { net.Close(); close(closed) }()
-				select {
-				case <-closed:
-				case <-time.After(5 * time.Second):
-					t.Fatalf("%v: Close deadlocked after a contained panic", engine)
-				}
+			// Close must return promptly after a contained panic.
+			closed := make(chan struct{})
+			go func() { net.Close(); close(closed) }()
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close deadlocked after a contained panic")
+			}
 
-				// A fresh network on a healthy configuration of the same
-				// shape is unaffected by the earlier failure.
-				clean, err := NewNetwork(g, panicProtocol{vertex: -1}, 2, WithEngine(engine))
-				if err != nil {
-					t.Fatal(err)
+			// A fresh network on a healthy configuration of the same
+			// shape is unaffected by the earlier failure.
+			clean, err := NewNetwork(g, panicProtocol{vertex: -1}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clean.Close()
+			for r := 0; r < 10; r++ {
+				if err := clean.TryStep(); err != nil {
+					t.Fatalf("clean network failed: %v", err)
 				}
-				defer clean.Close()
-				for r := 0; r < 10; r++ {
-					if err := clean.TryStep(); err != nil {
-						t.Fatalf("clean network failed: %v", err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -211,8 +208,8 @@ type flatPanicOps struct {
 
 // Emit draws a coin for every visited vertex, so the frontier stays all
 // active. With a positive proto.round it counts rounds on the stripe
-// that starts at vertex 0 (the single stripe of the Sequential engine);
-// the sharded test uses round 0, which panics on the first call of
+// that starts at vertex 0 (the single stripe of a default network);
+// the multi-stripe tests use round 0, which panics on the first call of
 // every stripe without counting.
 func (o *flatPanicOps) Emit(env *FlatEnv, act, drewW []uint64, lo, hi int) {
 	if o.proto.round > 0 && lo == 0 {
@@ -265,9 +262,9 @@ func TestFlatEnginePanicContainment(t *testing.T) {
 			if !errors.As(stepErr, &rerr) {
 				t.Fatalf("got %v, want *RunError", stepErr)
 			}
-			if rerr.Vertex != -1 || rerr.Round != 4 || rerr.Phase != phase || rerr.Engine != Sequential {
-				t.Fatalf("RunError = vertex %d round %d phase %q engine %v, want -1/4/%q/sequential",
-					rerr.Vertex, rerr.Round, rerr.Phase, rerr.Engine, phase)
+			if rerr.Vertex != -1 || rerr.Round != 4 || rerr.Phase != phase {
+				t.Fatalf("RunError = vertex %d round %d phase %q, want -1/4/%q",
+					rerr.Vertex, rerr.Round, rerr.Phase, phase)
 			}
 			if len(rerr.Stack) == 0 {
 				t.Fatal("no stack captured")
@@ -303,7 +300,7 @@ func TestFlatParallelEnginePanicContainment(t *testing.T) {
 			// round 0 == counter start: the stripe kernels panic on their
 			// very first invocation (see flatPanicOps.Emit).
 			net, err := NewNetwork(g, flatPanicProtocol{round: 0, phase: phase}, 1,
-				WithEngine(FlatParallel), WithWorkers(4))
+				WithWorkers(4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,9 +309,9 @@ func TestFlatParallelEnginePanicContainment(t *testing.T) {
 			if !errors.As(stepErr, &rerr) {
 				t.Fatalf("got %v, want *RunError", stepErr)
 			}
-			if rerr.Vertex != -1 || rerr.Round != 1 || rerr.Phase != phase || rerr.Engine != FlatParallel {
-				t.Fatalf("RunError = vertex %d round %d phase %q engine %v, want -1/1/%q/FlatParallel",
-					rerr.Vertex, rerr.Round, rerr.Phase, rerr.Engine, phase)
+			if rerr.Vertex != -1 || rerr.Round != 1 || rerr.Phase != phase {
+				t.Fatalf("RunError = vertex %d round %d phase %q, want -1/1/%q",
+					rerr.Vertex, rerr.Round, rerr.Phase, phase)
 			}
 			if len(rerr.Stack) == 0 {
 				t.Fatal("no stack captured")

@@ -13,7 +13,7 @@ import (
 // streams — state is cheap, the rounds are the cost), then steps only
 // its own range; the per-vertex private streams guarantee that the
 // union of the ranges reproduces the single-process execution bit for
-// bit, exactly the determinism argument of the FlatParallel engine.
+// bit, exactly the determinism argument of the multi-stripe pipeline.
 //
 // A round of a partitioned execution is a delta exchange:
 //

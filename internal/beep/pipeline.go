@@ -7,13 +7,13 @@ import (
 	"repro/internal/bitset"
 )
 
-// This file implements the round pipeline of the flat-kernel engines:
-// one round is emit → repack → deliver → update → frontier fold, run
-// over K contiguous vertex stripes. Sequential runs one stripe with
-// every phase called inline; FlatParallel runs K stripes through the
-// worker pool's phase barrier. A distributed Partition (partition.go)
-// drives the same kernels and word functions over its own range, with
-// the signal exchange between pack and deliver.
+// This file implements the round pipeline of the flat kernels: one
+// round is emit → repack → deliver → update → frontier fold, run over
+// K = WithWorkers contiguous vertex stripes. K = 1 (the default) calls
+// every phase inline; K > 1 runs the stripes through the worker pool's
+// phase barrier. A distributed Partition (partition.go) drives the
+// same kernels and word functions over its own range, with the signal
+// exchange between pack and deliver.
 //
 // Activity. After the transient phase of a self-stabilizing execution,
 // almost all vertices sit at a fixed point and only a small *frontier*
@@ -347,7 +347,7 @@ func (n *Network) runKernel(phase int, env *FlatEnv, mask, out []uint64, lo, hi 
 			}
 			rerr = &RunError{
 				Vertex: -1, Round: n.round + 1, Phase: name,
-				Engine: n.engine, Recovered: r, Stack: debug.Stack(),
+				Recovered: r, Stack: debug.Stack(),
 			}
 		}
 	}()

@@ -128,7 +128,6 @@ var pipelineConfigs = []struct {
 }{
 	{"sequential", nil},
 	{"sequential-delta", []Option{WithForcedDelta()}},
-	{"flatparallel-w1", []Option{WithEngine(FlatParallel), WithWorkers(1)}},
-	{"flatparallel-w3", []Option{WithEngine(FlatParallel), WithWorkers(3)}},
-	{"flatparallel-w3-delta", []Option{WithEngine(FlatParallel), WithWorkers(3), WithForcedDelta()}},
+	{"flatparallel-w3", []Option{WithWorkers(3)}},
+	{"flatparallel-w3-delta", []Option{WithWorkers(3), WithForcedDelta()}},
 }

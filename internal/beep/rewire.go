@@ -34,9 +34,10 @@ import (
 //     existing ones (they advance the network's child-stream counter).
 //   - Adversary policies follow the surviving vertices through the
 //     mapping; joiners are always cooperating.
-//   - Both engines are supported: the stripes and the worker pool are
-//     rebuilt for the new vertex count, and because Rewire itself runs
-//     sequentially between rounds, executions remain engine-independent.
+//   - Every stripe count is supported: the stripes and the worker pool
+//     are rebuilt for the new vertex count, and because Rewire itself
+//     runs sequentially between rounds, executions remain independent
+//     of the stripe count.
 //
 // The operation is atomic: every validation failure leaves the network
 // untouched. The round counter continues across the rewire.

@@ -6,13 +6,14 @@ import (
 )
 
 // RunError is the typed, contained form of a machine panic: when a
-// vertex's Emit or Update panics inside an engine, the engine recovers,
-// records which vertex blew up in which phase of which round, and
-// surfaces this error instead of tearing down the process. The worker
-// goroutines of the concurrent engines recover *before* joining the
-// sense-reversing barrier, so a panicking vertex can never orphan the
-// barrier or deadlock its sibling shards — the coordinator observes the
-// error after the phase completes on every shard.
+// vertex's Emit or Update (or a flat kernel) panics inside a round, the
+// network recovers, records which vertex blew up in which phase of
+// which round, and surfaces this error instead of tearing down the
+// process. The worker goroutines of a multi-stripe network recover
+// *before* joining the sense-reversing barrier, so a panicking stripe
+// can never orphan the barrier or deadlock its siblings — the
+// coordinator observes the error after the phase completes on every
+// stripe.
 //
 // A network that produced a RunError is poisoned: its state is
 // partially updated (the panicking phase stopped mid-shard), so every
@@ -26,10 +27,8 @@ type RunError struct {
 	Vertex int
 	// Round is the 1-based round that was being executed.
 	Round int
-	// Phase names the engine phase ("emit" or "update").
+	// Phase names the round phase ("emit" or "update").
 	Phase string
-	// Engine is the engine that contained the panic.
-	Engine Engine
 	// Recovered is the value the machine panicked with.
 	Recovered any
 	// Stack is the goroutine stack captured at recovery time.
@@ -40,11 +39,11 @@ type RunError struct {
 // callers that want to log it.
 func (e *RunError) Error() string {
 	if e.Vertex < 0 {
-		return fmt.Sprintf("beep: flat %s kernel panicked in round %d on %s engine: %v",
-			e.Phase, e.Round, e.Engine, e.Recovered)
+		return fmt.Sprintf("beep: flat %s kernel panicked in round %d: %v",
+			e.Phase, e.Round, e.Recovered)
 	}
-	return fmt.Sprintf("beep: machine of vertex %d panicked in %s phase of round %d on %s engine: %v",
-		e.Vertex, e.Phase, e.Round, e.Engine, e.Recovered)
+	return fmt.Sprintf("beep: machine of vertex %d panicked in %s phase of round %d: %v",
+		e.Vertex, e.Phase, e.Round, e.Recovered)
 }
 
 // ErrClosed reports a TryStep on a network after Close.

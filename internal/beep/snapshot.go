@@ -20,7 +20,7 @@ import (
 // difference is layout: fixed-width little-endian sections whose
 // offsets are computable from the header, so encode and decode
 // parallelize over 64-aligned vertex ranges (the same ownership
-// discipline the FlatParallel engine uses for its slab stripes) and
+// discipline the round pipeline uses for its slab stripes) and
 // the hot sections are straight memory copies instead of text.
 //
 // Readers auto-detect the format: DecodeCheckpointAuto (and

@@ -32,6 +32,9 @@ func TestEngineTraceEquivalenceBackends(t *testing.T) {
 		{"torus", graph.ImplicitTorus(6, 6)},
 		{"hypercube", graph.ImplicitHypercube(5)},
 		{"udgt", udgtImp},
+		// Stripes are 64-vertex-aligned: only a family of more than 128
+		// vertices runs the flatparallel-w3 row as three stripes.
+		{"torus-wide", graph.ImplicitTorus(12, 12)},
 	}
 	protos := []struct {
 		name  string
@@ -44,14 +47,12 @@ func TestEngineTraceEquivalenceBackends(t *testing.T) {
 		{"alg2", NewAlg2(NeighborhoodMaxDegree(DefaultC1TwoHop))},
 	}
 	engines := []struct {
-		name   string
-		engine beep.Engine
-		opts   []beep.Option
+		name string
+		opts []beep.Option
 	}{
-		{"reference", beep.Sequential, []beep.Option{beep.WithFlatKernels(false)}},
-		{"sequential+kernels", beep.Sequential, nil},
-		{"flatparallel", beep.FlatParallel, nil},
-		{"flatparallel-w3", beep.FlatParallel, []beep.Option{beep.WithWorkers(3)}},
+		{"reference", []beep.Option{beep.WithFlatKernels(false)}},
+		{"sequential+kernels", nil},
+		{"flatparallel-w3", []beep.Option{beep.WithWorkers(3)}},
 	}
 	const seed, maxRounds = 90210, 20000
 	for _, fam := range families {
@@ -67,13 +68,13 @@ func TestEngineTraceEquivalenceBackends(t *testing.T) {
 		}
 		for _, p := range protos {
 			t.Run(fmt.Sprintf("%s/%s", fam.name, p.name), func(t *testing.T) {
-				ref := runEngineTrace(t, mat, p.proto, seed, beep.Sequential, maxRounds, beep.WithFlatKernels(false))
+				ref := runEngineTrace(t, mat, p.proto, seed, maxRounds, beep.WithFlatKernels(false))
 				if ref.stabilized < 0 {
 					t.Fatalf("reference run did not stabilize within %d rounds", maxRounds)
 				}
 				for _, b := range backends {
 					for _, e := range engines {
-						got := runEngineTrace(t, b.g, p.proto, seed, e.engine, maxRounds, e.opts...)
+						got := runEngineTrace(t, b.g, p.proto, seed, maxRounds, e.opts...)
 						if got.stabilized != ref.stabilized {
 							t.Fatalf("%s/%s stabilized at round %d, reference at %d",
 								b.name, e.name, got.stabilized, ref.stabilized)

@@ -242,10 +242,9 @@ func TestEngineEquivalenceThroughChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	const seed, pre, post = 606, 15, 25
-	run := func(engine beep.Engine, extra ...beep.Option) [][]beep.Signal {
+	run := func(extra ...beep.Option) [][]beep.Signal {
 		var trace [][]beep.Signal
 		opts := append([]beep.Option{
-			beep.WithEngine(engine),
 			beep.WithAdversaries(beep.AdvJammer, []int{7}),
 			beep.WithAdversaries(beep.AdvBabbler, []int{2, 20}),
 			beep.WithObserver(func(_ int, sent, heard []beep.Signal) {
@@ -271,24 +270,22 @@ func TestEngineEquivalenceThroughChurn(t *testing.T) {
 		}
 		return trace
 	}
-	ref := run(beep.Sequential, beep.WithFlatKernels(false))
+	ref := run(beep.WithFlatKernels(false))
 	engines := []struct {
-		name   string
-		engine beep.Engine
-		opts   []beep.Option
+		name string
+		opts []beep.Option
 	}{
-		{"sequential", beep.Sequential, nil},
-		{"flatparallel", beep.FlatParallel, nil},
-		{"flatparallel-w3", beep.FlatParallel, []beep.Option{beep.WithWorkers(3)}},
+		{"sequential", nil},
+		{"flatparallel-w3", []beep.Option{beep.WithWorkers(3)}},
 		// Forced-delta pins: with adversaries installed every round is
 		// a fault round through the same pipeline, and the Rewire
 		// invalidation must keep the trace exact on both sides of the
 		// churn event.
-		{"sequential-delta", beep.Sequential, []beep.Option{beep.WithForcedDelta()}},
-		{"flatparallel-delta", beep.FlatParallel, []beep.Option{beep.WithForcedDelta()}},
+		{"sequential-delta", []beep.Option{beep.WithForcedDelta()}},
+		{"flatparallel-w3-delta", []beep.Option{beep.WithWorkers(3), beep.WithForcedDelta()}},
 	}
 	for _, e := range engines {
-		got := run(e.engine, e.opts...)
+		got := run(e.opts...)
 		if len(got) != len(ref) {
 			t.Fatalf("engine %v recorded %d rounds, reference %d", e.name, len(got), len(ref))
 		}

@@ -18,14 +18,13 @@ type engineEquivTrace struct {
 	stabilized int // -1: never within the budget
 }
 
-// runEngineTrace executes proto on g under the given engine from the
-// randomized initial configuration determined by seed, recording the
-// full signal trace until stabilization (or maxRounds).
-func runEngineTrace(t *testing.T, g graph.Topology, proto beep.Protocol, seed uint64, engine beep.Engine, maxRounds int, opts ...beep.Option) engineEquivTrace {
+// runEngineTrace executes proto on g under the given network options
+// from the randomized initial configuration determined by seed,
+// recording the full signal trace until stabilization (or maxRounds).
+func runEngineTrace(t *testing.T, g graph.Topology, proto beep.Protocol, seed uint64, maxRounds int, opts ...beep.Option) engineEquivTrace {
 	t.Helper()
 	tr := engineEquivTrace{stabilized: -1}
 	opts = append([]beep.Option{
-		beep.WithEngine(engine),
 		beep.WithObserver(func(_ int, sent, heard []beep.Signal) {
 			s := make([]beep.Signal, len(sent))
 			h := make([]beep.Signal, len(heard))
@@ -55,15 +54,15 @@ func runEngineTrace(t *testing.T, g graph.Topology, proto beep.Protocol, seed ui
 }
 
 // TestEngineTraceEquivalence asserts the engine contract end to end on
-// the paper's protocols: the flat-kernel pipeline on both engines —
-// Sequential, and FlatParallel at several explicit worker counts —
-// produces bit-identical (sent, heard) traces and the same
+// the paper's protocols: the flat-kernel pipeline at several stripe
+// counts produces bit-identical (sent, heard) traces and the same
 // stabilization round for a fixed seed, across graph families with
-// distinct degree profiles. The reference is Sequential with the flat
+// distinct degree profiles. The reference is the network with the flat
 // kernels forced OFF (the plain per-machine interface loop), so the
 // comparison also certifies the kernels against the reference
-// semantics. Run with -race this exercises the worker-pool barrier of
-// the sharded pipeline.
+// semantics. Run with -race the wide family exercises the worker-pool
+// barrier: stripes are 64-vertex-aligned, so the smaller families run
+// one stripe whatever the row asks for.
 func TestEngineTraceEquivalence(t *testing.T) {
 	families := []struct {
 		name string
@@ -75,6 +74,7 @@ func TestEngineTraceEquivalence(t *testing.T) {
 		{"grid", graph.Grid(6, 6)},
 		{"gnp", graph.GNPAvgDegree(48, 5, rng.New(404))},
 		{"star", graph.Star(21)},
+		{"gnp-wide", graph.GNPAvgDegree(160, 5, rng.New(405))},
 	}
 	protos := []struct {
 		name  string
@@ -85,35 +85,30 @@ func TestEngineTraceEquivalence(t *testing.T) {
 		{"adaptive", NewAdaptiveAlg1()},
 	}
 	engines := []struct {
-		name   string
-		engine beep.Engine
-		opts   []beep.Option
+		name string
+		opts []beep.Option
 	}{
-		{"sequential+kernels", beep.Sequential, nil},
-		{"flatparallel", beep.FlatParallel, nil},
-		// Explicit worker counts: the trace must be invariant in the
-		// stripe partition, including the degenerate single-worker pool
-		// and a count that exceeds some of the family sizes.
-		{"flatparallel-w1", beep.FlatParallel, []beep.Option{beep.WithWorkers(1)}},
-		{"flatparallel-w3", beep.FlatParallel, []beep.Option{beep.WithWorkers(3)}},
-		{"flatparallel-w8", beep.FlatParallel, []beep.Option{beep.WithWorkers(8)}},
+		{"sequential+kernels", nil},
+		// Stripe counts: the trace must be invariant in the stripe
+		// partition, including a count that exceeds the family sizes.
+		{"flatparallel-w3", []beep.Option{beep.WithWorkers(3)}},
+		{"flatparallel-w8", []beep.Option{beep.WithWorkers(8)}},
 		// Delta-delivery pins: graphs this small always cross over to
 		// dense delivery, so the delta re-gather is forced here.
-		{"sequential-delta", beep.Sequential, []beep.Option{beep.WithForcedDelta()}},
-		{"flatparallel-delta", beep.FlatParallel, []beep.Option{beep.WithForcedDelta()}},
-		{"flatparallel-w3-delta", beep.FlatParallel, []beep.Option{beep.WithWorkers(3), beep.WithForcedDelta()}},
+		{"sequential-delta", []beep.Option{beep.WithForcedDelta()}},
+		{"flatparallel-w3-delta", []beep.Option{beep.WithWorkers(3), beep.WithForcedDelta()}},
 	}
 	const seed, maxRounds = 90210, 20000
 	for _, fam := range families {
 		for _, p := range protos {
 			t.Run(fmt.Sprintf("%s/%s", fam.name, p.name), func(t *testing.T) {
 				// Reference: the plain interface loop, kernels disabled.
-				ref := runEngineTrace(t, fam.g, p.proto, seed, beep.Sequential, maxRounds, beep.WithFlatKernels(false))
+				ref := runEngineTrace(t, fam.g, p.proto, seed, maxRounds, beep.WithFlatKernels(false))
 				if ref.stabilized < 0 {
 					t.Fatalf("reference run did not stabilize within %d rounds", maxRounds)
 				}
 				for _, e := range engines {
-					got := runEngineTrace(t, fam.g, p.proto, seed, e.engine, maxRounds, e.opts...)
+					got := runEngineTrace(t, fam.g, p.proto, seed, maxRounds, e.opts...)
 					if got.stabilized != ref.stabilized {
 						t.Fatalf("engine %s stabilized at round %d, reference at %d", e.name, got.stabilized, ref.stabilized)
 					}
@@ -207,7 +202,7 @@ var (
 		opts []beep.Option
 	}{
 		{"sequential", nil},
-		{"flatparallel-w3", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithWorkers(3)}},
+		{"flatparallel-w3", []beep.Option{beep.WithWorkers(3)}},
 		{"forced-delta", []beep.Option{beep.WithForcedDelta()}},
 		{"reference", []beep.Option{beep.WithFlatKernels(false)}},
 	}
@@ -392,10 +387,9 @@ func TestDetectorTwoProbesOneNetwork(t *testing.T) {
 
 // TestFaultModelKernelEquivalence pins the pipeline's fault rounds on
 // the paper's protocols: under listening noise, sleep, and noise +
-// sleep + adversaries together, the flat kernels on both engines —
-// Sequential, and FlatParallel with one and three stripes — must
-// reproduce the reference loop (WithFlatKernels(false)) round for
-// round. A fault round is the same pipeline with every word active, the
+// sleep + adversaries together, the flat kernels on one stripe and on
+// three must reproduce the reference loop (WithFlatKernels(false))
+// round for round. A fault round is the same pipeline with every word active, the
 // skip mask of sleepers and adversaries, dense delivery and the noise
 // pass, so this is where the kernels' skip loops and the noise-stream
 // order are checked.
@@ -427,8 +421,7 @@ func TestFaultModelKernelEquivalence(t *testing.T) {
 		opts []beep.Option
 	}{
 		{"sequential", nil},
-		{"flatparallel-w1", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithWorkers(1)}},
-		{"flatparallel-w3", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithWorkers(3)}},
+		{"flatparallel-w3", []beep.Option{beep.WithWorkers(3)}},
 	}
 	const seed, rounds = 4711, 80
 	run := func(t *testing.T, proto beep.Protocol, opts ...beep.Option) [][]beep.Signal {

@@ -72,8 +72,7 @@ func TestFlatParallelWorkerCountInvariance(t *testing.T) {
 	ref := collectTrace(t, g, seed, body, beep.WithFlatKernels(false))
 	compareTraces(t, "sequential", collectTrace(t, g, seed, body), ref)
 	for w := 1; w <= 8; w++ {
-		got := collectTrace(t, g, seed, body,
-			beep.WithEngine(beep.FlatParallel), beep.WithWorkers(w))
+		got := collectTrace(t, g, seed, body, beep.WithWorkers(w))
 		compareTraces(t, fmt.Sprintf("flatparallel-w%d", w), got, ref)
 	}
 }
@@ -84,7 +83,7 @@ func TestFlatParallelWorkerCountInvariance(t *testing.T) {
 // range), and a Reseed afterwards starts a new execution on the same
 // pool. If either operation left any pre-churn stripe state alive —
 // old shard boundaries, stale pack counters, a scratch mask sized for
-// the old N — the sharded engine would diverge from the sequential
+// the old N — the multi-stripe pipeline would diverge from the reference
 // after the rewire or after the reseed. The full scripted
 // sequence (run → Rewire → run → Reseed → run) must stay bit-exact at
 // several worker counts.
@@ -129,8 +128,7 @@ func TestFlatParallelRewireReseedBitExact(t *testing.T) {
 	ref := collectTrace(t, g1, seed, body, beep.WithFlatKernels(false))
 	compareTraces(t, "rewire-reseed-sequential", collectTrace(t, g1, seed, body), ref)
 	for _, w := range []int{1, 2, 3, 5} {
-		got := collectTrace(t, g1, seed, body,
-			beep.WithEngine(beep.FlatParallel), beep.WithWorkers(w))
+		got := collectTrace(t, g1, seed, body, beep.WithWorkers(w))
 		compareTraces(t, fmt.Sprintf("rewire-reseed-w%d", w), got, ref)
 	}
 }

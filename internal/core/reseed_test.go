@@ -14,8 +14,8 @@ import (
 // under a different seed, Reseed(s) must make the subsequent execution
 // bit-identical to a freshly constructed network with seed s — signal
 // traces and final levels alike. The property is checked on every
-// protocol, on the reference loop and the pipeline of both engines, and with
-// every auxiliary random stream active (noise, sleep, adversaries), so
+// protocol, on the reference loop and the pipeline at one and three
+// stripes, and with every auxiliary random stream active (noise, sleep, adversaries), so
 // a stream that Reseed forgot to re-derive fails loudly.
 func TestReseedMatchesFreshNetwork(t *testing.T) {
 	g := graph.GNPAvgDegree(60, 5, rng.New(21))
@@ -33,16 +33,15 @@ func TestReseedMatchesFreshNetwork(t *testing.T) {
 		beep.WithAdversaries(beep.AdvBabbler, []int{3, 17}),
 	}
 	variants := []struct {
-		name   string
-		engine beep.Engine
-		opts   []beep.Option
+		name string
+		opts []beep.Option
 	}{
-		{"sequential", beep.Sequential, nil},
-		{"sequential-ref", beep.Sequential, []beep.Option{beep.WithFlatKernels(false)}},
-		{"sequential-faulty", beep.Sequential, faults},
+		{"sequential", nil},
+		{"sequential-ref", []beep.Option{beep.WithFlatKernels(false)}},
+		{"sequential-faulty", faults},
 		// flat: the flat-kernel pipeline over three stripes.
-		{"flat", beep.FlatParallel, []beep.Option{beep.WithWorkers(3)}},
-		{"flat-faulty", beep.FlatParallel, append([]beep.Option{beep.WithWorkers(3)}, faults...)},
+		{"flat", []beep.Option{beep.WithWorkers(3)}},
+		{"flat-faulty", append([]beep.Option{beep.WithWorkers(3)}, faults...)},
 	}
 	const pollute, rounds = 37, 80
 	const seedA, seedB = 1001, 2002
@@ -54,10 +53,9 @@ func TestReseedMatchesFreshNetwork(t *testing.T) {
 	// build returns a network whose observer appends into *trace, so the
 	// recording buffer can be swapped between the pollution phase and the
 	// measured phase.
-	build := func(t *testing.T, proto beep.Protocol, seed uint64, engine beep.Engine, extra []beep.Option, trace *[][2][]beep.Signal) *beep.Network {
+	build := func(t *testing.T, proto beep.Protocol, seed uint64, extra []beep.Option, trace *[][2][]beep.Signal) *beep.Network {
 		t.Helper()
 		opts := append([]beep.Option{
-			beep.WithEngine(engine),
 			beep.WithObserver(func(_ int, sent, heard []beep.Signal) {
 				s := append([]beep.Signal(nil), sent...)
 				h := append([]beep.Signal(nil), heard...)
@@ -87,7 +85,7 @@ func TestReseedMatchesFreshNetwork(t *testing.T) {
 		for _, vr := range variants {
 			t.Run(fmt.Sprintf("%s/%s", p.name, vr.name), func(t *testing.T) {
 				var reTrace [][2][]beep.Signal
-				reused := build(t, p.proto, seedA, vr.engine, vr.opts, &reTrace)
+				reused := build(t, p.proto, seedA, vr.opts, &reTrace)
 				defer reused.Close()
 				collect(t, reused, pollute, &reTrace) // pollute every stream and slab
 				if err := reused.Reseed(seedB); err != nil {
@@ -96,7 +94,7 @@ func TestReseedMatchesFreshNetwork(t *testing.T) {
 				got := collect(t, reused, rounds, &reTrace)
 
 				var frTrace [][2][]beep.Signal
-				fresh := build(t, p.proto, seedB, vr.engine, vr.opts, &frTrace)
+				fresh := build(t, p.proto, seedB, vr.opts, &frTrace)
 				defer fresh.Close()
 				want := collect(t, fresh, rounds, &frTrace)
 

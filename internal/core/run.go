@@ -60,15 +60,10 @@ type RunConfig struct {
 	// Stabilization is tested before the first round and after every
 	// round (see Stabilize), so Rounds is exact.
 	MaxRounds int
-	Engine    beep.Engine
-	// Observer, when non-nil, receives each round's signals.
-	Observer func(round int, sent, heard []beep.Signal)
-	// Noise, when non-zero, makes listening unreliable (see beep.Noise).
+	// Options configure the network (stripe count, noise, sleep, …).
 	// Under noise, stabilization may hold only intermittently; Run still
 	// stops at the first legal snapshot.
-	Noise beep.Noise
-	// Sleep, when non-zero, makes vertices miss rounds (see beep.Sleep).
-	Sleep beep.Sleep
+	Options []beep.Option
 }
 
 // RunResult reports a stabilized execution.
@@ -102,15 +97,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.Protocol == nil {
 		return nil, fmt.Errorf("core: nil protocol")
 	}
-	engine := cfg.Engine
-	if engine == 0 {
-		engine = beep.Sequential
-	}
-	opts := []beep.Option{beep.WithEngine(engine), beep.WithNoise(cfg.Noise), beep.WithSleep(cfg.Sleep)}
-	if cfg.Observer != nil {
-		opts = append(opts, beep.WithObserver(cfg.Observer))
-	}
-	net, err := beep.NewNetwork(cfg.Graph, cfg.Protocol, cfg.Seed, opts...)
+	net, err := beep.NewNetwork(cfg.Graph, cfg.Protocol, cfg.Seed, cfg.Options...)
 	if err != nil {
 		return nil, fmt.Errorf("core: build network: %w", err)
 	}

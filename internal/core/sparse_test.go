@@ -11,17 +11,18 @@ import (
 
 // TestSparseOnRequiresKernels pins the construction-time validation of
 // the forced-delta test hook: kernel-less configurations must be
-// rejected (the hook would pin nothing there), kernel engines accepted.
+// rejected (the hook would pin nothing there), pipelines at one and
+// three stripes accepted.
 func TestSparseOnRequiresKernels(t *testing.T) {
 	g := graph.Cycle(64)
 	proto := NewAlg1(KnownMaxDegreeExact(DefaultC1KnownDelta))
 	if _, err := beep.NewNetwork(g, proto, 1, beep.WithFlatKernels(false), beep.WithForcedDelta()); err == nil {
 		t.Fatal("WithForcedDelta accepted with kernels disabled")
 	}
-	for _, e := range []beep.Engine{beep.Sequential, beep.FlatParallel} {
-		net, err := beep.NewNetwork(g, proto, 1, beep.WithEngine(e), beep.WithForcedDelta())
+	for _, k := range []int{1, 3} {
+		net, err := beep.NewNetwork(g, proto, 1, beep.WithWorkers(k), beep.WithForcedDelta())
 		if err != nil {
-			t.Fatalf("WithForcedDelta rejected on %v: %v", e, err)
+			t.Fatalf("WithForcedDelta rejected at k=%d: %v", k, err)
 		}
 		net.Close()
 	}
@@ -37,13 +38,13 @@ func TestSparseFrontierDecay(t *testing.T) {
 	proto := NewAlg1(KnownMaxDegreeExact(DefaultC1KnownDelta))
 	const seed, rounds = 7, 150
 	for _, eng := range []struct {
-		name   string
-		engine beep.Engine
-	}{{"flat", beep.Sequential}, {"flatparallel", beep.FlatParallel}} {
+		name    string
+		workers int
+	}{{"flat", 1}, {"flatparallel", 3}} {
 		t.Run(eng.name, func(t *testing.T) {
-			ref := runEngineTrace(t, g, proto, seed, beep.Sequential, rounds, beep.WithFlatKernels(false))
+			ref := runEngineTrace(t, g, proto, seed, rounds, beep.WithFlatKernels(false))
 
-			tr := runEngineTrace(t, g, proto, seed, eng.engine, rounds)
+			tr := runEngineTrace(t, g, proto, seed, rounds, beep.WithWorkers(eng.workers))
 			for r := range ref.sent {
 				if r >= len(tr.sent) {
 					break
@@ -62,7 +63,7 @@ func TestSparseFrontierDecay(t *testing.T) {
 			// so measure frontier decay on a fixed-length run that
 			// continues past stabilization.
 			var frontiers, actives []int
-			net, err := beep.NewNetwork(g, proto, seed, beep.WithEngine(eng.engine),
+			net, err := beep.NewNetwork(g, proto, seed, beep.WithWorkers(eng.workers),
 				beep.WithStatsObserver(func(_, active, fw int) {
 					actives = append(actives, active)
 					frontiers = append(frontiers, fw)
@@ -167,8 +168,8 @@ func TestSparseExternalMutationExact(t *testing.T) {
 	}{
 		{"sequential", nil},
 		{"sequential-delta", []beep.Option{beep.WithForcedDelta()}},
-		{"flatparallel", []beep.Option{beep.WithEngine(beep.FlatParallel)}},
-		{"flatparallel-delta", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithForcedDelta()}},
+		{"flatparallel-w3", []beep.Option{beep.WithWorkers(3)}},
+		{"flatparallel-w3-delta", []beep.Option{beep.WithWorkers(3), beep.WithForcedDelta()}},
 	} {
 		got := run(cfg.opts...)
 		if len(got) != len(ref) {

@@ -46,7 +46,7 @@ type partTable struct {
 
 // computeRanges splits [0, n) into parts contiguous ranges, 64-aligned
 // when the per-partition share is at least a word (mirroring the
-// FlatParallel shard padding); smaller shares split plainly and rely on
+// pipeline's stripe padding); smaller shares split plainly and rely on
 // the coordinator's OR-merge for shared edge words.
 func computeRanges(n, parts int) [][2]int {
 	if parts < 1 {

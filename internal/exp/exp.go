@@ -95,7 +95,7 @@ func registry() []Experiment {
 		{ID: "E14", Title: "Availability under recurring faults", Description: "fraction of legal rounds when faults arrive on a fixed period", Run: RunE14},
 		{ID: "E15", Title: "Topology churn storms", Description: "re-stabilization, availability and repair locality under live rewiring (flap/growth/crash/partition-heal)", Run: RunE15},
 		{ID: "E16", Title: "Adversarial beepers", Description: "correct-subgraph MIS quality vs adversary count, placement and policy (jammer/mute)", Run: RunE16},
-		{ID: "E17", Title: "Chaos kill–resume certification", Description: "randomized kills resumed from integrity-checked checkpoints must replay bit-exact across engines and fault regimes", Run: RunE17},
+		{ID: "E17", Title: "Chaos kill–resume certification", Description: "randomized kills resumed from integrity-checked checkpoints must replay bit-exact across stripe counts and fault regimes", Run: RunE17},
 		{ID: "E18", Title: "Stabilization-time tails at high replication", Description: "p99/max stabilization rounds from ≥1000 reseed-in-place replications per cell", Run: RunE18},
 		{ID: "E19", Title: "Backend scaling to n=10⁸", Description: "ns/vertex/round and bytes/vertex for the csr/compact/implicit graph backends (implicit reaches 10⁸ with --full)", Run: RunE19},
 		// E20 is reserved for the protocol-portfolio tournament (ROADMAP

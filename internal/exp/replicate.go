@@ -40,15 +40,14 @@ type ReplicatedConfig struct {
 	// Every trial runs through core.Stabilize, so its round count is
 	// exactly the one core.Run reports for the same seed.
 	MaxRounds int
-	// Engine defaults to Sequential, which runs the flat kernels when
-	// the protocol provides them. Parallelism across the replication
-	// pool beats parallelism inside one round, so the single-threaded
-	// engine is the right default here.
-	Engine beep.Engine
-	// Options are extra network options (noise, sleep, …) applied to
-	// every worker's network.
+	// Options configure every worker's network (stripe count, noise,
+	// sleep, …). The default single stripe is the right one here:
+	// parallelism across the replication pool beats parallelism inside
+	// one round.
 	Options []beep.Option
-	// Workers bounds the worker pool (0 = GOMAXPROCS).
+	// Workers sizes the replication pool, the number of networks that
+	// run trials concurrently (0 = GOMAXPROCS); it does not set a
+	// network's stripe count (beep.WithWorkers in Options does).
 	Workers int
 	// Relabel, when not OrderNone, runs every trial on a cache-aware
 	// relabeling of Graph (graph.Relabel) and maps the MIS back to the
@@ -167,16 +166,11 @@ func RunReplicated(cfg ReplicatedConfig) (*ReplicatedResult, error) {
 // relabeled topology when rl is set). The construction seed is
 // irrelevant: every trial reseeds before running.
 func newReplicaNetwork(cfg *ReplicatedConfig, rl *graph.Relabeling) (*beep.Network, error) {
-	engine := cfg.Engine
-	if engine == 0 {
-		engine = beep.Sequential
-	}
 	g := cfg.Graph
 	if rl != nil {
 		g = rl.Graph
 	}
-	opts := append([]beep.Option{beep.WithEngine(engine)}, cfg.Options...)
-	return beep.NewNetwork(g, cfg.Protocol, cfg.seedFor(0), opts...)
+	return beep.NewNetwork(g, cfg.Protocol, cfg.seedFor(0), cfg.Options...)
 }
 
 // misScratch holds one worker's reusable pullback buffers, so the

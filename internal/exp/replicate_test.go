@@ -85,19 +85,19 @@ func TestRunReplicatedWorkerIndependence(t *testing.T) {
 // pulled-back MIS must verify against the ORIGINAL topology (runReplica
 // enforces this per trial). It also checks the relabeled pools match a
 // fresh run on the relabeled graph — relabeling composes with the
-// reseed amortization, it does not interfere with it — and that the
-// flat-parallel engine accepts the relabeled pool.
+// reseed amortization, it does not interfere with it — and that a
+// multi-stripe network accepts the relabeled pool.
 func TestRunReplicatedRelabel(t *testing.T) {
 	g := graph.GNPAvgDegree(96, 6, rng.New(23))
 	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
 	for _, tc := range []struct {
-		name   string
-		ord    graph.Ordering
-		engine beep.Engine
+		name string
+		ord  graph.Ordering
+		opts []beep.Option
 	}{
-		{"bfs", graph.OrderBFS, 0},
-		{"degree", graph.OrderDegree, 0},
-		{"bfs-flatparallel", graph.OrderBFS, beep.FlatParallel},
+		{"bfs", graph.OrderBFS, nil},
+		{"degree", graph.OrderDegree, nil},
+		{"bfs-flatparallel", graph.OrderBFS, []beep.Option{beep.WithWorkers(3)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := ReplicatedConfig{
@@ -107,7 +107,7 @@ func TestRunReplicatedRelabel(t *testing.T) {
 				Trials:   4,
 				Init:     core.InitRandom,
 				Relabel:  tc.ord,
-				Engine:   tc.engine,
+				Options:  tc.opts,
 			}
 			res, err := RunReplicated(cfg)
 			if err != nil {

@@ -33,7 +33,7 @@ var (
 func (d *Daemon) runJob(ctx context.Context, j *Job) {
 	d.transition(j, func(j *Job) { j.State = JobRunning })
 
-	g, proto, initMode, engine, err := j.Spec.resolve()
+	g, proto, initMode, err := j.Spec.resolve()
 	if err != nil {
 		d.finishFailed(j, nil, 0, fmt.Sprintf("resolve spec: %v", err))
 		return
@@ -164,7 +164,6 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) {
 		Protocol:           proto,
 		Seed:               j.Spec.Seed,
 		Init:               initMode,
-		Engine:             engine,
 		Options:            opts,
 		Ctx:                runCtx,
 		FixedRounds:        j.Spec.Rounds,

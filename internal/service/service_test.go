@@ -528,6 +528,80 @@ func TestRecoveryQuarantinesTornJobRecord(t *testing.T) {
 	}
 }
 
+// TestRetiredEngineField pins both sides of the retired spec field
+// "engine": a POST that still carries it is refused by the strict
+// decoder with a 400, while a job.json persisted with it still loads
+// (the store decodes leniently), is re-queued, and completes with the
+// per-round trace hashes of the same spec submitted fresh — the field
+// never changed a trace.
+func TestRetiredEngineField(t *testing.T) {
+	spec := JobSpec{Family: "gnp:48:0.1", Seed: 5, Rounds: 60, CheckpointEvery: 8}
+
+	_, base := testDaemon(t, nil)
+	resp, err := http.Post(base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"family":"gnp:48:0.1","seed":5,"rounds":60,"engine":"flatparallel"}`))
+	if err != nil {
+		t.Fatalf("POST /v1/jobs: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("spec with \"engine\": status %d, want 400", resp.StatusCode)
+	}
+	ref := submitJob(t, base, spec)
+	if final := waitState(t, base, ref.ID, JobState.Terminal, 30*time.Second); final.State != JobDone {
+		t.Fatalf("reference job: state %s error %q", final.State, final.Error)
+	}
+	refTrace := roundHashes(fetchEvents(t, base, ref.ID, 0))
+
+	// A data dir as an older daemon left it: one queued job whose spec
+	// names the multi-stripe engine.
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(&Job{ID: "j000001", Spec: spec, State: JobPending, CreatedAt: time.Now().UTC()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = bytes.Replace(rec, []byte(`"spec":{`), []byte(`"spec":{"engine":"flatparallel",`), 1)
+	if !bytes.Contains(rec, []byte(`"engine":"flatparallel"`)) {
+		t.Fatalf("job record %s lacks the retired field", rec)
+	}
+	if err := os.MkdirAll(st.JobDir("j000001"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.JobDir("j000001")+"/job.json", rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := New(Config{DataDir: dir, Workers: 1, DrainTimeout: 30 * time.Second, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("New over a legacy job record: %v", err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer d.Shutdown(context.Background())
+	base2 := "http://" + d.Addr()
+	if final := waitState(t, base2, "j000001", JobState.Terminal, 30*time.Second); final.State != JobDone {
+		t.Fatalf("legacy job: state %s error %q, want done", final.State, final.Error)
+	}
+	gotTrace := roundHashes(fetchEvents(t, base2, "j000001", 0))
+	if len(gotTrace) != spec.Rounds || len(refTrace) != spec.Rounds {
+		t.Fatalf("traces cover %d and %d rounds, want %d", len(gotTrace), len(refTrace), spec.Rounds)
+	}
+	for r, h := range refTrace {
+		if gotTrace[r] != h {
+			t.Fatalf("legacy job diverged at round %d: %s vs %s", r, gotTrace[r], h)
+		}
+	}
+}
+
 // TestEventStreamResume verifies Last-Event-ID / ?after semantics on
 // both framings: a reconnect after N sees exactly the events past N.
 func TestEventStreamResume(t *testing.T) {

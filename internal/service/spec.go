@@ -50,9 +50,6 @@ type JobSpec struct {
 	// Init is the initial configuration: fresh | random (default) |
 	// adversarial | zero.
 	Init string `json:"init,omitempty"`
-	// Engine selects the round engine (beep.ParseEngine); default
-	// sequential.
-	Engine string `json:"engine,omitempty"`
 	// Seed is the root random seed.
 	Seed uint64 `json:"seed"`
 	// Noise applies symmetric listening noise (loss = false-positive =
@@ -101,11 +98,6 @@ func (s *JobSpec) Validate() error {
 	if _, err := core.InitByName(s.Init); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
-	if s.Engine != "" {
-		if _, err := beep.ParseEngine(s.Engine); err != nil {
-			return fmt.Errorf("spec: %w", err)
-		}
-	}
 	if s.Noise < 0 || s.Noise >= 1 {
 		return fmt.Errorf("spec: noise %v out of range [0, 1)", s.Noise)
 	}
@@ -134,24 +126,18 @@ func (s *JobSpec) Validate() error {
 }
 
 // resolve builds the run ingredients from the validated spec.
-func (s *JobSpec) resolve() (*graph.Graph, beep.Protocol, core.InitMode, beep.Engine, error) {
+func (s *JobSpec) resolve() (*graph.Graph, beep.Protocol, core.InitMode, error) {
 	g, err := famspec.Parse(s.Family, rng.New(s.Seed^famSeedSalt))
 	if err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("graph: %w", err)
+		return nil, nil, 0, fmt.Errorf("graph: %w", err)
 	}
 	proto, err := core.ProtocolByName(s.Alg)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, 0, err
 	}
 	init, err := core.InitByName(s.Init)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, 0, err
 	}
-	engine := beep.Sequential
-	if s.Engine != "" {
-		if engine, err = beep.ParseEngine(s.Engine); err != nil {
-			return nil, nil, 0, 0, err
-		}
-	}
-	return g, proto, init, engine, nil
+	return g, proto, init, nil
 }

@@ -25,12 +25,11 @@ type AvailabilityConfig struct {
 	// WarmupBudget bounds the initial stabilization; 0 selects
 	// core.DefaultMaxRounds.
 	WarmupBudget int
-	// Noise and Sleep harshen the channel for the whole run (zero
-	// values are no-ops): the storm then combines transient state
-	// corruption with ongoing communication faults, the compound regime
-	// a deployed system actually faces.
-	Noise beep.Noise
-	Sleep beep.Sleep
+	// Options configure the network. Noise and sleep options harshen
+	// the channel for the whole run: the storm then combines transient
+	// state corruption with ongoing communication faults, the compound
+	// regime a deployed system actually faces.
+	Options []beep.Option
 }
 
 // AvailabilityResult reports a fault-storm experiment.
@@ -63,8 +62,7 @@ func MeasureAvailability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 		window = 20 * cfg.Period
 	}
 
-	net, err := beep.NewNetwork(cfg.Graph, cfg.Protocol, cfg.Seed,
-		beep.WithNoise(cfg.Noise), beep.WithSleep(cfg.Sleep))
+	net, err := beep.NewNetwork(cfg.Graph, cfg.Protocol, cfg.Seed, cfg.Options...)
 	if err != nil {
 		return nil, fmt.Errorf("stab: %w", err)
 	}

@@ -173,8 +173,7 @@ func TestMeasureAvailabilityUnderNoiseAndSleep(t *testing.T) {
 		Fault:    RandomFault{K: 3},
 		Period:   150,
 		Window:   1500,
-		Noise:    beep.Noise{PLoss: 0.02, PFalse: 0.005},
-		Sleep:    beep.Sleep{P: 0.02},
+		Options:  []beep.Option{beep.WithNoise(beep.Noise{PLoss: 0.02, PFalse: 0.005}), beep.WithSleep(beep.Sleep{P: 0.02})},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,16 +37,14 @@ type ChaosScenario struct {
 	Graph    *graph.Graph
 	Protocol beep.Protocol
 	Seed     uint64
-	Engine   beep.Engine
-	// ForceDelta routes every fault-free round that is not forced dense
-	// through the delta delivery (beep.WithForcedDelta, a test hook for
-	// the small graphs where the crossover always picks dense).
-	ForceDelta bool
-	Noise      beep.Noise
-	Sleep      beep.Sleep
+	// Options configure every pass's network (stripe count, noise,
+	// sleep, forced delta delivery, …). The harness appends its own
+	// trace observer after them.
+	Options []beep.Option
 	// AdvPolicy/AdvVertices install adversaries at construction time
-	// (resumed passes rely on Restore to reinstall them — deliberately,
-	// so the harness catches checkpoints that forget adversary state).
+	// of a fresh pass only: resumed passes rely on Restore to reinstall
+	// them — deliberately, so the harness catches checkpoints that
+	// forget adversary state.
 	AdvPolicy   beep.AdversaryPolicy
 	AdvVertices []int
 	// Churn is the (possibly empty) schedule of live rewires.
@@ -161,19 +159,12 @@ func runPass(s *ChaosScenario, p chaosPass) (*chaosTrace, error) {
 		}
 	}
 
-	opts := []beep.Option{
-		beep.WithEngine(engineOrDefault(s.Engine)),
-		beep.WithNoise(s.Noise),
-		beep.WithSleep(s.Sleep),
+	opts := append(append([]beep.Option(nil), s.Options...),
 		beep.WithObserver(func(round int, sent, heard []beep.Signal) {
 			if round >= 0 && round < len(tr.hashes) {
 				tr.hashes[round] = TraceHash(round, sent, heard)
 			}
-		}),
-	}
-	if s.ForceDelta {
-		opts = append(opts, beep.WithForcedDelta())
-	}
+		}))
 	// A fresh pass installs adversaries explicitly; a resumed pass must
 	// get them back from the checkpoint alone.
 	if p.resume == nil && len(s.AdvVertices) > 0 {
@@ -356,8 +347,8 @@ func RunChaos(s ChaosScenario, kills int, src *rng.Source) (*ChaosReport, error)
 		}
 		for r := cp.Round + 1; r <= s.Rounds; r++ {
 			if resumed.hashes[r] != ref.hashes[r] {
-				return rep, fmt.Errorf("stab: chaos %q kill@%d resume@%d (ck=%d, engine %v): trace diverged at round %d",
-					s.Name, kill, cp.Round, ckEvery, s.Engine, r)
+				return rep, fmt.Errorf("stab: chaos %q kill@%d resume@%d (ck=%d): trace diverged at round %d",
+					s.Name, kill, cp.Round, ckEvery, r)
 			}
 		}
 		rep.Resumes++

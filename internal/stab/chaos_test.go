@@ -11,7 +11,7 @@ import (
 // chaosScenarios builds the three fault families of the kill–resume
 // acceptance matrix: noisy+sleepy, adversarial, and churning (the churn
 // one also carries an adversary so policy remapping through Rewire is
-// exercised on the resume path).
+// exercised on the resume path), plus two fault-free churning ones.
 func chaosScenarios(t *testing.T) []ChaosScenario {
 	t.Helper()
 	noise := ChaosScenario{
@@ -19,8 +19,7 @@ func chaosScenarios(t *testing.T) []ChaosScenario {
 		Graph:    graph.GNPAvgDegree(32, 4, rng.New(31)),
 		Protocol: testProto(),
 		Seed:     101,
-		Noise:    beep.Noise{PLoss: 0.05, PFalse: 0.02},
-		Sleep:    beep.Sleep{P: 0.02},
+		Options:  []beep.Option{beep.WithNoise(beep.Noise{PLoss: 0.05, PFalse: 0.02}), beep.WithSleep(beep.Sleep{P: 0.02})},
 		Rounds:   60,
 	}
 	adv := ChaosScenario{
@@ -79,7 +78,29 @@ func chaosScenarios(t *testing.T) []ChaosScenario {
 			}}},
 		},
 	}
-	return []ChaosScenario{noise, adv, churn, quiet}
+	// wide is the one scenario large enough for the multi-stripe rows to
+	// lay out several stripes: stripes are 64-vertex-aligned, so a graph
+	// of at most 64 vertices has one stripe whatever WithWorkers asks
+	// for. At n = 160 the k = 3 rows run three stripes on the worker
+	// pool through kill–resume and through rewires that rebuild them.
+	wide := ChaosScenario{
+		Name:     "wide-quiet-churn",
+		Graph:    graph.GNPAvgDegree(160, 4, rng.New(35)),
+		Protocol: testProto(),
+		Seed:     106,
+		Rounds:   60,
+		Churn: []ChaosChurn{
+			{AfterRound: 20, Event: graph.ChurnEvent{Label: "crash", Edits: []graph.Edit{
+				{Kind: graph.EditDelVertex, U: 3},
+			}}},
+			{AfterRound: 40, Event: graph.ChurnEvent{Label: "join", Edits: []graph.Edit{
+				{Kind: graph.EditAddVertex},
+				{Kind: graph.EditAddEdge, U: 159, V: 0},
+				{Kind: graph.EditAddEdge, U: 159, V: 80},
+			}}},
+		},
+	}
+	return []ChaosScenario{noise, adv, churn, quiet, wide}
 }
 
 // refLoopProto forwards only NewMachine and Channels of the protocol it
@@ -90,19 +111,19 @@ type refLoopProto struct{ p beep.Protocol }
 func (r refLoopProto) NewMachine(v int, g graph.Topology) beep.Machine { return r.p.NewMachine(v, g) }
 func (r refLoopProto) Channels() int                                   { return r.p.Channels() }
 
-// chaosEngine is one engine row of the kill–resume matrices.
+// chaosEngine is one network-configuration row of the kill–resume
+// matrices.
 type chaosEngine struct {
-	name       string
-	engine     beep.Engine
-	forceDelta bool
-	refLoop    bool // run the reference loop (refLoopProto)
+	name    string
+	opts    []beep.Option
+	refLoop bool // run the reference loop (refLoopProto)
 }
 
-// apply specializes a scenario to the engine row.
+// apply specializes a scenario to the row: the row's options follow the
+// scenario's own.
 func (e chaosEngine) apply(base ChaosScenario, suffix string) ChaosScenario {
 	s := base
-	s.Engine = e.engine
-	s.ForceDelta = e.forceDelta
+	s.Options = append(append([]beep.Option(nil), base.Options...), e.opts...)
 	if e.refLoop {
 		s.Protocol = refLoopProto{base.Protocol}
 	}
@@ -112,24 +133,24 @@ func (e chaosEngine) apply(base ChaosScenario, suffix string) ChaosScenario {
 
 // TestChaosKillResume is the acceptance gate of the crash-safety work:
 // ≥ 200 randomized kill points across {noise, adversaries, churn,
-// quiet-churn} × {the pipeline on Sequential and FlatParallel, each
-// also with forced delta delivery, and the reference loop} must all
-// resume from their last auto-checkpoint, read back through a v3
-// snapshot, with bit-exact trace equivalence against the uninterrupted
-// execution. The pipeline rows certify the kernels (and the sharded
-// variant's stripe state) and the empty-frontier elision under
+// quiet-churn, wide-quiet-churn} × {the pipeline on one stripe and on
+// three, each also with forced delta delivery, and the reference loop}
+// must all resume from their last auto-checkpoint, read back through a
+// v3 snapshot, with bit-exact trace equivalence against the
+// uninterrupted execution. The pipeline rows certify the kernels (and
+// the multi-stripe state) and the empty-frontier elision under
 // kill/resume; the reference-loop row certifies the per-machine round
 // that kernel-less protocols and WithFlatKernels(false) run.
 func TestChaosKillResume(t *testing.T) {
 	const killsPerCombo = 23
 	engines := []chaosEngine{
-		{name: "sequential", engine: beep.Sequential},
-		{name: "flatparallel", engine: beep.FlatParallel},
+		{name: "sequential"},
+		{name: "flatparallel", opts: []beep.Option{beep.WithWorkers(3)}},
 		// Forced-delta combos: the delta delivery (and the dense fault
 		// rounds around it) must survive kill–resume bit-exactly too.
-		{name: "sequential-delta", engine: beep.Sequential, forceDelta: true},
-		{name: "flatparallel-delta", engine: beep.FlatParallel, forceDelta: true},
-		{name: "sequential-refloop", engine: beep.Sequential, refLoop: true},
+		{name: "sequential-delta", opts: []beep.Option{beep.WithForcedDelta()}},
+		{name: "flatparallel-delta", opts: []beep.Option{beep.WithWorkers(3), beep.WithForcedDelta()}},
+		{name: "sequential-refloop", refLoop: true},
 	}
 	src := rng.New(4242)
 	total, combo := 0, 0
@@ -210,10 +231,10 @@ func TestChaosDetectsForgottenAdversaries(t *testing.T) {
 func TestChaosChainKillResume(t *testing.T) {
 	const killsPerCombo = 12
 	engines := []chaosEngine{
-		{name: "sequential", engine: beep.Sequential},
-		{name: "flatparallel", engine: beep.FlatParallel},
-		{name: "sequential-delta", engine: beep.Sequential, forceDelta: true},
-		{name: "sequential-refloop", engine: beep.Sequential, refLoop: true},
+		{name: "sequential"},
+		{name: "flatparallel", opts: []beep.Option{beep.WithWorkers(3)}},
+		{name: "sequential-delta", opts: []beep.Option{beep.WithForcedDelta()}},
+		{name: "sequential-refloop", refLoop: true},
 	}
 	src := rng.New(7117)
 	combo := 0

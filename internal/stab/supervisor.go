@@ -42,9 +42,9 @@ type SupervisorConfig struct {
 	// Init selects the initial configuration (default InitRandom, the
 	// self-stabilization regime). Ignored when Resume is set: a resumed
 	// run continues from the checkpointed state.
-	Init   core.InitMode
-	Engine beep.Engine
-	// Options are extra network options (noise, sleep, adversaries).
+	Init core.InitMode
+	// Options configure the network (stripe count, noise, sleep,
+	// adversaries, observers).
 	Options []beep.Option
 
 	// Ctx, when non-nil, allows cooperative cancellation: it is checked
@@ -183,8 +183,7 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 //     resume instead of restarting.
 func (s *Supervisor) Run() (*SupervisorResult, error) {
 	cfg := s.cfg
-	net, err := beep.NewNetwork(cfg.Graph, cfg.Protocol, cfg.Seed,
-		append([]beep.Option{beep.WithEngine(engineOrDefault(cfg.Engine))}, cfg.Options...)...)
+	net, err := beep.NewNetwork(cfg.Graph, cfg.Protocol, cfg.Seed, cfg.Options...)
 	if err != nil {
 		return nil, fmt.Errorf("stab: %w", err)
 	}
@@ -348,12 +347,4 @@ func (s *Supervisor) Run() (*SupervisorResult, error) {
 		budget *= 2
 		deadline *= 2
 	}
-}
-
-// engineOrDefault maps the zero Engine to Sequential.
-func engineOrDefault(e beep.Engine) beep.Engine {
-	if e == 0 {
-		return beep.Sequential
-	}
-	return e
 }

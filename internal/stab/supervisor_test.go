@@ -91,22 +91,20 @@ func TestSupervisorDeadline(t *testing.T) {
 
 func TestSupervisorContainsPanicTyped(t *testing.T) {
 	g := testGraph(t)
-	for _, engine := range []beep.Engine{beep.Sequential} {
-		sup, err := NewSupervisor(SupervisorConfig{
-			Graph: g, Protocol: panicAtProto{round: 3}, Seed: 9, Engine: engine,
-			MaxRetries: 5, // retries must NOT mask a deterministic panic
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = sup.Run()
-		var rerr *beep.RunError
-		if !errors.As(err, &rerr) {
-			t.Fatalf("%v: got %v, want wrapped *beep.RunError", engine, err)
-		}
-		if rerr.Round != 3 {
-			t.Fatalf("%v: panic surfaced at round %d, want 3", engine, rerr.Round)
-		}
+	sup, err := NewSupervisor(SupervisorConfig{
+		Graph: g, Protocol: panicAtProto{round: 3}, Seed: 9,
+		MaxRetries: 5, // retries must NOT mask a deterministic panic
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sup.Run()
+	var rerr *beep.RunError
+	if !errors.As(err, &rerr) {
+		t.Fatalf("got %v, want wrapped *beep.RunError", err)
+	}
+	if rerr.Round != 3 {
+		t.Fatalf("panic surfaced at round %d, want 3", rerr.Round)
 	}
 }
 
@@ -466,7 +464,7 @@ func TestSupervisorChainCheckpoints(t *testing.T) {
 		}
 	}
 	sup, err := NewSupervisor(SupervisorConfig{
-		Graph: g, Protocol: testProto(), Seed: 9, Engine: beep.Sequential,
+		Graph: g, Protocol: testProto(), Seed: 9,
 		CheckpointEvery: 1, CheckpointPath: path, CheckpointObserver: obs,
 	})
 	if err != nil {
@@ -502,7 +500,7 @@ func TestSupervisorChainCheckpoints(t *testing.T) {
 	path2 := filepath.Join(dir, "resumed.ckpt")
 	target := res.Rounds + 40
 	sup2, err := NewSupervisor(SupervisorConfig{
-		Graph: g, Protocol: testProto(), Seed: 9, Engine: beep.Sequential,
+		Graph: g, Protocol: testProto(), Seed: 9,
 		Resume: cp, FixedRounds: target,
 		CheckpointEvery: 1, CheckpointPath: path2, CheckpointObserver: obs,
 	})
@@ -543,7 +541,7 @@ func TestSupervisorChainCheckpoints(t *testing.T) {
 	// checkpoints must land on the identical state.
 	kinds = nil
 	sup3, err := NewSupervisor(SupervisorConfig{
-		Graph: g, Protocol: testProto(), Seed: 9, Engine: beep.Sequential,
+		Graph: g, Protocol: testProto(), Seed: 9,
 		Resume: cp, FixedRounds: target,
 		CheckpointEvery: 1, CheckpointObserver: obs,
 	})

@@ -245,7 +245,7 @@ func TestRecorderAndStopProbeShareNetwork(t *testing.T) {
 	}{
 		{"sequential", nil},
 		{"forced-delta", []beep.Option{beep.WithForcedDelta()}},
-		{"flatparallel-w3", []beep.Option{beep.WithEngine(beep.FlatParallel), beep.WithWorkers(3)}},
+		{"flatparallel-w3", []beep.Option{beep.WithWorkers(3)}},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			proto := &countingProto{BatchProtocol: core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))}
