@@ -461,6 +461,10 @@ func TestInstanceLoadV2JSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Sealed with the FNV-1a digest of format version 2, as those
+	// builds sealed it.
+	cp.FormatVersion = 2
+	cp.Seal()
 	v2, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)

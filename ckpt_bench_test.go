@@ -14,9 +14,9 @@ import (
 // plus serialization — of the same stabilized network, for the two
 // kinds a checkpoint tick writes (DESIGN §12):
 //
-//   - binary-full: the v3 binary snapshot (Checkpoint + EncodeSnapshot),
+//   - binary-full: the v4 binary snapshot (Checkpoint + EncodeSnapshot),
 //     an O(n) walk and encode.
-//   - delta:       an incremental v3 delta (CheckpointDelta +
+//   - delta:       an incremental v4 delta (CheckpointDelta +
 //     EncodeDelta) after a localized perturbation — cost proportional
 //     to the dirty words, not n. The perturbation (corrupt 64 random
 //     states, run back to quiescence) happens off-timer each

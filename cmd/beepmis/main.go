@@ -335,7 +335,11 @@ func inspectCheckpoint(path string) error {
 	}
 	fmt.Printf("checkpoint %s: valid\n", path)
 	fmt.Printf("  base:   %d bytes (%s)\n", info.BaseBytes, info.BaseFormat)
-	fmt.Printf("  deltas: %d links, %d bytes%s\n", info.Deltas, info.DeltaBytes, torn)
+	deltaFormat := ""
+	if info.Deltas > 0 {
+		deltaFormat = " (" + info.DeltaFormat + ")"
+	}
+	fmt.Printf("  deltas: %d links, %d bytes%s%s\n", info.Deltas, info.DeltaBytes, deltaFormat, torn)
 	fmt.Printf("  state:  round=%d n=%d protocol=%s hash=%#016x\n",
 		cp.Round, cp.GraphN, cp.Protocol, cp.Hash)
 	return nil

@@ -359,8 +359,8 @@ func TestRunProfiles(t *testing.T) {
 
 // TestRunCheckpointInspectResume drives the checkpoint lifecycle
 // through the CLI: a supervised run persists a chain, -inspect-checkpoint
-// validates it, -resume continues from it, and a tampered file is
-// rejected with a nonzero-exit error.
+// validates it and names its format, -resume continues from it, and a
+// tampered file is rejected with a nonzero-exit error.
 func TestRunCheckpointInspectResume(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
@@ -368,8 +368,8 @@ func TestRunCheckpointInspectResume(t *testing.T) {
 		"-checkpoint", path, "-checkpoint-every", "8"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-inspect-checkpoint", path}); err != nil {
-		t.Fatalf("inspect of a freshly written checkpoint failed: %v", err)
+	if out := runOutput(t, "-inspect-checkpoint", path); !strings.Contains(out, "(v4-binary)") {
+		t.Fatalf("inspect does not name the v4 base:\n%s", out)
 	}
 	if err := run([]string{"-family", "gnp:96:0.07", "-seed", "4",
 		"-resume", path}); err != nil {

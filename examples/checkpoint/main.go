@@ -2,7 +2,7 @@
 // snapshotted to disk and resumed exactly — the resumed execution is
 // bit-identical to an uninterrupted one, because the checkpoint carries
 // every vertex's algorithm state and random stream. Instance.Save
-// writes a binary snapshot (checkpoint format v3, integrity-hashed);
+// writes a binary snapshot (checkpoint format v4, integrity-sealed);
 // Instance.Load also reads the JSON checkpoints of older builds.
 package main
 

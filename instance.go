@@ -131,7 +131,7 @@ func (i *Instance) RunUntilStabilized(maxRounds int) (int, error) {
 }
 
 // Save writes a resumable checkpoint of the execution as a binary
-// snapshot (checkpoint format v3): the round counter, every vertex's
+// snapshot (checkpoint format v4): the round counter, every vertex's
 // algorithm state, and every random stream, sealed with an integrity
 // hash. A later Load on an instance built with the same graph and
 // options resumes the exact execution.

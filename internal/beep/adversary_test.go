@@ -255,18 +255,16 @@ func TestAdversaryFollowsRewire(t *testing.T) {
 // configuration must reproduce the reference loop, because babbler
 // draws are pre-drawn sequentially and skipped vertices are pre-filled.
 func TestAdversaryEngineEquivalence(t *testing.T) {
-	g := graph.GNPAvgDegree(30, 5, rng.New(8))
+	g := graph.GNPAvgDegree(160, 5, rng.New(8))
 	const seed, rounds = 77, 25
+	// Adversaries sit in each of the three stripes.
 	faults := []Option{
 		WithNoise(Noise{PLoss: 0.1, PFalse: 0.05}),
 		WithSleep(Sleep{P: 0.1}),
-		WithAdversaries(AdvJammer, []int{0}),
-		WithAdversaries(AdvBabbler, []int{7, 11, 19}),
-		WithAdversaries(AdvMute, []int{4}),
+		WithAdversaries(AdvJammer, []int{0, 140}),
+		WithAdversaries(AdvBabbler, []int{7, 11, 19, 70}),
+		WithAdversaries(AdvMute, []int{4, 130}),
 	}
 	ref := signalTrace(t, g, rwProtocol{}, seed, rounds, faults...)
-	for _, c := range pipelineConfigs {
-		opts := append(append([]Option(nil), faults...), c.opts...)
-		sameTrace(t, c.name, signalTrace(t, g, rwKernelProtocol{}, seed, rounds, opts...), ref)
-	}
+	samePipelineTraces(t, g, seed, rounds, ref, faults...)
 }

@@ -4,10 +4,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash"
-	"hash/fnv"
-	"io"
+	"hash/crc32"
 	"math"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -27,26 +26,50 @@ type StateCodec interface {
 	DecodeState(state []int64) error
 }
 
-// CheckpointFormatVersion is the current on-disk checkpoint format.
+// CheckpointFormatVersion is the format every capture writes. The
+// version picks the integrity digest and the binary magics, nothing
+// else; both readable versions share one payload and one section
+// layout:
+//
+//	version  digest                       snapshot  delta  written by
+//	2        FNV-1a 64                    BCS3      BCD3   older builds (also v2 JSON)
+//	4        CRC-32C, zero-extended to 64  BCS4      BCD4   every capture of this build
+//
 // Version 2 added the identity header (graph fingerprint, protocol,
 // seed, noise/sleep parameters), the adversary state (policy array,
-// dedicated stream, epoch), the root-stream/next-stream state needed
-// for exact joiner randomness after a resumed Rewire, and the FNV-1a
-// integrity hash. Version-1 checkpoints (which silently dropped all of
-// that and could diverge on resume) are rejected.
-const CheckpointFormatVersion = 2
+// dedicated stream, epoch) and the root-stream/next-stream state needed
+// for exact joiner randomness after a resumed Rewire. Version 4 swaps
+// the byte-serial FNV-1a for CRC-32C, which the hardware computes in
+// bulk. Version-1 checkpoints (which silently dropped the identity and
+// could diverge on resume) and every other version are rejected.
+const CheckpointFormatVersion = 4
+
+// formatV2 is the version builds before CheckpointFormatVersion 4 wrote:
+// FNV-1a sealed, BCS3/BCD3 or JSON encoded. It stays readable.
+const formatV2 = 2
+
+// checkFormatVersion rejects a version this build cannot read.
+func checkFormatVersion(what string, v int) error {
+	if v != CheckpointFormatVersion && v != formatV2 {
+		return fmt.Errorf("beep: %s format version %d, this build reads only versions %d and %d",
+			what, v, formatV2, CheckpointFormatVersion)
+	}
+	return nil
+}
 
 // Checkpoint is a serializable snapshot of a running network: an
 // identity header binding it to the (graph, protocol, seed, fault
 // model) it was captured from, the full execution state (round counter,
-// every machine's state, every random stream), and an integrity hash
-// over the payload. EncodeSnapshot and DecodeCheckpointAuto enforce the
-// hash at the serialization boundary and Network.Restore enforces the
-// identity header, so a checkpoint can neither be corrupted in flight
-// nor restored onto the wrong run without an error. (The JSON tags are
-// the v2 format, which this build still reads.)
+// every machine's state, every random stream), and an integrity digest
+// over the payload, computed as its FormatVersion says. EncodeSnapshot
+// and DecodeCheckpointAuto enforce the digest at the serialization
+// boundary and Network.Restore enforces the identity header, so a
+// checkpoint can neither be corrupted in flight nor restored onto the
+// wrong run without an error. (The JSON tags are the v2 JSON encoding,
+// which this build still reads.)
 type Checkpoint struct {
-	// FormatVersion is CheckpointFormatVersion at capture time.
+	// FormatVersion is CheckpointFormatVersion at capture time, or the
+	// version of an older build's file; it selects the digest.
 	FormatVersion int `json:"formatVersion"`
 
 	// GraphFingerprint, GraphN and GraphM identify the topology the
@@ -89,10 +112,12 @@ type Checkpoint struct {
 	// are installed.
 	Adversaries []uint8 `json:"adversaries,omitempty"`
 
-	// Hash is the FNV-1a digest of every field above, in canonical
-	// order. EncodeSnapshot refuses to persist a checkpoint whose hash
-	// does not match its payload, and the decoders and Restore reject
-	// one whose payload does not match its hash.
+	// Hash is the digest of every field above, in canonical order:
+	// CRC-32C zero-extended at version 4, FNV-1a at version 2. It
+	// depends on the version, never on the encoding. EncodeSnapshot
+	// refuses to persist a checkpoint whose hash does not match its
+	// payload, and the decoders and Restore reject one whose payload
+	// does not match its hash.
 	Hash uint64 `json:"hash"`
 }
 
@@ -134,34 +159,106 @@ func protocolID(p Protocol) string {
 	return fmt.Sprintf("%T/%dch", p, p.Channels())
 }
 
-// payloadHasher computes the canonical FNV-1a digest of checkpoint and
-// delta payloads, fed little-endian u64 words and raw bytes.
+// castagnoli is the CRC-32C table, built on first use so that processes
+// which never seal a checkpoint do not pay for it at start-up.
+var castagnoli = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// payloadHasher computes the integrity digest of checkpoint and delta
+// payloads over one canonical stream of little-endian u64 words and raw
+// bytes. The stream is staged in a pooled buffer and reaches the digest
+// in bulk: CRC-32C for version 4, FNV-1a for version 2 (and CRC-32C for
+// any other version, which Validate rejects before comparing digests).
 type payloadHasher struct {
-	h   hash.Hash64
-	buf [8]byte
+	fnv bool
+	sum uint64 // FNV-1a state, or the CRC-32C state in the low 32 bits
+	n   int
+	buf *[16 << 10]byte
 }
 
-func (p *payloadHasher) put(x uint64) {
-	binary.LittleEndian.PutUint64(p.buf[:], x)
-	p.h.Write(p.buf[:])
+// stagingBufs recycles the hashers' staging buffers across seals.
+var stagingBufs = sync.Pool{New: func() any { return new([16 << 10]byte) }}
+
+func newPayloadHasher(version int) payloadHasher {
+	p := payloadHasher{fnv: version == formatV2, buf: stagingBufs.Get().(*[16 << 10]byte)}
+	if p.fnv {
+		p.sum = fnvOffset64
+	}
+	return p
+}
+
+// flush feeds the staged bytes to the digest.
+func (p *payloadHasher) flush() {
+	b := p.buf[:p.n]
+	p.n = 0
+	if !p.fnv {
+		p.sum = uint64(crc32.Update(uint32(p.sum), castagnoli(), b))
+		return
+	}
+	h := p.sum
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	p.sum = h
+}
+
+// reserve returns the next k staged bytes, flushing first when they do
+// not fit; k must not exceed the buffer.
+func (p *payloadHasher) reserve(k int) []byte {
+	if p.n+k > len(p.buf) {
+		p.flush()
+	}
+	b := p.buf[p.n : p.n+k]
+	p.n += k
+	return b
+}
+
+func (p *payloadHasher) put(x uint64) { binary.LittleEndian.PutUint64(p.reserve(8), x) }
+
+func (p *payloadHasher) write(b []byte) {
+	for len(b) > 0 {
+		if p.n == len(p.buf) {
+			p.flush()
+		}
+		k := copy(p.buf[p.n:], b)
+		p.n += k
+		b = b[k:]
+	}
 }
 
 // sumState hashes the section every payload ends with — the machine and
 // stream rows, the Globals and the adversary table — and returns the
 // digest. A checkpoint and a delta hash these fields identically.
 func (p *payloadHasher) sumState(machines [][]int64, streams [][4]uint64, g *Globals, adversaries []uint8) uint64 {
+	le := binary.LittleEndian
 	p.put(uint64(len(machines)))
 	for _, m := range machines {
-		p.put(uint64(len(m)))
-		for _, s := range m {
-			p.put(uint64(s))
+		if 8*(len(m)+1) > len(p.buf) {
+			// A row longer than the staging buffer goes word by word.
+			p.put(uint64(len(m)))
+			for _, s := range m {
+				p.put(uint64(s))
+			}
+			continue
+		}
+		b := p.reserve(8 * (len(m) + 1))
+		le.PutUint64(b, uint64(len(m)))
+		for i, s := range m {
+			le.PutUint64(b[8+8*i:], uint64(s))
 		}
 	}
 	p.put(uint64(len(streams)))
 	for _, s := range streams {
-		for _, w := range s {
-			p.put(w)
-		}
+		b := p.reserve(32)
+		le.PutUint64(b, s[0])
+		le.PutUint64(b[8:], s[1])
+		le.PutUint64(b[16:], s[2])
+		le.PutUint64(b[24:], s[3])
 	}
 	for _, rng := range [4][4]uint64{g.NoiseRNG, g.SleepRNG, g.AdvRNG, g.RootRNG} {
 		for _, w := range rng {
@@ -170,21 +267,24 @@ func (p *payloadHasher) sumState(machines [][]int64, streams [][4]uint64, g *Glo
 	}
 	p.put(g.NextStream)
 	p.put(uint64(len(adversaries)))
-	p.h.Write(adversaries)
+	p.write(adversaries)
 	p.put(g.AdvEpoch)
-	return p.h.Sum64()
+	p.flush()
+	stagingBufs.Put(p.buf)
+	p.buf = nil
+	return p.sum
 }
 
-// payloadHash computes the canonical FNV-1a digest of the checkpoint's
-// payload (everything except Hash itself).
+// payloadHash computes the digest of the checkpoint's payload
+// (everything except Hash itself) for its FormatVersion.
 func (c *Checkpoint) payloadHash() uint64 {
-	p := &payloadHasher{h: fnv.New64a()}
+	p := newPayloadHasher(c.FormatVersion)
 	p.put(uint64(c.FormatVersion))
 	p.put(c.GraphFingerprint)
 	p.put(uint64(c.GraphN))
 	p.put(uint64(c.GraphM))
 	p.put(uint64(len(c.Protocol)))
-	io.WriteString(p.h, c.Protocol)
+	p.write([]byte(c.Protocol))
 	p.put(c.Seed)
 	p.put(math.Float64bits(c.NoiseLoss))
 	p.put(math.Float64bits(c.NoiseFalse))
@@ -193,9 +293,10 @@ func (c *Checkpoint) payloadHash() uint64 {
 	return p.sumState(c.Machines, c.Streams, &c.Globals, c.Adversaries)
 }
 
-// Seal (re)computes the integrity hash over the current payload. It is
-// called by Network.Checkpoint; callers that build or mutate a
-// Checkpoint by hand must re-seal it or Write/Restore will reject it.
+// Seal (re)computes the integrity hash over the current payload with the
+// digest of c.FormatVersion. It is called by Network.Checkpoint; callers
+// that build or mutate a Checkpoint by hand must re-seal it or
+// Write/Restore will reject it.
 func (c *Checkpoint) Seal() { c.Hash = c.payloadHash() }
 
 // Validate checks the checkpoint's internal consistency: format
@@ -205,9 +306,8 @@ func (c *Checkpoint) Validate() error {
 	if c == nil {
 		return fmt.Errorf("beep: nil checkpoint")
 	}
-	if c.FormatVersion != CheckpointFormatVersion {
-		return fmt.Errorf("beep: checkpoint format version %d, this build reads only version %d",
-			c.FormatVersion, CheckpointFormatVersion)
+	if err := checkFormatVersion("checkpoint", c.FormatVersion); err != nil {
+		return err
 	}
 	if c.Round < 0 {
 		return fmt.Errorf("beep: checkpoint with negative round %d", c.Round)

@@ -1,6 +1,7 @@
 package beep
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -33,15 +34,22 @@ func FuzzReadCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid := string(mustJSON(f, cp))
-
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                                 // truncated payload
-	f.Add(strings.Replace(valid, `"hash":`, `"hash":1`, 1))     // corrupted hash
-	f.Add(strings.Replace(valid, `"round":8`, `"round":-3`, 1)) // negative round
-	f.Add(strings.Replace(valid, `"formatVersion":2`, `"formatVersion":1`, 1))
-	f.Add(strings.Replace(valid, `"machines":[[`, `"machines":[[9,9,9,9,`, 1)) // wrong-length state vector
-	f.Add(strings.Replace(valid, `"streams":[[`, `"streams":[[`, 1))
+	// The seeds come in both versions: the default capture, and a copy
+	// sealed at version 2 as builds before format v4 wrote it.
+	v2 := *cp
+	v2.FormatVersion = formatV2
+	v2.Seal()
+	for _, c := range []*Checkpoint{cp, &v2} {
+		valid := string(mustJSON(f, c))
+		version := fmt.Sprintf(`"formatVersion":%d`, c.FormatVersion)
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])                                 // truncated payload
+		f.Add(strings.Replace(valid, `"hash":`, `"hash":1`, 1))     // corrupted hash
+		f.Add(strings.Replace(valid, `"round":8`, `"round":-3`, 1)) // negative round
+		f.Add(strings.Replace(valid, version, `"formatVersion":1`, 1))
+		f.Add(strings.Replace(valid, version, `"formatVersion":3`, 1))
+		f.Add(strings.Replace(valid, `"machines":[[`, `"machines":[[9,9,9,9,`, 1)) // wrong-length state vector
+	}
 	f.Add(`{}`)
 	f.Add(`{"formatVersion":2,"machines":[[1]],"streams":[]}`)
 	f.Add(`{"formatVersion":2,"graphN":1,"machines":[[1,2]],"streams":[[1,2,3,4]],"adversaries":"AA=="}`)

@@ -1,6 +1,10 @@
 package beep
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -377,6 +381,70 @@ func TestCheckpointRewireResume(t *testing.T) {
 			if ref[r][v] != resumed[r][v] {
 				t.Fatalf("post-rewire resumed trace diverged at round %d vertex %d", r+1, v)
 			}
+		}
+	}
+}
+
+// TestPayloadDigestMatchesReference checks the staged digest against
+// FNV-1a (hash/fnv) and CRC-32C (crc32.Checksum) of the canonical
+// payload stream built in one piece, across staging-buffer boundaries:
+// thousands of rows, a machine row longer than the buffer, and an
+// adversary table.
+func TestPayloadDigestMatchesReference(t *testing.T) {
+	const n = 3000
+	c := &Checkpoint{GraphFingerprint: 0xfeed, GraphN: n, GraphM: 4500, Protocol: "p/2ch", Seed: 9,
+		NoiseLoss: 0.25, SleepP: 0.5, Round: 77, Machines: make([][]int64, n), Streams: make([][4]uint64, n),
+		Adversaries: make([]uint8, n)}
+	for v := range c.Machines {
+		c.Machines[v] = []int64{int64(v), -int64(v), 1 << 40}
+		c.Streams[v] = [4]uint64{uint64(v), 1, 2, math.MaxUint64 - uint64(v)}
+		c.Adversaries[v] = uint8(v % 3)
+	}
+	c.Machines[1234] = make([]int64, 5000)
+	for i := range c.Machines[1234] {
+		c.Machines[1234][i] = int64(i) * 31
+	}
+	c.Globals = Globals{NoiseRNG: [4]uint64{1, 2, 3, 4}, RootRNG: [4]uint64{5, 6, 7, 8}, NextStream: n, AdvEpoch: 3}
+
+	le := binary.LittleEndian
+	for _, version := range []int{formatV2, CheckpointFormatVersion} {
+		c.FormatVersion = version
+		var ref []byte
+		for _, x := range []uint64{uint64(version), c.GraphFingerprint, n, uint64(c.GraphM), uint64(len(c.Protocol))} {
+			ref = le.AppendUint64(ref, x)
+		}
+		ref = append(ref, c.Protocol...)
+		for _, x := range []uint64{c.Seed, math.Float64bits(c.NoiseLoss), math.Float64bits(c.NoiseFalse), math.Float64bits(c.SleepP), uint64(c.Round), n} {
+			ref = le.AppendUint64(ref, x)
+		}
+		for _, m := range c.Machines {
+			ref = le.AppendUint64(ref, uint64(len(m)))
+			for _, x := range m {
+				ref = le.AppendUint64(ref, uint64(x))
+			}
+		}
+		ref = le.AppendUint64(ref, n)
+		for _, s := range c.Streams {
+			for _, w := range s {
+				ref = le.AppendUint64(ref, w)
+			}
+		}
+		for _, rng := range [4][4]uint64{c.NoiseRNG, c.SleepRNG, c.AdvRNG, c.RootRNG} {
+			for _, w := range rng {
+				ref = le.AppendUint64(ref, w)
+			}
+		}
+		ref = le.AppendUint64(le.AppendUint64(ref, c.NextStream), n)
+		ref = le.AppendUint64(append(ref, c.Adversaries...), c.AdvEpoch)
+
+		want := uint64(crc32.Checksum(ref, crc32.MakeTable(crc32.Castagnoli)))
+		if version == formatV2 {
+			h := fnv.New64a()
+			h.Write(ref)
+			want = h.Sum64()
+		}
+		if got := c.payloadHash(); got != want {
+			t.Errorf("version %d: staged digest %#x, digest of the %d-byte stream %#x", version, got, len(ref), want)
 		}
 	}
 }

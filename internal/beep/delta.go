@@ -1,12 +1,9 @@
 package beep
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math/bits"
 	"sync/atomic"
 )
@@ -24,12 +21,13 @@ import (
 // Chain discipline. Every delta records ParentHash — the hash of the
 // chain tip it extends (the base checkpoint's for the first link, the
 // previous delta's for later ones) — and seals its own payload with
-// the same FNV-1a construction, so each link costs O(its own size) to
-// seal and verify, never O(n). Loaders (internal/ckpt) verify
-// every link's hash and parentage before mutating any state; ApplyDelta
-// itself only patches and deliberately does not reseal — rebuilding
-// the O(n) checkpoint hash once after the last link is the loader's
-// job, not a per-link cost.
+// the digest of its FormatVersion, so each link costs O(its own size)
+// to seal and verify, never O(n). A chain has one version: ApplyDelta
+// refuses a delta whose version differs from the checkpoint's. Loaders
+// (internal/ckpt) verify every link's hash and parentage before
+// mutating any state; ApplyDelta itself only patches and deliberately
+// does not reseal — rebuilding the O(n) checkpoint hash once after the
+// last link is the loader's job, not a per-link cost.
 //
 // Dirty accumulation invariant. The engine marks a slab word dirty
 // when any of its vertices advances its random stream or changes
@@ -53,6 +51,11 @@ import (
 // Delta is an incremental checkpoint: the dirty-word state patch from
 // a parent checkpoint to the capture round.
 type Delta struct {
+	// FormatVersion is CheckpointFormatVersion at capture time, or 2 for
+	// a BCD3 frame an older build wrote; it selects the digest and the
+	// frame magic (see CheckpointFormatVersion) and must equal the
+	// parent's.
+	FormatVersion int
 	// GraphFingerprint and Protocol pin the identity like a full
 	// checkpoint; ApplyDelta rejects mismatches.
 	GraphFingerprint uint64
@@ -76,17 +79,18 @@ type Delta struct {
 	// changed since the parent, nil when unchanged. The empty non-nil
 	// table means "all cooperating now".
 	Adversaries []uint8
-	// Hash seals the delta's own payload (everything above).
+	// Hash seals the delta's own payload (everything above but the
+	// version, which picks the digest instead of entering it).
 	Hash uint64
 }
 
-// payloadHash computes the canonical FNV-1a digest of the delta's
-// payload (everything except Hash itself).
+// payloadHash computes the digest of the delta's payload (everything
+// except FormatVersion and Hash) for its FormatVersion.
 func (d *Delta) payloadHash() uint64 {
-	p := &payloadHasher{h: fnv.New64a()}
+	p := newPayloadHasher(d.FormatVersion)
 	p.put(d.GraphFingerprint)
 	p.put(uint64(len(d.Protocol)))
-	io.WriteString(p.h, d.Protocol)
+	p.write([]byte(d.Protocol))
 	p.put(uint64(d.Round))
 	p.put(d.ParentHash)
 	p.put(uint64(len(d.Words)))
@@ -104,6 +108,9 @@ func (d *Delta) Seal() { d.Hash = d.payloadHash() }
 func (d *Delta) Validate() error {
 	if d == nil {
 		return errors.New("beep: nil delta")
+	}
+	if err := checkFormatVersion("delta", d.FormatVersion); err != nil {
+		return err
 	}
 	if d.Round < 0 {
 		return fmt.Errorf("beep: delta with negative round %d", d.Round)
@@ -139,15 +146,18 @@ func (d *Delta) Validate() error {
 // ApplyDelta patches c in place with the delta's dirty-word state.
 // The caller is responsible for chain order (ParentHash checking) and
 // for resealing c after the last delta of a chain; ApplyDelta verifies
-// identity and shape but deliberately neither checks c.Hash nor
-// recomputes it — both are O(n) and belong at the chain boundary, not
-// per link.
+// format version, identity and shape but deliberately neither checks
+// c.Hash nor recomputes it — both are O(n) and belong at the chain
+// boundary, not per link.
 func ApplyDelta(c *Checkpoint, d *Delta) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
 	if c == nil {
 		return errors.New("beep: apply delta to nil checkpoint")
+	}
+	if c.FormatVersion != d.FormatVersion {
+		return fmt.Errorf("beep: delta is format version %d, its parent checkpoint version %d", d.FormatVersion, c.FormatVersion)
 	}
 	if c.GraphFingerprint != d.GraphFingerprint {
 		return fmt.Errorf("beep: delta captured on graph %#x, checkpoint holds %#x", d.GraphFingerprint, c.GraphFingerprint)
@@ -346,6 +356,7 @@ func (n *Network) CheckpointDelta(parentHash uint64) (*Delta, error) {
 		return nil, errors.New("beep: delta checkpoint with everything dirty: write a base snapshot instead (see DirtyAll)")
 	}
 	d := &Delta{
+		FormatVersion:    CheckpointFormatVersion,
 		GraphFingerprint: n.graphFingerprint(),
 		Protocol:         protocolID(n.proto),
 		Round:            n.round,
@@ -366,8 +377,8 @@ func (n *Network) CheckpointDelta(parentHash uint64) (*Delta, error) {
 
 // ---- Delta frame codec ----
 
-// deltaMagic opens every framed binary delta.
-var deltaMagic = [4]byte{'B', 'C', 'D', '3'}
+// deltaMagic opens every framed binary delta of a format version.
+var deltaMagic = map[int][4]byte{formatV2: {'B', 'C', 'D', '3'}, CheckpointFormatVersion: {'B', 'C', 'D', '4'}}
 
 // ErrTornFrame reports a delta frame cut short at the end of the
 // input: the signature of a crash mid-append, recoverable by
@@ -376,18 +387,20 @@ var deltaMagic = [4]byte{'B', 'C', 'D', '3'}
 var ErrTornFrame = errors.New("beep: torn delta frame (truncated tail)")
 
 // EncodeDelta serializes a sealed delta as one self-delimiting binary
-// frame: magic, u32 payload length, payload. Appending frames to a
-// file yields a chain readable by DecodeDeltaFrame. The payload is the
-// fixed header, the protocol identity, the dirty words and their
-// vertex states as one state-row section (rows.go), and the optional
-// adversary table.
+// frame: magic, u32 payload length, payload. The magic names the
+// format version (BCD4 for version 4, BCD3 for version 2); the payload
+// layout is the same for both. Appending frames to a file yields a
+// chain readable by DecodeDeltaFrame. The payload is the fixed header,
+// the protocol identity, the dirty words and their vertex states as one
+// state-row section (rows.go), and the optional adversary table.
 func EncodeDelta(d *Delta) ([]byte, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("beep: encode delta: %w", err)
 	}
 	le := binary.LittleEndian
 	size := 8 + 6*8 + 4*32 + 4 + len(d.Protocol) + 1 + 8 + 4*len(d.Words) + 34*len(d.Machines) + 4 + len(d.Adversaries)
-	frame := append(make([]byte, 0, size), deltaMagic[:]...)
+	magic := deltaMagic[d.FormatVersion]
+	frame := append(make([]byte, 0, size), magic[:]...)
 	frame = append(frame, 0, 0, 0, 0) // payload length, patched below
 	for _, x := range [6]uint64{d.GraphFingerprint, uint64(d.Round), d.ParentHash, d.NextStream, d.AdvEpoch, d.Hash} {
 		frame = le.AppendUint64(frame, x)
@@ -413,16 +426,18 @@ func EncodeDelta(d *Delta) ([]byte, error) {
 	return frame, nil
 }
 
-// DecodeDeltaFrame parses one delta frame from the front of data,
-// returning the delta and the remaining bytes. A frame cut short by
-// the end of input returns ErrTornFrame (recoverable tail truncation);
-// every other malformation is a hard error. The returned delta has
-// passed Validate (its own hash verified).
+// DecodeDeltaFrame parses one delta frame of either version from the
+// front of data, returning the delta and the remaining bytes; the magic
+// sets the delta's FormatVersion. A frame cut short by the end of input
+// returns ErrTornFrame (recoverable tail truncation); every other
+// malformation is a hard error. The returned delta has passed Validate
+// (its own hash verified).
 func DecodeDeltaFrame(data []byte) (*Delta, []byte, error) {
 	if len(data) < 4 {
 		return nil, nil, fmt.Errorf("%w: %d bytes of header", ErrTornFrame, len(data))
 	}
-	if !bytes.Equal(data[0:4], deltaMagic[:]) {
+	version := magicVersion(deltaMagic, data)
+	if version == 0 {
 		return nil, nil, fmt.Errorf("beep: bad delta frame magic %q", data[0:4])
 	}
 	if len(data) < 8 {
@@ -436,6 +451,7 @@ func DecodeDeltaFrame(data []byte) (*Delta, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	d.FormatVersion = version
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
 	}

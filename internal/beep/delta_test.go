@@ -298,14 +298,15 @@ func TestDeltaFrameErrors(t *testing.T) {
 // payload length, six u64 fields, four RNG states, the protocol.
 func advFlagOffset(d *Delta) int { return 8 + 6*8 + 4*32 + 4 + len(d.Protocol) }
 
-// FuzzDeltaFrame is the untrusted-input contract of the BCD3 frame
-// decoder, which every chain sidecar ckpt.Load opens goes through:
-// arbitrary bytes decode to an error, never a panic, and an accepted
-// frame passes Validate and re-encodes through EncodeDelta to exactly
-// the bytes it was decoded from. The seeds are a two-frame chain (the
-// second frame carries an adversary table) and torn and tampered
-// frames, kept to a few hundred bytes by a 6-vertex network: the fuzzer
-// minimizes every new input, at a cost that grows with its size.
+// FuzzDeltaFrame is the untrusted-input contract of the delta frame
+// decoder (BCD4 and BCD3), which every chain sidecar ckpt.Load opens
+// goes through: arbitrary bytes decode to an error, never a panic, and
+// an accepted frame passes Validate and re-encodes through EncodeDelta
+// to exactly the bytes it was decoded from. The seeds are a two-frame
+// chain (the second frame carries an adversary table) and torn and
+// tampered frames in both versions, kept to a few hundred bytes by a
+// 6-vertex network: the fuzzer minimizes every new input, at a cost
+// that grows with its size.
 func FuzzDeltaFrame(f *testing.F) {
 	g := graph.GNP(6, 0.5, rng.New(5))
 	net, err := NewNetwork(g, codecProtocol{}, 11, WithAdversaries(AdvJammer, []int{2}))
@@ -331,23 +332,39 @@ func FuzzDeltaFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var frames [2][]byte
-	for i, d := range []*Delta{d1, d2} {
-		if frames[i], err = EncodeDelta(d); err != nil {
-			f.Fatal(err)
-		}
+	// The seeds come in both versions: the default BCD4 frames, and
+	// copies sealed at version 2 and re-chained to the version-2 base's
+	// hash, in the BCD3 bytes older builds wrote.
+	base2 := *base
+	base2.FormatVersion = formatV2
+	base2.Seal()
+	v2 := [2]Delta{*d1, *d2}
+	parent := base2.Hash
+	for i := range v2 {
+		v2[i].FormatVersion = formatV2
+		v2[i].ParentHash = parent
+		v2[i].Seal()
+		parent = v2[i].Hash
 	}
-	chain := append(append([]byte(nil), frames[0]...), frames[1]...)
-	f.Add(chain)
-	f.Add(frames[1])
-	f.Add(chain[:len(frames[0])+len(frames[1])/2]) // torn second frame
-	tampered := append([]byte(nil), frames[0]...)
-	tampered[len(tampered)-3] ^= 0x10
-	f.Add(tampered)
-	flag := append([]byte(nil), frames[0]...)
-	flag[advFlagOffset(d1)] = 2
-	f.Add(flag)
-	f.Add([]byte("BCD3"))
+	for _, ds := range [][2]*Delta{{d1, d2}, {&v2[0], &v2[1]}} {
+		var frames [2][]byte
+		for i, d := range ds {
+			if frames[i], err = EncodeDelta(d); err != nil {
+				f.Fatal(err)
+			}
+		}
+		chain := append(append([]byte(nil), frames[0]...), frames[1]...)
+		f.Add(chain)
+		f.Add(frames[1])
+		f.Add(chain[:len(frames[0])+len(frames[1])/2]) // torn second frame
+		tampered := append([]byte(nil), frames[0]...)
+		tampered[len(tampered)-3] ^= 0x10
+		f.Add(tampered)
+		flag := append([]byte(nil), frames[0]...)
+		flag[advFlagOffset(ds[0])] = 2
+		f.Add(flag)
+		f.Add(frames[0][:4])
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, rest, err := DecodeDeltaFrame(data)

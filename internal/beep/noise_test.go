@@ -111,17 +111,14 @@ func TestNoiseLossRate(t *testing.T) {
 // must reproduce the reference loop's (sent, heard) trace, because the
 // noise stream is consumed in vertex order whatever the stripe count.
 func TestNoiseDeterministicAcrossEngines(t *testing.T) {
-	g := graph.GNP(50, 0.1, nil2src(9))
+	g := graph.GNP(160, 0.03, nil2src(9))
 	noise := WithNoise(Noise{PLoss: 0.1, PFalse: 0.05})
 	const seed, rounds = 11, 40
 	ref := signalTrace(t, g, rwProtocol{}, seed, rounds, noise)
 	if sameSignals(ref, signalTrace(t, g, rwProtocol{}, seed, rounds)) {
 		t.Fatal("noise left the reference trace unchanged; the test would check nothing")
 	}
-	for _, c := range pipelineConfigs {
-		opts := append([]Option{noise}, c.opts...)
-		sameTrace(t, c.name, signalTrace(t, g, rwKernelProtocol{}, seed, rounds, opts...), ref)
-	}
+	samePipelineTraces(t, g, seed, rounds, ref, noise)
 }
 
 // sameSignals reports whether two traces are equal slot for slot.

@@ -121,13 +121,37 @@ func sameTrace(t *testing.T, name string, got, ref [][]Signal) {
 }
 
 // pipelineConfigs are the flat-kernel configurations every beep-level
-// equivalence test runs against the reference loop.
+// equivalence test runs against the reference loop, with the stripes
+// each asks for. Stripes are 64-vertex-aligned, so a graph of at most
+// 128 vertices runs a three-stripe row on fewer stripes.
 var pipelineConfigs = []struct {
-	name string
-	opts []Option
+	name    string
+	stripes int
+	opts    []Option
 }{
-	{"sequential", nil},
-	{"sequential-delta", []Option{WithForcedDelta()}},
-	{"flatparallel-w3", []Option{WithWorkers(3)}},
-	{"flatparallel-w3-delta", []Option{WithWorkers(3), WithForcedDelta()}},
+	{"sequential", 1, nil},
+	{"sequential-delta", 1, []Option{WithForcedDelta()}},
+	{"flatparallel-w3", 3, []Option{WithWorkers(3)}},
+	{"flatparallel-w3-delta", 3, []Option{WithWorkers(3), WithForcedDelta()}},
+}
+
+// samePipelineTraces runs every pipelineConfigs row of rwKernelProtocol
+// on g with the extra options and requires each to reproduce ref, on
+// exactly the stripes the row asks for: g must have more than 128
+// vertices, so the three-stripe rows really run the worker pool.
+func samePipelineTraces(t *testing.T, g graph.Topology, seed uint64, rounds int, ref [][]Signal, extra ...Option) {
+	t.Helper()
+	for _, c := range pipelineConfigs {
+		opts := append(append([]Option(nil), extra...), c.opts...)
+		net, err := NewNetwork(g, rwKernelProtocol{}, seed, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripes := len(net.stripes)
+		net.Close()
+		if stripes != c.stripes {
+			t.Fatalf("%s laid out %d stripes on %d vertices, want %d", c.name, stripes, g.N(), c.stripes)
+		}
+		sameTrace(t, c.name, signalTrace(t, g, rwKernelProtocol{}, seed, rounds, opts...), ref)
+	}
 }

@@ -17,19 +17,19 @@ import (
 //
 //	nidx     u32
 //	index    nidx × u32    vertex indices (Partition exports) or slab
-//	                       word indices (BCD3 delta frames)
+//	                       word indices (delta frames)
 //	count    u32
 //	streams  count × 32 bytes
 //	machines count × (uvarint length, that many zigzag varints)
 //
-// BCD3 delta frames carry their dirty words and vertex states in this
+// Delta frames (BCD4, BCD3) carry their dirty words and vertex states in this
 // section; a distributed worker ships its dirty rows in it, and the
 // coordinator installs them into a network with InstallRows. The
 // decoder accepts only the encoder's canonical bytes (minimal varints),
 // so a decoded section re-encodes to exactly the bytes it came from.
 
 // StateRows is one decoded row section. For a Partition export, Index
-// lists ascending vertices with one row each; in a BCD3 delta it lists
+// lists ascending vertices with one row each; in a delta it lists
 // the dirty words, whose vertices the rows cover in order.
 type StateRows struct {
 	Index    []int32

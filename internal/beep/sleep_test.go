@@ -101,17 +101,14 @@ func TestSleepSkipsUpdate(t *testing.T) {
 // trace, because the sleep draws are made sequentially before the
 // stripes run and sleeping vertices are skipped by the kernels.
 func TestSleepDeterministicAcrossEngines(t *testing.T) {
-	g := graph.GNP(40, 0.1, rng.New(9))
+	g := graph.GNP(160, 0.03, rng.New(9))
 	sleep := WithSleep(Sleep{P: 0.2})
 	const seed, rounds = 11, 30
 	ref := signalTrace(t, g, rwProtocol{}, seed, rounds, sleep)
 	if sameSignals(ref, signalTrace(t, g, rwProtocol{}, seed, rounds)) {
 		t.Fatal("sleep left the reference trace unchanged; the test would check nothing")
 	}
-	for _, c := range pipelineConfigs {
-		opts := append([]Option{sleep}, c.opts...)
-		sameTrace(t, c.name, signalTrace(t, g, rwKernelProtocol{}, seed, rounds, opts...), ref)
-	}
+	samePipelineTraces(t, g, seed, rounds, ref, sleep)
 }
 
 func TestSleepCheckpointResume(t *testing.T) {

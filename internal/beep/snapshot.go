@@ -1,7 +1,6 @@
 package beep
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,27 +9,41 @@ import (
 	"sync"
 )
 
-// Checkpoint format v3: the binary snapshot codec. A v3 snapshot holds
-// exactly the same logical payload as the v2 JSON encoding — the
-// identity header, the per-vertex machine and stream states, the
-// fault-model and allocator RNGs, the adversary table, and the
-// canonical FNV-1a payload hash (the Hash field is bit-identical
-// between the two encodings, so chains and wire messages can reference
-// a checkpoint's hash without caring how it was serialized). The
-// difference is layout: fixed-width little-endian sections whose
+// The binary snapshot codec. A binary snapshot holds exactly the same
+// logical payload as the v2 JSON encoding — the identity header, the
+// per-vertex machine and stream states, the fault-model and allocator
+// RNGs, the adversary table, and the payload digest (the Hash field is
+// bit-identical between the encodings, so chains and wire messages can
+// reference a checkpoint's hash without caring how it was serialized).
+// The difference is layout: fixed-width little-endian sections whose
 // offsets are computable from the header, so encode and decode
 // parallelize over 64-aligned vertex ranges (the same ownership
 // discipline the round pipeline uses for its slab stripes) and
-// the hot sections are straight memory copies instead of text.
+// the hot sections are straight memory copies instead of text. The
+// magic names the format version (BCS4 for version 4, BCS3 for
+// version 2) and nothing else differs between the two.
 //
 // Readers auto-detect the format: DecodeCheckpointAuto (and
 // ReadSnapshot) sniff the 4-byte magic and fall back to the v2 JSON
 // decoder, so every consumer keeps reading checkpoints written by
 // older builds.
 
-// snapshotMagic opens every binary snapshot. The JSON encoding can
-// never collide with it: a JSON checkpoint starts with '{'.
-var snapshotMagic = [4]byte{'B', 'C', 'S', '3'}
+// snapshotMagic opens every binary snapshot of a format version. The
+// JSON encoding can never collide with it: a JSON checkpoint starts
+// with '{'.
+var snapshotMagic = map[int][4]byte{formatV2: {'B', 'C', 'S', '3'}, CheckpointFormatVersion: {'B', 'C', 'S', '4'}}
+
+// magicVersion returns the format version whose magic opens data, or 0.
+func magicVersion(magics map[int][4]byte, data []byte) int {
+	if len(data) >= 4 {
+		for v, m := range magics {
+			if [4]byte(data) == m {
+				return v
+			}
+		}
+	}
+	return 0
+}
 
 const (
 	// snapFlagAdv marks an adversary table section present.
@@ -105,9 +118,9 @@ func snapshotRanges(n int) [][2]int {
 	return out
 }
 
-// EncodeSnapshot serializes a sealed checkpoint in the v3 binary
-// format. It refuses a checkpoint whose integrity hash does not match
-// its payload.
+// EncodeSnapshot serializes a sealed checkpoint in the binary format of
+// its FormatVersion: BCS4 for version 4, BCS3 for version 2. It refuses
+// a checkpoint whose integrity hash does not match its payload.
 func EncodeSnapshot(c *Checkpoint) ([]byte, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("beep: encode snapshot: %w", err)
@@ -149,7 +162,8 @@ func EncodeSnapshot(c *Checkpoint) ([]byte, error) {
 	}
 
 	le := binary.LittleEndian
-	copy(buf[0:4], snapshotMagic[:])
+	magic := snapshotMagic[c.FormatVersion]
+	copy(buf[0:4], magic[:])
 	le.PutUint64(buf[4:], c.GraphFingerprint)
 	le.PutUint64(buf[12:], uint64(c.GraphN))
 	le.PutUint64(buf[20:], uint64(c.GraphM))
@@ -238,20 +252,22 @@ func encodeMachinesRange(dst []byte, machines [][]int64, stride int, vals32 bool
 	}
 }
 
-// DecodeSnapshot parses a v3 binary snapshot. Malformed, truncated or
+// DecodeSnapshot parses a binary snapshot of either version; the magic
+// sets the checkpoint's FormatVersion. Malformed, truncated or
 // corrupted input — including any header claiming more data than the
 // buffer holds — surfaces as an error, never a panic, and every
-// payload is re-verified against the canonical FNV-1a hash before
-// being returned.
+// payload is re-verified against its version's digest before being
+// returned.
 func DecodeSnapshot(data []byte) (*Checkpoint, error) {
 	if len(data) < snapHeaderFixed {
 		return nil, fmt.Errorf("beep: snapshot truncated: %d bytes, header needs %d", len(data), snapHeaderFixed)
 	}
-	if !bytes.Equal(data[0:4], snapshotMagic[:]) {
+	version := magicVersion(snapshotMagic, data)
+	if version == 0 {
 		return nil, fmt.Errorf("beep: not a binary snapshot (magic %q)", data[0:4])
 	}
 	le := binary.LittleEndian
-	c := &Checkpoint{FormatVersion: CheckpointFormatVersion}
+	c := &Checkpoint{FormatVersion: version}
 	c.GraphFingerprint = le.Uint64(data[4:])
 	graphN := le.Uint64(data[12:])
 	graphM := le.Uint64(data[20:])
@@ -401,17 +417,18 @@ func decodeMachinesRange(src []byte, machines [][]int64, stride int, vals32 bool
 	}
 }
 
-// DecodeCheckpointAuto parses a checkpoint in either supported
-// encoding, sniffing the leading bytes: the v3 binary magic selects
+// DecodeCheckpointAuto parses a checkpoint in any supported encoding,
+// sniffing the leading bytes: a binary magic (BCS4 or BCS3) selects
 // DecodeSnapshot, anything else falls back to the v2 JSON decoder.
 func DecodeCheckpointAuto(data []byte) (*Checkpoint, error) {
-	if len(data) >= 4 && bytes.Equal(data[0:4], snapshotMagic[:]) {
+	if magicVersion(snapshotMagic, data) != 0 {
 		return DecodeSnapshot(data)
 	}
 	return decodeCheckpointJSON(data)
 }
 
-// WriteSnapshot serializes a checkpoint in the v3 binary format.
+// WriteSnapshot serializes a checkpoint in the binary format of its
+// FormatVersion (see EncodeSnapshot).
 func WriteSnapshot(w io.Writer, c *Checkpoint) error {
 	buf, err := EncodeSnapshot(c)
 	if err != nil {
@@ -423,8 +440,8 @@ func WriteSnapshot(w io.Writer, c *Checkpoint) error {
 	return nil
 }
 
-// ReadSnapshot reads a checkpoint in either format (v3 binary or v2
-// JSON, auto-detected) from r.
+// ReadSnapshot reads a checkpoint in any supported encoding (BCS4, BCS3
+// or v2 JSON, auto-detected) from r.
 func ReadSnapshot(r io.Reader) (*Checkpoint, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -137,7 +137,7 @@ func TestSnapshotAutoDetect(t *testing.T) {
 	}
 	fromBin, err := ReadSnapshot(bytes.NewReader(binBuf))
 	if err != nil {
-		t.Fatalf("auto-detect rejected v3 binary: %v", err)
+		t.Fatalf("auto-detect rejected a binary snapshot: %v", err)
 	}
 	if fromJSON.Hash != cp.Hash || fromBin.Hash != cp.Hash {
 		t.Fatalf("auto-detected hashes diverge: json %#x bin %#x want %#x",
@@ -261,28 +261,35 @@ func FuzzReadSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid, err := EncodeSnapshot(cp)
-	if err != nil {
-		f.Fatal(err)
+	// The seeds come in both versions: the default BCS4 capture, and a
+	// copy sealed at version 2 in the BCS3 bytes older builds wrote.
+	v2 := *cp
+	v2.FormatVersion = formatV2
+	v2.Seal()
+	for _, c := range []*Checkpoint{cp, &v2} {
+		valid, err := EncodeSnapshot(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+		f.Add(valid[:snapHeaderFixed])
+		f.Add(valid[:4])
+		corrupt := func(off int, b byte) []byte {
+			c := append([]byte(nil), valid...)
+			c[off] ^= b
+			return c
+		}
+		f.Add(corrupt(3, 0x07))         // the magic's version digit
+		f.Add(corrupt(12, 0xFF))        // graphN
+		f.Add(corrupt(84, 0x01))        // hash
+		f.Add(corrupt(92, 0x07))        // flags
+		f.Add(corrupt(93, 0xFF))        // stride
+		f.Add(corrupt(97, 0xFF))        // protoLen
+		f.Add(corrupt(len(valid)-1, 1)) // last adversary byte
+		f.Add(append(valid, 0))         // trailing byte
 	}
-
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:snapHeaderFixed])
-	f.Add([]byte("BCS3"))
 	f.Add([]byte{})
-	corrupt := func(off int, b byte) []byte {
-		c := append([]byte(nil), valid...)
-		c[off] ^= b
-		return c
-	}
-	f.Add(corrupt(12, 0xFF))        // graphN
-	f.Add(corrupt(84, 0x01))        // hash
-	f.Add(corrupt(92, 0x07))        // flags
-	f.Add(corrupt(93, 0xFF))        // stride
-	f.Add(corrupt(97, 0xFF))        // protoLen
-	f.Add(corrupt(len(valid)-1, 1)) // last adversary byte
-	f.Add(append(valid, 0))         // trailing byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeCheckpointAuto(data)

@@ -17,10 +17,17 @@
 //
 // Chain validation. Load verifies everything before handing state to
 // the caller: the base's integrity hash, every delta frame's own hash,
-// the parent linkage (each delta's ParentHash must equal the hash of
-// the state assembled so far) and round monotonicity. Any complete-
-// but-invalid link is a hard error naming the link; no partially
-// patched state is ever returned.
+// the format version (every link's must equal the base's), the parent
+// linkage (each delta's ParentHash must equal the hash of the state
+// assembled so far) and round monotonicity. Any complete-but-invalid
+// link is a hard error naming the link; no partially patched state is
+// ever returned.
+//
+// Versions. The writer writes format v4 (a BCS4 base, BCD4 frames,
+// CRC-32C digests). Load also reads the chains older builds wrote (a
+// BCS3 or v2 JSON base with BCD3 frames, FNV-1a digests). A restored
+// network reports DirtyAll, so the first tick after a resume writes a
+// fresh v4 base and the old chain is never extended.
 //
 // Ticks. Writer.Tick takes one cadence checkpoint of a network — a base
 // or a delta, per the compaction policy below — and keeps the chain tip
@@ -58,6 +65,7 @@ type Writer struct {
 	path       string
 	deltaFile  *os.File
 	haveBase   bool
+	version    int // the base's format version
 	parentHash uint64
 	deltas     int
 	// tip is the checkpoint at the chain tip when the chain was written
@@ -160,6 +168,7 @@ func (w *Writer) WriteBase(c *beep.Checkpoint) (int, error) {
 		return 0, fmt.Errorf("ckpt: write base: %w", err)
 	}
 	w.haveBase = true
+	w.version = c.FormatVersion
 	w.parentHash = c.Hash
 	w.deltas = 0
 	w.tip = nil
@@ -167,11 +176,14 @@ func (w *Writer) WriteBase(c *beep.Checkpoint) (int, error) {
 }
 
 // AppendDelta appends one sealed delta frame to the chain and fsyncs
-// it. The delta must chain from the current tip. Returns the frame
-// size in bytes.
+// it. The delta must chain from the current tip and have the base's
+// format version. Returns the frame size in bytes.
 func (w *Writer) AppendDelta(d *beep.Delta) (int, error) {
 	if !w.haveBase {
 		return 0, errors.New("ckpt: append delta with no base written")
+	}
+	if d.FormatVersion != w.version {
+		return 0, fmt.Errorf("ckpt: delta format version %d does not match the base's version %d", d.FormatVersion, w.version)
 	}
 	if d.ParentHash != w.parentHash {
 		return 0, fmt.Errorf("ckpt: delta parent hash %#x does not chain from tip %#x", d.ParentHash, w.parentHash)
@@ -212,14 +224,18 @@ func (w *Writer) Close() error {
 
 // ChainInfo describes a loaded chain.
 type ChainInfo struct {
-	// BaseBytes is the size of the base file; BaseFormat is "v3-binary"
-	// or "v2-json".
+	// BaseBytes is the size of the base file; BaseFormat names its
+	// encoding by the magic: "v4-binary" (BCS4), "v3-binary" (BCS3) or
+	// "v2-json".
 	BaseBytes  int64
 	BaseFormat string
 	// Deltas is the number of valid chain links applied; DeltaBytes the
-	// sidecar bytes they span.
-	Deltas     int
-	DeltaBytes int64
+	// sidecar bytes they span; DeltaFormat names the frames' encoding,
+	// "v4-binary" (BCD4) or "v3-binary" (BCD3), and is empty without
+	// links.
+	Deltas      int
+	DeltaBytes  int64
+	DeltaFormat string
 	// TornTail reports a truncated trailing frame (a crash mid-append),
 	// discarded as permitted by the append protocol.
 	TornTail bool
@@ -230,11 +246,12 @@ type ChainInfo struct {
 
 // Load reads the base at path, validates and applies any delta chain
 // in the sidecar, and returns the assembled (sealed, validated)
-// checkpoint. The base may be in either snapshot format (v3 binary or
-// v2 JSON, auto-detected). A torn trailing frame is discarded; any
-// complete-but-invalid link — bad frame, failed hash, broken parent
-// linkage, non-monotonic round — is a hard error naming the link, and
-// no state is returned.
+// checkpoint, sealed at the base's format version. The base may be in
+// any snapshot encoding (BCS4, BCS3 or v2 JSON, auto-detected). A torn
+// trailing frame is discarded; any complete-but-invalid link — bad
+// frame, failed hash, another format version than the base's, broken
+// parent linkage, non-monotonic round — is a hard error naming the
+// link, and no state is returned.
 func Load(path string) (*beep.Checkpoint, *ChainInfo, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -244,10 +261,7 @@ func Load(path string) (*beep.Checkpoint, *ChainInfo, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("ckpt: base %s: %w", path, err)
 	}
-	info := &ChainInfo{BaseBytes: int64(len(data)), BaseFormat: "v3-binary"}
-	if len(data) > 0 && data[0] != 'B' {
-		info.BaseFormat = "v2-json"
-	}
+	info := &ChainInfo{BaseBytes: int64(len(data)), BaseFormat: encodingName(data)}
 
 	chain, err := os.ReadFile(path + DeltaSuffix)
 	if err != nil {
@@ -275,6 +289,10 @@ func Load(path string) (*beep.Checkpoint, *ChainInfo, error) {
 			}
 			return nil, nil, fmt.Errorf("ckpt: delta link %d: %w", len(deltas)+1, err)
 		}
+		if d.FormatVersion != base.FormatVersion {
+			return nil, nil, fmt.Errorf("ckpt: delta link %d is format version %d, the base is version %d",
+				len(deltas)+1, d.FormatVersion, base.FormatVersion)
+		}
 		if d.ParentHash != tip {
 			return nil, nil, fmt.Errorf("ckpt: delta link %d (round %d) chains from %#x, tip is %#x: chain broken",
 				len(deltas)+1, d.Round, d.ParentHash, tip)
@@ -294,6 +312,19 @@ func Load(path string) (*beep.Checkpoint, *ChainInfo, error) {
 	}
 	base.Seal()
 	info.Deltas = len(deltas)
+	if len(deltas) > 0 {
+		info.DeltaFormat = encodingName(chain)
+	}
 	info.Round, info.Hash = base.Round, base.Hash
 	return base, info, nil
+}
+
+// encodingName names the encoding of a decoded base or delta frame by
+// its magic: "v4-binary" (BCS4, BCD4), "v3-binary" (BCS3, BCD3) or
+// "v2-json".
+func encodingName(data []byte) string {
+	if len(data) >= 4 && data[0] == 'B' {
+		return "v" + string(data[3]) + "-binary"
+	}
+	return "v2-json"
 }

@@ -118,8 +118,8 @@ func TestChainBaseOnlyRestore(t *testing.T) {
 	if info.Deltas != 0 || info.TornTail {
 		t.Fatalf("base-only chain reports %d deltas, torn=%v", info.Deltas, info.TornTail)
 	}
-	if info.BaseFormat != "v3-binary" {
-		t.Fatalf("base format %q", info.BaseFormat)
+	if info.BaseFormat != "v4-binary" || info.DeltaFormat != "" {
+		t.Fatalf("base format %q, delta format %q; want v4-binary and none", info.BaseFormat, info.DeltaFormat)
 	}
 }
 
@@ -269,7 +269,10 @@ func TestChainV2JSONBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A v2 JSON base as builds before v3 wrote it (JSON plus newline).
+	// A v2 JSON base as builds before v3 wrote it (JSON plus newline),
+	// sealed with their FNV-1a digest.
+	cp.FormatVersion = 2
+	cp.Seal()
 	v2, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +332,12 @@ func TestChainAppendGuards(t *testing.T) {
 	wrong.Seal()
 	if _, err := w.AppendDelta(&wrong); err == nil {
 		t.Fatal("delta not chaining from tip accepted")
+	}
+	older := *d
+	older.FormatVersion = 2
+	older.Seal()
+	if _, err := w.AppendDelta(&older); err == nil || !strings.Contains(err.Error(), "format version 2") {
+		t.Fatalf("version-2 delta on a version-4 base: %v", err)
 	}
 	if _, err := w.AppendDelta(d); err != nil {
 		t.Fatal(err)
@@ -394,5 +403,168 @@ func TestTickChainsAndTip(t *testing.T) {
 	}
 	if w.Tip() != nil {
 		t.Fatal("tip survived a base written outside Tick")
+	}
+}
+
+// sealV2 returns a copy of c sealed at format version 2, as builds
+// before format v4 sealed it.
+func sealV2(c *beep.Checkpoint) *beep.Checkpoint {
+	v2 := *c
+	v2.FormatVersion = 2
+	v2.Seal()
+	return &v2
+}
+
+// writeV3Chain writes, with the bytes an older build wrote, a format-3
+// chain of net: a BCS3 base and one BCD3 frame per perturbation, every
+// link sealed at version 2 and chained to the previous link's hash. It
+// returns the version-2 seal of the chain tip.
+func writeV3Chain(t *testing.T, path string, net *beep.Network, links int) *beep.Checkpoint {
+	t.Helper()
+	cp, err := net.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sealV2(cp)
+	snap, err := beep.EncodeSnapshot(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(31)
+	var chain []byte
+	tip := base.Hash
+	for i := 0; i < links; i++ {
+		perturbAndSettle(t, net, src, 3)
+		d, err := net.CheckpointDelta(tip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.FormatVersion = 2
+		d.Seal()
+		frame, err := beep.EncodeDelta(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, frame...)
+		tip = d.Hash
+	}
+	if err := os.WriteFile(path+DeltaSuffix, chain, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	live, err := net.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealV2(live)
+}
+
+// TestChainV3ResumeUpgrades is the path of a beepd job in flight across
+// the upgrade to format v4: the BCS3 base and BCD3 frames an older
+// build wrote load and report v3, the restored network runs round hash
+// for round hash with the uninterrupted run, and the next tick on the
+// chain's path writes a v4 base.
+func TestChainV3ResumeUpgrades(t *testing.T) {
+	g := graph.GNPAvgDegree(600, 6, rng.New(4))
+	proto := core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta))
+	var hashes []uint64
+	observe := beep.WithObserver(func(round int, sent, heard []beep.Signal) {
+		h := uint64(round)
+		for i := range sent {
+			h = (h ^ uint64(sent[i])<<8 ^ uint64(heard[i])) * 1099511628211
+		}
+		hashes = append(hashes, h)
+	})
+	live, err := beep.NewNetwork(g, proto, 7, observe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	if err := core.ApplyInit(live, core.InitRandom); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Stabilize(live, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ck")
+	want := writeV3Chain(t, path, live, 2)
+
+	got, info, err := Load(path)
+	if err != nil {
+		t.Fatalf("v3 chain rejected: %v", err)
+	}
+	if info.BaseFormat != "v3-binary" || info.DeltaFormat != "v3-binary" || info.Deltas != 2 {
+		t.Fatalf("v3 chain reports base %q, %d links of %q", info.BaseFormat, info.Deltas, info.DeltaFormat)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("assembled v3 chain differs from the live state sealed at version 2")
+	}
+
+	resumed, err := beep.NewNetwork(g, proto, 99, observe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	if err := resumed.Restore(got); err != nil {
+		t.Fatal(err)
+	}
+	run := func(net *beep.Network) []uint64 {
+		hashes = nil
+		if err := net.Corrupt([]int{10, 300, 599}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			net.Step()
+		}
+		return hashes
+	}
+	if a, b := run(live), run(resumed); !reflect.DeepEqual(a, b) {
+		t.Fatal("the network restored from the v3 chain diverged from the uninterrupted run")
+	}
+
+	w := NewWriter(path)
+	defer w.Close()
+	if kind, _, err := w.Tick(resumed); err != nil || kind != "base" {
+		t.Fatalf("first tick after the resume wrote %q (%v), want a base", kind, err)
+	}
+	if info := mustEqualLive(t, path, live); info.BaseFormat != "v4-binary" || info.Deltas != 0 {
+		t.Fatalf("tick after the resume left base %q with %d links, want v4-binary alone", info.BaseFormat, info.Deltas)
+	}
+}
+
+// TestChainMixedVersionRefused: a chain has one format version. A v4
+// delta appended to a v3 base — even one that names the base's hash as
+// its parent — is refused, naming link 1.
+func TestChainMixedVersionRefused(t *testing.T) {
+	net := chainNet(t)
+	path := filepath.Join(t.TempDir(), "ck")
+	writeV3Chain(t, path, net, 0)
+	base, _, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perturbAndSettle(t, net, rng.New(8), 3)
+	d, err := net.CheckpointDelta(base.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := beep.EncodeDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+DeltaSuffix, frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Load(path)
+	if err == nil {
+		t.Fatal("v4 delta on a v3 base accepted")
+	}
+	if !strings.Contains(err.Error(), "link 1") || !strings.Contains(err.Error(), "format version 4") {
+		t.Fatalf("diagnostic does not name link 1 and its version: %v", err)
+	}
+	if err := beep.ApplyDelta(base, d); err == nil {
+		t.Fatal("ApplyDelta patched a version-2 checkpoint with a version-4 delta")
 	}
 }

@@ -230,13 +230,17 @@ func TestRefreshExcludesAdversaries(t *testing.T) {
 // post-rewire kernel re-bind). The reference is the plain interface
 // loop with flat kernels disabled.
 func TestEngineEquivalenceThroughChurn(t *testing.T) {
-	g1 := graph.GNPAvgDegree(30, 5, rng.New(31))
+	// 160 vertices lay out three 64-aligned stripes before the churn
+	// event and after it; the crash renumbers vertices across stripe
+	// boundaries and the joiner lands in the last stripe.
+	g1 := graph.GNPAvgDegree(160, 5, rng.New(31))
 	g2, mapping, err := graph.ApplyEdits(g1, []graph.Edit{
 		{Kind: graph.EditDelVertex, U: 4},
 		{Kind: graph.EditDelVertex, U: 12},
 		{Kind: graph.EditAddVertex},
-		{Kind: graph.EditAddEdge, U: 30, V: 0},
-		{Kind: graph.EditAddEdge, U: 30, V: 9},
+		{Kind: graph.EditAddEdge, U: 160, V: 0},
+		{Kind: graph.EditAddEdge, U: 160, V: 9},
+		{Kind: graph.EditAddEdge, U: 160, V: 100},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +249,8 @@ func TestEngineEquivalenceThroughChurn(t *testing.T) {
 	run := func(extra ...beep.Option) [][]beep.Signal {
 		var trace [][]beep.Signal
 		opts := append([]beep.Option{
-			beep.WithAdversaries(beep.AdvJammer, []int{7}),
-			beep.WithAdversaries(beep.AdvBabbler, []int{2, 20}),
+			beep.WithAdversaries(beep.AdvJammer, []int{7, 130}),
+			beep.WithAdversaries(beep.AdvBabbler, []int{2, 20, 90}),
 			beep.WithObserver(func(_ int, sent, heard []beep.Signal) {
 				row := make([]beep.Signal, 0, 2*len(sent))
 				row = append(row, sent...)

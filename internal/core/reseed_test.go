@@ -18,7 +18,9 @@ import (
 // stripes, and with every auxiliary random stream active (noise, sleep, adversaries), so
 // a stream that Reseed forgot to re-derive fails loudly.
 func TestReseedMatchesFreshNetwork(t *testing.T) {
-	g := graph.GNPAvgDegree(60, 5, rng.New(21))
+	// 160 vertices: the three-stripe variants lay out three 64-aligned
+	// stripes (a graph of at most 128 vertices would run them on fewer).
+	g := graph.GNPAvgDegree(160, 5, rng.New(21))
 	protos := []struct {
 		name  string
 		proto beep.Protocol
@@ -30,7 +32,7 @@ func TestReseedMatchesFreshNetwork(t *testing.T) {
 	faults := []beep.Option{
 		beep.WithNoise(beep.Noise{PLoss: 0.05, PFalse: 0.02}),
 		beep.WithSleep(beep.Sleep{P: 0.1}),
-		beep.WithAdversaries(beep.AdvBabbler, []int{3, 17}),
+		beep.WithAdversaries(beep.AdvBabbler, []int{3, 17, 100, 150}),
 	}
 	variants := []struct {
 		name string

@@ -239,8 +239,8 @@ func TestDistCheckpointResume(t *testing.T) {
 	if cp.Round != 16 {
 		t.Fatalf("persisted checkpoint at round %d, want 16", cp.Round)
 	}
-	if info.BaseFormat != "v3-binary" {
-		t.Fatalf("persisted base format %q, want v3-binary", info.BaseFormat)
+	if info.BaseFormat != "v4-binary" {
+		t.Fatalf("persisted base format %q, want v4-binary", info.BaseFormat)
 	}
 	// n=64 is a single slab word, so every tick crosses the half-dirty
 	// threshold and compacts into a fresh base (see TestDistDeltaChain

@@ -12,7 +12,7 @@ import (
 
 // RunE22 measures what incremental checkpoints (DESIGN §12) buy each
 // durability consumer: the per-tick cost of a checkpoint — state walk
-// plus serialization — of the v3 binary full snapshot against the v3
+// plus serialization — of the v4 binary full snapshot against the v4
 // incremental delta, swept over the two knobs an operator actually
 // turns:
 //
@@ -46,7 +46,7 @@ func RunE22(cfg Config) error {
 		Notes: []string{
 			"per-tick checkpoint cost: state walk + serialization, min over trials; sizes are per-cell, not chain totals",
 			"dirty-frac: slab words dirtied since the baseline / total words — what the delta pays for, and what the chain writer's ≥1/2 compaction policy inspects",
-			"bin: v3 binary full snapshot (O(n) regardless of dirt); delta: v3 incremental (cost tracks dirty-frac)",
+			"bin: v4 binary full snapshot (O(n) regardless of dirt); delta: v4 incremental (cost tracks dirty-frac)",
 			"speedup: bin-us / delta-us — the factor the delta path takes off a full snapshot's per-tick cost",
 			"chain replay equals the full snapshot bit-exactly (internal/ckpt round-trip suites, E17 chaos matrices)",
 		},

@@ -16,7 +16,7 @@ import (
 // (optionally noisy, adversarial and churning) to completion recording a
 // per-round trace hash, then repeatedly "kills" the same execution at
 // randomized rounds, resumes each kill from the last auto-checkpoint
-// (after a v3 encode/decode roundtrip or a chain load, exactly what a
+// (after a binary snapshot encode/decode roundtrip or a chain load, exactly what a
 // crashed process would read back from disk), and asserts that every
 // resumed round reproduces the reference trace hash bit-exactly. Any
 // divergence — a field missing from the checkpoint, an RNG stream
@@ -56,7 +56,7 @@ type ChaosScenario struct {
 	// an on-disk base + delta chain (internal/ckpt) in this directory,
 	// and resumes from ckpt.Load — the incremental format under the same
 	// kill–resume pressure as full snapshots. Empty takes full captures
-	// and resumes from a v3 snapshot encode/decode roundtrip.
+	// and resumes from a binary snapshot encode/decode roundtrip.
 	ChainDir string
 }
 
@@ -317,7 +317,7 @@ func RunChaos(s ChaosScenario, kills int, src *rng.Source) (*ChaosReport, error)
 
 		// Serialize/deserialize roundtrip: resume from what a crashed
 		// process would actually read back. Chain mode assembles base +
-		// deltas from disk; full-capture mode round-trips a v3 snapshot.
+		// deltas from disk; full-capture mode round-trips a binary snapshot.
 		var cp *beep.Checkpoint
 		if chainPath != "" {
 			loaded, info, err := ckpt.Load(chainPath)

@@ -136,7 +136,7 @@ func (e chaosEngine) apply(base ChaosScenario, suffix string) ChaosScenario {
 // quiet-churn, wide-quiet-churn} × {the pipeline on one stripe and on
 // three, each also with forced delta delivery, and the reference loop}
 // must all resume from their last auto-checkpoint, read back through a
-// v3 snapshot, with bit-exact trace equivalence against the
+// binary snapshot, with bit-exact trace equivalence against the
 // uninterrupted execution. The pipeline rows certify the kernels (and
 // the multi-stripe state) and the empty-frontier elision under
 // kill/resume; the reference-loop row certifies the per-machine round
@@ -223,7 +223,7 @@ func TestChaosDetectsForgottenAdversaries(t *testing.T) {
 }
 
 // TestChaosChainKillResume re-runs the kill–resume matrix with every
-// crash pass's checkpoints persisted as an on-disk v3 base + delta
+// crash pass's checkpoints persisted as an on-disk base + delta
 // chain and every resume assembled by ckpt.Load — the incremental
 // checkpoint format under the same bit-exactness gate as full
 // snapshots. The quiet scenario must produce at least some resumes
