@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/beep"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
@@ -68,12 +69,33 @@ func goldenConfig(g *graph.Graph, parts int, spawner dist.Spawner) dist.Config {
 	}
 }
 
+// singleProcessDigests steps the golden configuration in one process
+// for the given rounds and returns each round's beep.RoundDigest.
+func singleProcessDigests(t *testing.T, g *graph.Graph, rounds int) []uint64 {
+	t.Helper()
+	var hashes []uint64
+	net, err := beep.NewNetwork(g, core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta)), 7,
+		beep.WithObserver(func(round int, sent, heard []beep.Signal) {
+			hashes = append(hashes, beep.RoundDigest(round, 0, len(sent), sent, heard))
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	if err := core.ApplyInit(net, core.InitRandom); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		net.Step()
+	}
+	return hashes
+}
+
 // TestProcessChaosMatrix is the process-level crash-recovery matrix: at
 // ≥10 randomized kill points a live worker process is SIGKILLed mid-run
 // and the coordinator must respawn it, rewind to the last synchronized
-// checkpoint, and finish hash-for-hash identical to the uninterrupted
-// reference — stabilization round, MIS mask, and every per-round trace
-// digest.
+// checkpoint, and finish hash-for-hash identical to the single-process
+// execution — stabilization round, MIS mask, and every round digest.
 func TestProcessChaosMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process chaos matrix is not -short")
@@ -81,16 +103,23 @@ func TestProcessChaosMatrix(t *testing.T) {
 	g := graph.GNPAvgDegree(64, 6, rng.New(42))
 	const parts = 2
 
-	// Uninterrupted reference, in-process (proven bit-identical to the
-	// single-process flat kernels by the internal/dist equivalence
-	// matrix).
-	ref, err := dist.Run(context.Background(), goldenConfig(g, parts, dist.InProcessSpawner(nil)))
+	// Single-process reference: core.Run for the golden outcome, and the
+	// round digests of the same execution. The coordinator detects
+	// legality on the quiescent round after stabilization, so the
+	// digests cover that round too.
+	golden, err := core.Run(core.RunConfig{
+		Graph:    g,
+		Protocol: core.NewAlg1(core.KnownMaxDegreeExact(core.DefaultC1KnownDelta)),
+		Seed:     7,
+		Init:     core.InitRandom,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ref.Stabilized || ref.StabilizedRound != 39 || ref.MISSize != 20 || maskHash(ref.MIS) != 0xc3308e69f7440ccb {
-		t.Fatalf("reference run is not the golden execution: %+v", ref)
+	if golden.Rounds != 39 || golden.MISSize != 20 || maskHash(golden.MIS) != 0xc3308e69f7440ccb {
+		t.Fatalf("reference run is not the golden execution: %+v", golden)
 	}
+	ref := singleProcessDigests(t, g, golden.Rounds+1)
 
 	// Randomized but reproducible kill schedule: (round, partition)
 	// pairs spread across the whole execution.
@@ -98,7 +127,7 @@ func TestProcessChaosMatrix(t *testing.T) {
 	type kill struct{ round, part int }
 	var kills []kill
 	for i := 0; i < 10; i++ {
-		kills = append(kills, kill{round: 1 + sched.Intn(ref.Rounds-2), part: sched.Intn(parts)})
+		kills = append(kills, kill{round: 1 + sched.Intn(len(ref)-2), part: sched.Intn(parts)})
 	}
 
 	t.Setenv(workerEnv, "1") // inherited by the spawned processes
@@ -129,17 +158,17 @@ func TestProcessChaosMatrix(t *testing.T) {
 		if res.Respawns < 1 {
 			t.Fatalf("kill %d: SIGKILL at round %d caused no respawn", i, k.round)
 		}
-		if res.StabilizedRound != ref.StabilizedRound || res.MISSize != ref.MISSize || maskHash(res.MIS) != maskHash(ref.MIS) {
+		if res.StabilizedRound != golden.Rounds || res.MISSize != golden.MISSize || maskHash(res.MIS) != maskHash(golden.MIS) {
 			t.Fatalf("kill %d (round %d, part %d): diverged: round=%d |MIS|=%d hash=%#x, want %d/%d/%#x",
 				i, k.round, k.part, res.StabilizedRound, res.MISSize, maskHash(res.MIS),
-				ref.StabilizedRound, ref.MISSize, maskHash(ref.MIS))
+				golden.Rounds, golden.MISSize, maskHash(golden.MIS))
 		}
-		if len(res.RoundHashes) != len(ref.RoundHashes) {
-			t.Fatalf("kill %d: %d round hashes, reference %d", i, len(res.RoundHashes), len(ref.RoundHashes))
+		if len(res.RoundHashes) != len(ref) {
+			t.Fatalf("kill %d: %d round hashes, reference %d", i, len(res.RoundHashes), len(ref))
 		}
-		for r := range ref.RoundHashes {
-			if res.RoundHashes[r] != ref.RoundHashes[r] {
-				t.Fatalf("kill %d: round %d hash %#x, reference %#x", i, r+1, res.RoundHashes[r], ref.RoundHashes[r])
+		for r := range ref {
+			if res.RoundHashes[r] != ref[r] {
+				t.Fatalf("kill %d: round %d hash %#x, single process %#x", i, r+1, res.RoundHashes[r], ref[r])
 			}
 		}
 	}

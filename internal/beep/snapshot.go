@@ -289,7 +289,6 @@ func DecodeSnapshot(data []byte) (*Checkpoint, error) {
 		for k := range rng {
 			rng[k] = le.Uint64(data[base+k*8:])
 		}
-		_ = i
 	}
 	off += 4 * 32
 	if flags&^(snapFlagAdv|snapFlagVals32|snapFlagRagged) != 0 {

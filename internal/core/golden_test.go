@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"repro/internal/beep"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -48,5 +49,40 @@ func TestGoldenExecution(t *testing.T) {
 	if res.Rounds != wantRounds || res.MISSize != wantMISSize || h.Sum64() != wantHash {
 		t.Fatalf("execution changed: rounds=%d misSize=%d hash=%#x, want %d/%d/%#x",
 			res.Rounds, res.MISSize, h.Sum64(), wantRounds, wantMISSize, wantHash)
+	}
+}
+
+// TestRoundDigestStable pins beep.RoundDigest on the golden execution.
+// beepd persists these values in job traces and the distributed engine
+// reports them, so a change to the digest's definition must be a
+// deliberate edit of these constants, never a side effect.
+func TestRoundDigestStable(t *testing.T) {
+	want := map[int]uint64{
+		1:  0xd73a88087b5df33f,
+		2:  0xcd1ae590047844b1,
+		39: 0xd99c6c8b04cc8776,
+	}
+	got := make(map[int]uint64)
+	res, err := Run(RunConfig{
+		Graph:    graph.GNPAvgDegree(64, 6, rng.New(42)),
+		Protocol: NewAlg1(KnownMaxDegreeExact(DefaultC1KnownDelta)),
+		Seed:     7,
+		Init:     InitRandom,
+		Options: []beep.Option{beep.WithObserver(func(round int, sent, heard []beep.Signal) {
+			if _, ok := want[round]; ok {
+				got[round] = beep.RoundDigest(round, 0, len(sent), sent, heard)
+			}
+		})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 39 {
+		t.Fatalf("golden execution ran %d rounds, want 39", res.Rounds)
+	}
+	for _, round := range []int{1, 2, 39} {
+		if got[round] != want[round] {
+			t.Errorf("round %d digest %#x, want %#x", round, got[round], want[round])
+		}
 	}
 }

@@ -137,13 +137,7 @@ func TestDistWorkerDiesMidBarrier(t *testing.T) {
 		t.Fatalf("post-recovery run diverged: stabilized=%v round=%d |MIS|=%d hash=%#x",
 			res.Stabilized, res.StabilizedRound, res.MISSize, maskHash(res.MIS))
 	}
-	ranges := computeRanges(g.N(), 2)
-	ref := flatReference(t, g, "alg1-known-delta", 7, ranges, res.Rounds)
-	for i := range ref {
-		if res.RoundHashes[i] != ref[i] {
-			t.Fatalf("round %d hash %#x, reference %#x", i+1, res.RoundHashes[i], ref[i])
-		}
-	}
+	sameHashes(t, "post-recovery", res.RoundHashes, reference(t, g, "alg1-known-delta", 7, goldenStabRound+1))
 }
 
 // TestDistPermanentLoss kills a worker whose respawn always fails: the

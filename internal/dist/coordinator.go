@@ -74,11 +74,12 @@ type Config struct {
 	Listen string
 
 	// PhaseTimeout is the initial per-RPC reply window (default 2s);
-	// each retransmission doubles it up to MaxBackoff (default 8s),
-	// bounded by MaxAttempts (default 4) — the capped-exponential-
-	// backoff retransmission ladder. JoinTimeout bounds waiting for a
-	// (re)spawned worker's join (default 10s). HeartbeatEvery paces
-	// idle-connection pings (default 1s; negative disables).
+	// each retransmission doubles it up to MaxBackoff (default
+	// 4 × PhaseTimeout), bounded by MaxAttempts (default 4) — the
+	// capped-exponential-backoff retransmission ladder. JoinTimeout
+	// bounds waiting for a (re)spawned worker's join (default 10s).
+	// HeartbeatEvery paces idle-connection pings (default 1s; negative
+	// disables).
 	PhaseTimeout   time.Duration
 	MaxBackoff     time.Duration
 	MaxAttempts    int
@@ -95,8 +96,9 @@ type Config struct {
 	// connection.
 	Fault FaultPlan
 
-	// Observer, when set, receives each completed round's combined
-	// trace hash (re-executed rounds fire again with identical hashes).
+	// Observer, when set, receives each completed round's digest, the
+	// single-process beep.RoundDigest value (re-executed rounds fire
+	// again with identical digests).
 	Observer func(round int, hash uint64)
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
@@ -116,9 +118,10 @@ type Result struct {
 	MISSize         int
 	// Respawns counts worker revivals (0 in a fault-free run).
 	Respawns int
-	// RoundHashes[i] is the combined per-partition trace digest of
-	// round initialRound+1+i (see CombineDigests); recovered rounds
-	// overwrite their slot with — by determinism — the same value.
+	// RoundHashes[i] is the digest of round initialRound+1+i: the sum
+	// of the partitions' beep.RoundDigest shares, equal to the
+	// single-process value whatever the partition count. Recovered
+	// rounds overwrite their slot with — by determinism — the same value.
 	RoundHashes []uint64
 	// LastCheckpoint is the state at round Rounds, sealed: bit-exact the
 	// checkpoint a single-process network stepped to that round holds.

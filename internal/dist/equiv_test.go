@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"hash/fnv"
 	"path/filepath"
 	"testing"
@@ -43,24 +44,20 @@ func maskHash(mask []bool) uint64 {
 	return h.Sum64()
 }
 
-// flatReference executes `rounds` rounds on the single-process flat
-// kernels and returns the per-round combined digests over the given
-// partition ranges — the trace a distributed run with those ranges must
-// reproduce hash for hash.
-func flatReference(t *testing.T, g *graph.Graph, protoName string, seed uint64, ranges [][2]int, rounds int) []uint64 {
+// reference executes `rounds` rounds in one process and returns each
+// round's digest (beep.RoundDigest over the whole network) — the trace
+// a distributed run must reproduce hash for hash at every partition
+// count.
+func reference(t *testing.T, g *graph.Graph, protoName string, seed uint64, rounds int) []uint64 {
 	t.Helper()
 	proto, err := core.ProtocolByName(protoName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hashes []uint64
-	parts := make([]uint64, len(ranges))
 	net, err := beep.NewNetwork(g, proto, seed,
 		beep.WithObserver(func(round int, sent, heard []beep.Signal) {
-			for p, r := range ranges {
-				parts[p] = RangeDigest(round, r[0], sent[r[0]:r[1]], heard[r[0]:r[1]])
-			}
-			hashes = append(hashes, CombineDigests(round, parts))
+			hashes = append(hashes, beep.RoundDigest(round, 0, len(sent), sent, heard))
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -75,6 +72,20 @@ func flatReference(t *testing.T, g *graph.Graph, protoName string, seed uint64, 
 		}
 	}
 	return hashes
+}
+
+// sameHashes fails the test at the first round where a distributed
+// run's digests leave the single-process reference.
+func sameHashes(t *testing.T, name string, got, ref []uint64) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: %d round hashes, reference has %d", name, len(got), len(ref))
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("%s: round %d hash %#x, reference %#x", name, i+1, got[i], ref[i])
+		}
+	}
 }
 
 // TestPartTable pins the exchange-plan invariants: the ranges tile
@@ -124,10 +135,12 @@ func distConfig(g *graph.Graph, parts int) Config {
 // TestDistGoldenEquivalence is the N-partition trace-equivalence
 // matrix: at every partition count the distributed engine must
 // reproduce the golden execution — stabilization round, MIS, mask hash
-// — and every per-round combined digest of the single-process flat-kernel
-// reference over the same ranges.
+// — and every round digest of the one single-process reference. A
+// stabilization run detects legality on the quiescent round after the
+// golden one, so the reference covers that round too.
 func TestDistGoldenEquivalence(t *testing.T) {
 	g := goldenGraph(t)
+	ref := reference(t, g, "alg1-known-delta", 7, goldenStabRound+1)
 	for parts := 1; parts <= 4; parts++ {
 		res, err := Run(context.Background(), distConfig(g, parts))
 		if err != nil {
@@ -143,16 +156,7 @@ func TestDistGoldenEquivalence(t *testing.T) {
 		if res.Respawns != 0 {
 			t.Fatalf("parts=%d: %d respawns in a fault-free run", parts, res.Respawns)
 		}
-		ranges := computeRanges(g.N(), parts)
-		ref := flatReference(t, g, "alg1-known-delta", 7, ranges, res.Rounds)
-		if len(res.RoundHashes) != len(ref) {
-			t.Fatalf("parts=%d: %d round hashes, reference has %d", parts, len(res.RoundHashes), len(ref))
-		}
-		for i := range ref {
-			if res.RoundHashes[i] != ref[i] {
-				t.Fatalf("parts=%d: round %d hash %#x, reference %#x", parts, i+1, res.RoundHashes[i], ref[i])
-			}
-		}
+		sameHashes(t, fmt.Sprintf("parts=%d", parts), res.RoundHashes, ref)
 	}
 }
 
@@ -171,13 +175,7 @@ func TestDistTwoChannel(t *testing.T) {
 	if !res.Stabilized || res.MISSize == 0 {
 		t.Fatalf("two-channel run did not stabilize: %+v", res)
 	}
-	ranges := computeRanges(g.N(), 3)
-	ref := flatReference(t, g, "alg2-two-channel", 13, ranges, res.Rounds)
-	for i := range ref {
-		if res.RoundHashes[i] != ref[i] {
-			t.Fatalf("round %d hash %#x, reference %#x", i+1, res.RoundHashes[i], ref[i])
-		}
-	}
+	sameHashes(t, "two-channel", res.RoundHashes, reference(t, g, "alg2-two-channel", 13, res.Rounds))
 }
 
 // TestDistFaultInjectionEquivalence turns on every wire fault at once —
@@ -207,13 +205,7 @@ func TestDistFaultInjectionEquivalence(t *testing.T) {
 		t.Fatalf("faulty-wire run diverged: stabilized=%v round=%d |MIS|=%d hash=%#x",
 			res.Stabilized, res.StabilizedRound, res.MISSize, maskHash(res.MIS))
 	}
-	ranges := computeRanges(g.N(), 3)
-	ref := flatReference(t, g, "alg1-known-delta", 7, ranges, res.Rounds)
-	for i := range ref {
-		if res.RoundHashes[i] != ref[i] {
-			t.Fatalf("round %d hash %#x, reference %#x", i+1, res.RoundHashes[i], ref[i])
-		}
-	}
+	sameHashes(t, "faulty wire", res.RoundHashes, reference(t, g, "alg1-known-delta", 7, goldenStabRound+1))
 }
 
 // TestDistCheckpointResume pins the checkpoint interop: a run persists

@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/beep"
 	"repro/internal/graph"
@@ -115,8 +114,9 @@ func decodeRound(b []byte) (int, error) {
 	return int(binary.LittleEndian.Uint32(b)), nil
 }
 
-// encodeDeliverOK packs the deliver reply: round, changed flag, range
-// trace digest.
+// encodeDeliverOK packs the deliver reply: round, changed flag, and the
+// partition's share of the round digest (beep.RoundDigest over its
+// range), which the coordinator adds into the whole-network value.
 func encodeDeliverOK(round int, changed bool, digest uint64) []byte {
 	b := make([]byte, 0, 13)
 	b = binary.LittleEndian.AppendUint32(b, uint32(round))
@@ -264,39 +264,4 @@ func decodeDeliverSparse(b []byte, channels, words int, apply func(c, wi int, w 
 		return 0, err
 	}
 	return int(binary.LittleEndian.Uint32(b)), nil
-}
-
-// --- trace digests ----------------------------------------------------
-
-// RangeDigest is the FNV-1a digest of one partition's slice of a
-// round's signals — the distributed analogue of stab.TraceHash, split
-// at the partition boundaries so per-range digests can be compared
-// against a single-process reference observing the same boundaries.
-func RangeDigest(round, lo int, sent, heard []beep.Signal) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(round))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(lo))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(sent)))
-	h.Write(buf[:])
-	for i := range sent {
-		h.Write([]byte{byte(sent[i]), byte(heard[i])})
-	}
-	return h.Sum64()
-}
-
-// CombineDigests folds the per-partition digests of one round (in
-// partition order) into the round hash recorded in Result.RoundHashes.
-func CombineDigests(round int, parts []uint64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(round))
-	h.Write(buf[:])
-	for _, d := range parts {
-		binary.LittleEndian.PutUint64(buf[:], d)
-		h.Write(buf[:])
-	}
-	return h.Sum64()
 }

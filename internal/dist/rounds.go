@@ -22,7 +22,6 @@ func (co *coordinator) loop(ctx context.Context) error {
 	if budget == 0 {
 		budget = core.DefaultMaxRounds(co.g.N())
 	}
-	digests := make([]uint64, len(co.clients))
 	var probe core.State
 
 	// rewind routes a dead-worker signal through recovery and resets
@@ -101,7 +100,8 @@ func (co *coordinator) loop(ctx context.Context) error {
 
 		// DELIVER: every worker receives the changed merged words
 		// covering its neighborhoods, gathers, updates, and reports
-		// (changed, digest).
+		// (changed, its share of the round digest); the shares add up to
+		// the whole-network digest.
 		payloads := make([][]byte, len(co.clients))
 		for p := range co.clients {
 			payloads[p] = co.deliverPayload(round, p)
@@ -117,6 +117,7 @@ func (co *coordinator) loop(ctx context.Context) error {
 			return err
 		}
 		anyChanged := false
+		var hash uint64
 		for p := range co.clients {
 			gotRound, changed, d, err := decodeDeliverOK(co.replies[p])
 			if err != nil {
@@ -126,7 +127,7 @@ func (co *coordinator) loop(ctx context.Context) error {
 				return &WorkerError{Part: p, Msg: fmt.Sprintf("deliver reply for round %d, want %d", gotRound, round)}
 			}
 			anyChanged = anyChanged || changed
-			digests[p] = d
+			hash += d
 		}
 		// Every worker consumed this round's deltas; the merged words are
 		// the new shared baseline.
@@ -135,7 +136,6 @@ func (co *coordinator) loop(ctx context.Context) error {
 				co.dirty[c][i] = 0
 			}
 		}
-		hash := CombineDigests(round, digests)
 		if idx := round - startRound - 1; idx == len(co.res.RoundHashes) {
 			co.res.RoundHashes = append(co.res.RoundHashes, hash)
 		} else {

@@ -207,7 +207,7 @@ func handleFrame(wsp **workerState, part int, f frame, logf func(string, ...any)
 				return fail("worker %d: update round %d: %v", part, round, err)
 			}
 			sent, heard := ws.part.Signals()
-			digest := RangeDigest(round, ws.lo, sent[ws.lo:ws.hi], heard[ws.lo:ws.hi])
+			digest := beep.RoundDigest(round, ws.lo, len(sent), sent[ws.lo:ws.hi], heard[ws.lo:ws.hi])
 			ws.updatedRound = round
 			ws.deliverReply = encodeDeliverOK(round, changed, digest)
 			return &frame{Type: fDeliverOK, Seq: f.Seq, Payload: ws.deliverReply}, false

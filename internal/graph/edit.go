@@ -108,10 +108,6 @@ func (b *Builder) Live() int { return b.live }
 // Edges returns the current number of undirected edges.
 func (b *Builder) Edges() int { return b.edges }
 
-// Removed reports whether id v has been tombstoned. It panics for ids
-// outside the builder id space, like the other accessors.
-func (b *Builder) Removed(v int) bool { return b.removed[v] }
-
 // HasEdge reports whether the (live) edge {u, v} is present.
 func (b *Builder) HasEdge(u, v int) bool {
 	if u < 0 || u >= len(b.adj) || v < 0 || v >= len(b.adj) {

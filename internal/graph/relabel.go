@@ -162,17 +162,3 @@ func (r *Relabeling) MapBackInt32(vals []int32) []int32 {
 	}
 	return out
 }
-
-// ParseOrdering parses a flag-style ordering name ("none", "bfs" or
-// "degree"); the empty string parses as OrderNone.
-func ParseOrdering(s string) (Ordering, bool) {
-	switch s {
-	case "", "none":
-		return OrderNone, true
-	case "bfs":
-		return OrderBFS, true
-	case "degree":
-		return OrderDegree, true
-	}
-	return 0, false
-}

@@ -121,7 +121,7 @@ func (d *Daemon) runJob(ctx context.Context, j *Job) {
 			ID:            round,
 			Type:          "round",
 			Round:         round,
-			Hash:          fmt.Sprintf("%016x", stab.TraceHash(round, sent, heard)),
+			Hash:          fmt.Sprintf("%016x", beep.RoundDigest(round, 0, len(sent), sent, heard)),
 			Beeps:         beeps,
 			Active:        active,
 			FrontierWords: frontierWords,

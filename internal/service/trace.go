@@ -12,9 +12,11 @@ import (
 )
 
 // Event is one line of a job's trace log and one frame of the live
-// stream. Round events carry the per-round trace hash — the same
-// digest the chaos harness uses (stab.TraceHash) — so a client (or the
-// chaos test) can verify bit-exact resume from the stream alone. The
+// stream. Round events carry the round digest (beep.RoundDigest) — the
+// fingerprint the chaos harness compares and the distributed engine
+// reports in dist.Result.RoundHashes — so a client (or the chaos test)
+// can verify bit-exact resume from the stream alone, and compare a job
+// with any other run of the same execution round by round. The
 // terminal "done" event reports the outcome.
 //
 // IDs are monotone: a round event's ID is its round number, the done
@@ -31,7 +33,7 @@ type Event struct {
 	// mask's word count. Dense rounds report n and ceil(n/64); a fully
 	// quiescent elided round reports 0/0.
 	Round         int    `json:"round,omitempty"`
-	Hash          string `json:"hash,omitempty"` // 16 hex digits, stab.TraceHash
+	Hash          string `json:"hash,omitempty"` // 16 hex digits, beep.RoundDigest
 	Beeps         int    `json:"beeps,omitempty"`
 	Active        int    `json:"active,omitempty"`
 	FrontierWords int    `json:"frontierWords,omitempty"`

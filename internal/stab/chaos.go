@@ -1,9 +1,7 @@
 package stab
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 
 	"repro/internal/beep"
@@ -13,15 +11,16 @@ import (
 )
 
 // This file is the chaos kill–resume harness: it executes one scenario
-// (optionally noisy, adversarial and churning) to completion recording a
-// per-round trace hash, then repeatedly "kills" the same execution at
-// randomized rounds, resumes each kill from the last auto-checkpoint
-// (after a binary snapshot encode/decode roundtrip or a chain load, exactly what a
-// crashed process would read back from disk), and asserts that every
-// resumed round reproduces the reference trace hash bit-exactly. Any
-// divergence — a field missing from the checkpoint, an RNG stream
-// restored out of phase, an adversary forgotten — shows up as a hash
-// mismatch at a specific round.
+// (optionally noisy, adversarial and churning) to completion recording
+// every round's digest (beep.RoundDigest, the fingerprint beepd's round
+// events and the distributed engine carry too), then repeatedly "kills"
+// the same execution at randomized rounds, resumes each kill from the
+// last auto-checkpoint (after a binary snapshot encode/decode roundtrip
+// or a chain load, exactly what a crashed process would read back from
+// disk), and asserts that every resumed round reproduces the reference
+// digest bit-exactly. Any divergence — a field missing from the
+// checkpoint, an RNG stream restored out of phase, an adversary
+// forgotten — shows up as a digest mismatch at a specific round.
 
 // ChaosChurn schedules one live-rewire event inside a chaos scenario:
 // the event is applied immediately after round AfterRound completes,
@@ -104,24 +103,6 @@ type chaosTrace struct {
 	lastCP *beep.Checkpoint
 }
 
-// TraceHash folds one round's signals into a 64-bit FNV-1a digest. The
-// round number and vertex count are mixed in so a silent round is not
-// confused with a skipped one, nor a pre-churn round with a post-churn
-// one. It is the per-round fingerprint both the chaos harness and the
-// beepd service layer use to prove bit-exact resume.
-func TraceHash(round int, sent, heard []beep.Signal) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(round))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(len(sent)))
-	h.Write(b[:])
-	for i := range sent {
-		h.Write([]byte{byte(sent[i]), byte(heard[i])})
-	}
-	return h.Sum64()
-}
-
 // replayGraph re-derives the scenario's graph as of the end of round
 // upTo by replaying the churn schedule, mirroring exactly what the live
 // pass does. It returns the graph and the index of the first unapplied
@@ -162,7 +143,7 @@ func runPass(s *ChaosScenario, p chaosPass) (*chaosTrace, error) {
 	opts := append(append([]beep.Option(nil), s.Options...),
 		beep.WithObserver(func(round int, sent, heard []beep.Signal) {
 			if round >= 0 && round < len(tr.hashes) {
-				tr.hashes[round] = TraceHash(round, sent, heard)
+				tr.hashes[round] = beep.RoundDigest(round, 0, len(sent), sent, heard)
 			}
 		}))
 	// A fresh pass installs adversaries explicitly; a resumed pass must
@@ -253,7 +234,7 @@ func runPass(s *ChaosScenario, p chaosPass) (*chaosTrace, error) {
 // is most likely to go wrong). Each kill uses a fresh random checkpoint
 // cadence in [1,8], reads the last checkpoint back through its on-disk
 // format, restores it into a brand-new network, finishes the run, and
-// compares every resumed round's trace hash against the reference. The
+// compares every resumed round's digest against the reference. The
 // first divergence aborts the campaign with an error naming the round.
 func RunChaos(s ChaosScenario, kills int, src *rng.Source) (*ChaosReport, error) {
 	if kills <= 0 {
