@@ -1,5 +1,7 @@
 package beep
 
+import "repro/internal/rng"
+
 // RoundDigest is the one per-round fingerprint of an execution. A round
 // is fully described by every vertex's (sent, heard) pair, so the
 // reference loop, every stripe count and every partition split of the
@@ -36,8 +38,5 @@ func RoundDigest(round, lo, n int, sent, heard []Signal) uint64 {
 // which no vertex term can be: silent vertices add nothing and vertex n
 // does not exist.
 func digestTerm(round, v int, signals uint64) uint64 {
-	z := uint64(round)*0x9e3779b97f4a7c15 + (uint64(v)<<16 | signals)
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
+	return rng.Mix64(uint64(round)*0x9e3779b97f4a7c15 + (uint64(v)<<16 | signals))
 }

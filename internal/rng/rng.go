@@ -18,7 +18,12 @@ import "math/bits"
 // It is used for seeding and for deriving independent child streams.
 func splitMix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
-	z := *state
+	return Mix64(*state)
+}
+
+// Mix64 is the splitmix64 output finalizer: a bijection of uint64 that
+// spreads every input bit over the whole output.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
