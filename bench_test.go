@@ -289,10 +289,10 @@ func BenchmarkPublicSolveCycle256(b *testing.B) {
 
 // Detector micro-benchmarks: the per-round cost of the stabilization
 // stop check — Refresh (level capture) and Stabilized (legality
-// detection) — across sizes and graph families. These are the
-// benchmarks tracked in BENCH_baseline.json; the stop check runs once
-// per simulated round in every experiment, so its cost bounds the
-// sweep sizes the harness can reach.
+// detection) — across sizes and graph families (EXPERIMENTS.md,
+// "Harness cost", records their numbers); the stop check runs once per
+// simulated round in every experiment, so its cost bounds the sweep
+// sizes the harness can reach.
 
 func detectorBenchGraph(family string, n int) *graph.Graph {
 	switch family {

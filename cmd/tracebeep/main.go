@@ -83,13 +83,14 @@ func run(args []string) error {
 	fmt.Printf("graph %s  n=%d m=%d  alg=%s init=%s seed=%d\n", g.Name(), g.N(), g.M(), *alg, *init, *seed)
 	fmt.Println("per round: level[beep-marker]; * = in MIS, . = stable non-MIS")
 
-	stable := make([]bool, g.N())
+	inMIS, stable := make([]bool, g.N()), make([]bool, g.N())
 	for r := 0; r <= *rounds; r++ {
 		if err := st.Refresh(net); err != nil {
 			return err
 		}
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "r%-4d", net.Round())
+		st.FillMISMask(inMIS)
 		st.FillStableMask(stable)
 		for v := 0; v < g.N(); v++ {
 			mark := " "
@@ -98,7 +99,7 @@ func run(args []string) error {
 			}
 			tag := ""
 			switch {
-			case st.InMIS(v):
+			case inMIS[v]:
 				tag = "*"
 			case stable[v]:
 				tag = "."

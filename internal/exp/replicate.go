@@ -202,9 +202,7 @@ func runReplica(cfg *ReplicatedConfig, net *beep.Network, rl *graph.Relabeling, 
 			scratch.back = make([]bool, n)
 		}
 		mask, back := scratch.mask[:n], scratch.back[:n]
-		for v := 0; v < n; v++ {
-			mask[v] = probe.InMIS(v)
-		}
+		probe.FillMISMask(mask)
 		for old, nw := range rl.NewID {
 			back[old] = mask[nw]
 		}
@@ -212,14 +210,8 @@ func runReplica(cfg *ReplicatedConfig, net *beep.Network, rl *graph.Relabeling, 
 			return fmt.Errorf("relabeled MIS does not pull back to a legal MIS on the original graph: %w", err)
 		}
 	}
-	mis := 0
-	for v := 0; v < net.N(); v++ {
-		if probe.InMIS(v) {
-			mis++
-		}
-	}
 	res.Rounds[trial] = rounds
-	res.MISSize[trial] = mis
+	res.MISSize[trial] = probe.MISCount()
 	return nil
 }
 

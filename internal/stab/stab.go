@@ -60,8 +60,8 @@ func (f MISFault) Apply(net *beep.Network, src *rng.Source) error {
 		return fmt.Errorf("stab: %w", err)
 	}
 	var members []int
-	for v := 0; v < net.N(); v++ {
-		if st.InMIS(v) {
+	for v, in := range st.MISMask() {
+		if in {
 			members = append(members, v)
 		}
 	}
