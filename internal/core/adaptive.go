@@ -129,7 +129,7 @@ func (s *adaptiveSlab) ExportLevels(levels, caps []int32, words []uint64) {
 }
 
 // MutableCaps reports that the adaptive heuristic grows ℓmax during the
-// execution, so caps must be re-exported and re-diffed every round.
+// execution, so caps must be re-exported every round.
 func (s *adaptiveSlab) MutableCaps() bool { return true }
 
 // TwoChannel reports single-channel (Algorithm 1) semantics.
